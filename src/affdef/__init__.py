@@ -1,54 +1,9 @@
 """Exact deformation calculus for vacuum modules of affine Lie algebras."""
 
-from .scalar import LinForm, NonlinearProduct, Rational, format_rational, parse_rational
-from .liealg import InvalidRank, LieAlgebra, LieElt, sl2, sln, validate
-from .pbw import (
-    Mode,
-    NotHomogeneous,
-    State,
-    affine_commutator,
-    apply_mode,
-    basis_enum,
-    charge,
-    d_operator,
-    normal_order,
-    render_word,
-    weight,
-)
-from .singular import (
-    NonPositiveLevel,
-    SingularVector,
-    admissible_sl2,
-    catalog,
-    integral_relation,
-    is_singular,
-)
-from .deform import (
-    DefAtom,
-    DefExpression,
-    DefMode,
-    DuplicateAtom,
-    Rule,
-    RuleRegistry,
-    UnresolvedAtom,
-    evaluate,
-    generator_value,
-    master_commute,
-    mode_identity,
-    register_ansatz,
-    trivializing_map,
-    vacuum_rule,
-)
-from .rigidity import (
-    LinearSystem,
-    PipelineStuck,
-    ProofTranscript,
-    SystemMismatch,
-    Verdict,
-    admissible_pipeline,
-    cross_check,
-    eliminate,
-    integral_pipeline,
-)
+from .liealg import sl2, sln
+from .pbw import Mode, apply_mode, normal_order
+from .rigidity import integral_pipeline
+
+__all__ = ["sl2", "sln", "Mode", "apply_mode", "normal_order", "integral_pipeline"]
 
 __version__ = "0.1.0"

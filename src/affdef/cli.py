@@ -16,9 +16,9 @@ from pathlib import Path
 import click
 
 from . import rigidity, singular
-from .liealg import LieAlgebra, load_structure_file, sl2, sln
-from .pbw import Mode, State, apply_mode, basis_enum, normal_order, render_word
-from .scalar import format_rational, parse_rational
+from .liealg import InvalidRank, LieAlgebra, load_structure_file, sl2, sln
+from .pbw import Mode, State, apply_mode, basis_enum, normal_order, render_modes, render_word
+from .scalar import format_rational, parse_rational, signed_sum, signed_term
 
 
 class StateSyntaxError(Exception):
@@ -72,31 +72,9 @@ class ExprAST:
     terms: tuple
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for coeff, word in self.terms:
-            groups = []
-            for pair in word:
-                if groups and groups[-1][0] == pair:
-                    groups[-1][1] += 1
-                else:
-                    groups.append([pair, 1])
-            factors = "*".join(
-                f"{label}({depth})" + (f"^{n}" if n > 1 else "")
-                for (label, depth), n in groups
-            )
-            body = (factors + "|0>") if factors else "|0>"
-            if coeff == 1:
-                pieces.append(body)
-            elif coeff == -1:
-                pieces.append("-" + body)
-            else:
-                pieces.append(f"{format_rational(coeff)}*{body}")
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(
+            signed_term(coeff, render_modes(word), True) for coeff, word in self.terms
+        )
 
     def to_state(self, g: LieAlgebra, k) -> State:
         total = State.zero()
@@ -107,10 +85,8 @@ class ExprAST:
         return total
 
 
-def parse_state(text: str, g: LieAlgebra = None) -> ExprAST:
+def parse_state(text: str, g: LieAlgebra) -> ExprAST:
     """Parse a signed sum of mode words applied to ``|0>``."""
-    if g is None:
-        g = sl2()
     tokens = _tokenize(text)
     pos = 0
 
@@ -140,7 +116,10 @@ def parse_state(text: str, g: LieAlgebra = None) -> ExprAST:
         kind, value, off = peek()
         if kind == "number":
             advance()
-            coeff *= Fraction(value)
+            try:
+                coeff *= Fraction(value)
+            except ZeroDivisionError:
+                raise StateSyntaxError(f"zero denominator in {value!r}", off) from None
             kind, value, off = peek()
             if kind == "op" and value == "*":
                 advance()
@@ -216,10 +195,16 @@ def resolve_algebra(name: str) -> LieAlgebra:
         return sl2()
     m = re.fullmatch(r"sl(\d+)", name)
     if m:
-        return sln(int(m.group(1)))
+        try:
+            return sln(int(m.group(1)))
+        except InvalidRank as exc:
+            raise click.UsageError(str(exc)) from None
     path = Path(name)
     if path.suffix or path.exists():
-        return load_structure_file(path.read_text())
+        try:
+            return load_structure_file(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise click.UsageError(f"cannot load algebra {name!r}: {exc}") from None
     raise click.UsageError(f"unknown algebra {name!r}")
 
 
@@ -301,8 +286,8 @@ def singular_check_cmd(label, fmt, transcript):
         entry = singular.catalog(label)
     except (KeyError, singular.NonPositiveLevel) as exc:
         raise click.UsageError(str(exc))
-    ok, witness = singular.is_singular(entry.vector, entry.level)
     g = sl2()
+    ok, witness = singular.is_singular(entry.vector, entry.level, g)
     lines = [
         f"label: {entry.label}",
         f"level: {format_rational(entry.level)}",

@@ -34,23 +34,16 @@ from .pbw import (
     word_charge,
     word_weight,
 )
-from .scalar import LinForm
+from .scalar import LinForm, signed_sum, signed_term
 from .singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
 
-class DefMode(NamedTuple):
-    gen: int
-    depth: int
+class DefAtom(NamedTuple):
+    """The irreducible application gen^def(depth).(word)|0>."""
 
-
-@dataclass(frozen=True)
-class DefAtom:
     gen: int
     depth: int
     word: tuple
-
-    def key(self):
-        return (self.gen, self.depth, self.word)
 
 
 class UnresolvedAtom(Exception):
@@ -77,7 +70,7 @@ class Rule:
 class DefTerm(NamedTuple):
     coeff: LinForm
     prefix: tuple  # ordinary modes applied after the def-mode, leftmost outermost
-    defmode: DefMode
+    defmode: Mode  # the def-mode gen^def(depth)
     target: tuple  # word the def-mode acts on (need not be canonical)
 
 
@@ -91,13 +84,9 @@ class DefExpression:
         self.tail = tail if tail is not None else State.zero()
 
     @classmethod
-    def atom(cls, defmode: DefMode, target, coeff=1) -> "DefExpression":
+    def atom(cls, defmode: Mode, target, coeff=1) -> "DefExpression":
         coeff = coeff if isinstance(coeff, LinForm) else LinForm(coeff)
         return cls([DefTerm(coeff, (), defmode, tuple(target))])
-
-    @classmethod
-    def from_state(cls, state: State) -> "DefExpression":
-        return cls([], state)
 
     def __add__(self, other: "DefExpression") -> "DefExpression":
         return DefExpression(list(self.terms) + list(other.terms), self.tail + other.tail)
@@ -114,27 +103,24 @@ class DefExpression:
         return not self.terms
 
     def render(self, g: LieAlgebra) -> str:
-        pieces = []
-        for t in self.terms:
-            body = "".join(f"{g.label(m.gen)}({m.depth})" for m in t.prefix)
-            body += f"{g.label(t.defmode.gen)}^def({t.defmode.depth})"
-            body += render_word(g, t.target).replace("*", "")
-            if t.coeff == LinForm(1):
-                pieces.append(body)
-            elif t.coeff == LinForm(-1):
-                pieces.append("-" + body)
-            elif t.coeff.is_constant:
-                pieces.append(f"{t.coeff}*{body}")
-            else:
-                pieces.append(f"({t.coeff})*{body}")
+        pieces = [
+            signed_term(
+                t.coeff,
+                "".join(f"{g.label(m.gen)}({m.depth})" for m in t.prefix)
+                + def_label(g, *t.defmode)
+                + render_word(g, t.target).replace("*", ""),
+                t.coeff.is_constant,
+            )
+            for t in self.terms
+        ]
         if self.tail:
             pieces.append(self.tail.render(g))
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(pieces)
+
+
+def def_label(g: LieAlgebra, gen: int, depth: int) -> str:
+    """The def-mode gen^def(depth) as text: ``h^def(-1)``."""
+    return f"{g.label(gen)}^def({depth})"
 
 
 def _merge_terms(terms):
@@ -164,21 +150,19 @@ class RuleRegistry:
     def register_value(self, atom: DefAtom, value: State, provenance: str) -> Rule:
         if self._frozen:
             raise RegistryFrozen("registry is frozen")
-        key = atom.key()
-        if key in self._values:
+        if atom in self._values:
             raise DuplicateAtom(f"atom already registered: {self.render_atom(atom)}")
         self._check_grading(atom, value)
         rule = Rule(atom, value, provenance)
-        self._values[key] = rule
+        self._values[atom] = rule
         return rule
 
     def register_rewrite(self, atom: DefAtom, expr: DefExpression, provenance: str):
         if self._frozen:
             raise RegistryFrozen("registry is frozen")
-        key = atom.key()
-        if key in self._rewrites:
+        if atom in self._rewrites:
             raise DuplicateAtom(f"rewrite already registered: {self.render_atom(atom)}")
-        self._rewrites[key] = (expr, provenance)
+        self._rewrites[atom] = (expr, provenance)
 
     def _check_grading(self, atom: DefAtom, value: State):
         # weight of a^def(m) v is wt(a) - m - 1 + wt(v) = wt(v) - m for weight-1 a
@@ -197,11 +181,11 @@ class RuleRegistry:
                 f"{want_charge}, value has {charge(self.g, value)}"
             )
 
-    def lookup_value(self, defmode: DefMode, word) -> Optional[Rule]:
-        return self._values.get((defmode.gen, defmode.depth, tuple(word)))
+    def lookup_value(self, defmode: Mode, word) -> Optional[Rule]:
+        return self._values.get(DefAtom(*defmode, tuple(word)))
 
-    def lookup_rewrite(self, defmode: DefMode, word):
-        return self._rewrites.get((defmode.gen, defmode.depth, tuple(word)))
+    def lookup_rewrite(self, defmode: Mode, word):
+        return self._rewrites.get(DefAtom(*defmode, tuple(word)))
 
     def rules(self):
         return list(self._values.values())
@@ -210,31 +194,19 @@ class RuleRegistry:
         self._frozen = True
 
     def render_atom(self, atom: DefAtom) -> str:
-        g = self.g
-        return (
-            f"{g.label(atom.gen)}^def({atom.depth}) "
-            + render_word(g, atom.word)
-        )
+        return f"{def_label(self.g, atom.gen, atom.depth)} {render_word(self.g, atom.word)}"
 
     def dump(self) -> str:
         lines = []
-        for key in sorted(self._values):
-            rule = self._values[key]
+        for atom in sorted(self._values):
+            rule = self._values[atom]
             lines.append(
-                f"{self.render_atom(rule.atom)} := {rule.value.render(self.g)} ; {rule.provenance}"
+                f"{self.render_atom(atom)} := {rule.value.render(self.g)} ; {rule.provenance}"
             )
-        for key in sorted(self._rewrites):
-            expr, provenance = self._rewrites[key]
-            atom = DefAtom(*key)
-            lines.append(
-                f"{self.render_atom(atom)} := {expr.render(self.g)} ; {provenance}"
-            )
+        for atom in sorted(self._rewrites):
+            expr, provenance = self._rewrites[atom]
+            lines.append(f"{self.render_atom(atom)} := {expr.render(self.g)} ; {provenance}")
         return "\n".join(lines)
-
-
-def vacuum_rule(g: LieAlgebra, a: int, m: int) -> State:
-    """The deformation field kills the vacuum: a^def(m)|0> = 0 for every m."""
-    return State.zero()
 
 
 def generator_value(g: LieAlgebra, a: int, m: int, b: int) -> State:
@@ -259,30 +231,17 @@ class ModeIdentity:
     terms: tuple
 
     def render(self, g: LieAlgebra) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for coeff, dm in self.terms:
-            body = f"{g.label(dm.gen)}^def({dm.depth})" if dm is not None else None
-            if body is None:
-                pieces.append(str(coeff))
-            elif coeff == LinForm(1):
-                pieces.append(body)
-            elif coeff == LinForm(-1):
-                pieces.append("-" + body)
-            else:
-                pieces.append(f"{coeff}*{body}")
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return signed_sum(
+            str(coeff) if dm is None else signed_term(coeff, def_label(g, *dm), True)
+            for coeff, dm in self.terms
+        )
 
 
 def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity:
     """The commutator condition specialized to weight-1 generators, as operators."""
     terms = []
     for g2, coeff in g.bracket(a, b).items():
-        terms.append((LinForm(coeff), DefMode(g2, m + n)))
+        terms.append((LinForm(coeff), Mode(g2, m + n)))
     if m + n == 0:
         pairing = g.form(a, b)
         if m and pairing:
@@ -294,21 +253,21 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
     """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward."""
     w = tuple(w)
     terms = [
-        DefTerm(LinForm(1), (Mode(b, n),), DefMode(a, m), w),
-        DefTerm(LinForm(-1), (Mode(a, m),), DefMode(b, n), w),
+        DefTerm(LinForm(1), (Mode(b, n),), Mode(a, m), w),
+        DefTerm(LinForm(-1), (Mode(a, m),), Mode(b, n), w),
     ]
-    # the moved-past action applies to the vector the word spells
-    moved = apply_mode(g, a, m, normal_order(g, w, k), k)
-    for w2, coeff in moved.items():
-        terms.append(DefTerm(coeff, (), DefMode(b, n), w2))
+    # the target word need not be canonical: the moved-past action and the
+    # central term both apply to the vector the word spells
+    spelled = normal_order(g, w, k)
+    for w2, coeff in apply_mode(g, a, m, spelled, k).items():
+        terms.append(DefTerm(coeff, (), Mode(b, n), w2))
     for g2, coeff in g.bracket(a, b).items():
-        terms.append(DefTerm(LinForm(coeff), (), DefMode(g2, m + n), w))
+        terms.append(DefTerm(LinForm(coeff), (), Mode(g2, m + n), w))
     tail = State.zero()
     if m + n == 0:
         pairing = g.form(a, b)
         if m and pairing:
-            # the target word need not be canonical; its state value is
-            tail = normal_order(g, w, k).scale(LinForm.symbol("c", Fraction(m) * pairing))
+            tail = spelled.scale(LinForm.symbol("c", Fraction(m) * pairing))
     return DefExpression(terms, tail)
 
 
@@ -378,7 +337,7 @@ def evaluate(
             if collect_residual:
                 residual.append(t)
                 continue
-            raise UnresolvedAtom(DefAtom(t.defmode.gen, t.defmode.depth, t.target))
+            raise UnresolvedAtom(DefAtom(*t.defmode, t.target))
         terms = _merge_terms(next_terms)
     if not collect_residual:
         return tail
@@ -442,7 +401,7 @@ def cartan_def_power_vanishing(g: LieAlgebra, i: int, k) -> tuple:
         raise ValueError(f"index {i} exceeds the integral level bound {k + 1}")
     e, h = g.theta[0], g.theta[1]
     identity = mode_identity(g, h, 0, e, -1)
-    if identity.terms != ((LinForm(2), DefMode(e, -1)),):
+    if identity.terms != ((LinForm(2), Mode(e, -1)),):
         raise ArithmeticError("Cartan mode identity is not 2*e^def(-1)")
     steps = [("base", "h^def(0)|0> = 0")]
     for p in range(1, i):
@@ -537,7 +496,7 @@ def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
         return DefExpression(terms, tail)
 
     def term(coeff, prefix, gen, depth, target):
-        return DefTerm(LinForm(coeff), prefix, DefMode(gen, depth), tuple(target))
+        return DefTerm(LinForm(coeff), prefix, Mode(gen, depth), tuple(target))
 
     f1 = (Mode(f, 1),)
     h1 = (Mode(h, 1),)
@@ -589,7 +548,7 @@ def trivializing_map(v: State, registry: RuleRegistry, k) -> State:
         for i in range(len(word) - 1):
             mode = word[i]
             expr = DefExpression(
-                [DefTerm(LinForm(-1), word[:i], DefMode(mode.gen, mode.depth), word[i + 1 :])]
+                [DefTerm(LinForm(-1), word[:i], mode, word[i + 1 :])]
             )
             out = out + evaluate(expr, registry, k).scale(coeff)
     return out

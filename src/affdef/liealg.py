@@ -48,9 +48,6 @@ class LieElt:
         r = Fraction(r)
         return LieElt({i: c * r for i, c in self.coeffs.items()}) if r else LieElt()
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def __eq__(self, other):
         return isinstance(other, LieElt) and self.coeffs == other.coeffs
 
@@ -86,6 +83,7 @@ class LieAlgebra:
                 self._form[(j, i)] = q
         self.theta = tuple(theta_triple)
         self.charges = self._compute_charges()
+        self.report = None  # the ValidationReport, once validate has run
 
     def index(self, label: str) -> int:
         if label not in self._index:
@@ -234,7 +232,16 @@ def sln(n: int) -> LieAlgebra:
 
 
 def validate(g: LieAlgebra) -> ValidationReport:
-    """Exhaustively check antisymmetry, Jacobi, form symmetry/invariance, and the triple."""
+    """Exhaustively check antisymmetry, Jacobi, form symmetry/invariance, and the triple.
+
+    The check runs once per algebra object; its report is kept on ``g.report``.
+    """
+    if g.report is None:
+        g.report = _check(g)
+    return g.report
+
+
+def _check(g: LieAlgebra) -> ValidationReport:
     failures = []
     dim = g.dim
 

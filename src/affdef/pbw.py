@@ -12,10 +12,11 @@ from the commutation relation
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 from typing import NamedTuple
 
-from .liealg import LieAlgebra, LieElt
-from .scalar import LinForm
+from .liealg import LieAlgebra
+from .scalar import LinForm, signed_sum, signed_term
 
 
 class Mode(NamedTuple):
@@ -133,25 +134,11 @@ class State:
         return len(self._terms)
 
     def render(self, g: LieAlgebra) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for word in sorted(self._terms, key=lambda w: (word_weight(w), w)):
-            coeff = self._terms[word]
-            body = render_word(g, word)
-            if coeff == LinForm(1):
-                text = body
-            elif coeff == LinForm(-1):
-                text = "-" + body
-            elif coeff.is_constant or _is_single_symbol(coeff):
-                text = f"{coeff}*{body}"
-            else:
-                text = f"({coeff})*{body}"
-            pieces.append(text)
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        items = sorted(self._terms.items(), key=lambda t: (word_weight(t[0]), t[0]))
+        return signed_sum(
+            signed_term(coeff, render_word(g, word), coeff.is_constant or _is_single_symbol(coeff))
+            for word, coeff in items
+        )
 
     def __repr__(self):
         return f"State({dict(self._terms)!r})"
@@ -164,46 +151,35 @@ def _is_single_symbol(coeff: LinForm) -> bool:
     return value in (1, -1)
 
 
-def render_word(g: LieAlgebra, word: Word) -> str:
-    """Canonical text form, collapsing equal adjacent modes: ``e(-1)^2*f(-1)|0>``."""
-    if not word:
-        return "|0>"
-    groups = []
-    for mode in word:
-        if groups and groups[-1][0] == mode:
-            groups[-1][1] += 1
-        else:
-            groups.append([mode, 1])
+def render_modes(modes) -> str:
+    """Text of ``(label, depth)`` pairs applied to ``|0>``; equal adjacent modes collapse.
+
+    ``(("e", -1), ("e", -1), ("f", -1))`` renders as ``e(-1)^2*f(-1)|0>``.
+    """
     factors = []
-    for mode, count in groups:
-        base = f"{g.label(mode.gen)}({mode.depth})"
-        factors.append(base if count == 1 else f"{base}^{count}")
+    for (label, depth), run in groupby(modes):
+        count = len(list(run))
+        factors.append(f"{label}({depth})" + (f"^{count}" if count > 1 else ""))
     return "*".join(factors) + "|0>"
 
 
-def affine_commutator(g: LieAlgebra, a, m: int, b, n: int, k) -> tuple:
+def render_word(g: LieAlgebra, word: Word) -> str:
+    """Canonical text form of a word: ``e(-1)^2*f(-1)|0>``."""
+    return render_modes((g.label(mode.gen), mode.depth) for mode in word)
+
+
+def affine_commutator(g: LieAlgebra, a: int, m: int, b: int, n: int, k) -> tuple:
     """[a(m), b(n)] as the pair ([a,b], m+n) plus the central scalar m*k*<a,b>.
 
-    ``a`` and ``b`` may be basis indices or LieElts; the scalar is nonzero only
-    when m + n = 0.
+    ``a`` and ``b`` are basis indices; the scalar is nonzero only when m + n = 0.
     """
-    if isinstance(a, int):
-        a = LieElt.basis(a)
-    if isinstance(b, int):
-        b = LieElt.basis(b)
-    elt = g.bracket_elt(a, b)
-    central = Fraction(m) * Fraction(k) * g.form_elt(a, b) if m + n == 0 else Fraction(0)
-    return elt, m + n, central
+    central = Fraction(m) * Fraction(k) * g.form(a, b) if m + n == 0 else Fraction(0)
+    return g.bracket(a, b), m + n, central
 
 
-def apply_mode(g: LieAlgebra, a, m: int, v: State, k) -> State:
-    """a(m) . v in canonical form; a may be a basis index or a LieElt."""
+def apply_mode(g: LieAlgebra, a: int, m: int, v: State, k) -> State:
+    """a(m) . v in canonical form, for the basis index a."""
     k = Fraction(k)
-    if isinstance(a, LieElt):
-        out = State.zero()
-        for idx, coeff in a.items():
-            out = out + apply_mode(g, idx, m, v, k).scale(coeff)
-        return out
     out = State.zero()
     for word, coeff in v.items():
         out = out + _apply_to_word(g, a, m, word, k).scale(coeff)

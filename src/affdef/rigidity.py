@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .deform import (
     DefAtom,
     DefExpression,
-    DefMode,
     RuleRegistry,
     UnresolvedAtom,
     _merge_terms,
@@ -27,7 +27,7 @@ from .deform import (
 )
 from .liealg import LieAlgebra, sl2, validate
 from .pbw import Mode, State, render_word
-from .scalar import LinForm, format_rational, symbol_sort_key
+from .scalar import LinForm, format_rational, signed_sum, symbol_sort_key
 from .singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
 
@@ -149,14 +149,13 @@ class Verdict:
     final_relation: LinForm
     equations: list
     transcript: ProofTranscript
+    # re-runs the originating pipeline; not part of the verdict's value
+    rerun: Callable[[], "Verdict"] = field(compare=False, repr=False)
     quarantine: list = field(default_factory=list)
-    _replay = None
 
     def replay(self) -> bool:
         """Re-execute the originating pipeline and compare transcripts bit-exactly."""
-        if self._replay is None:
-            raise ValueError("verdict carries no replay context")
-        fresh = self._replay()
+        fresh = self.rerun()
         return (
             fresh.transcript.steps == self.transcript.steps
             and fresh.final_relation == self.final_relation
@@ -188,14 +187,12 @@ def rational_jsonable(q: Fraction):
     return int(q) if q.denominator == 1 else format_rational(q)
 
 
-def integral_pipeline(g: LieAlgebra = None, k: int = 1) -> Verdict:
+def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     """Run the positive-integral-level computation and force c = 0.
 
     Builds the registry of vanishing rules, reduces f^def(1) e(-1)^(k+1)|0>
     mechanically, and telescopes to the relation (k+1)*c = 0.
     """
-    if g is None:
-        g = sl2()
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"level must be a positive integer, got {k!r}")
     report = validate(g)
@@ -225,7 +222,7 @@ def integral_pipeline(g: LieAlgebra = None, k: int = 1) -> Verdict:
 
     try:
         for i in range(1, k + 2):
-            got = evaluate(DefExpression.atom(DefMode(f, 1), e_word(i)), registry, k)
+            got = evaluate(DefExpression.atom(Mode(f, 1), e_word(i)), registry, k)
             want = State.monomial(e_word(i - 1), LinForm.symbol("c", i))
             if got != want:
                 raise SystemMismatch(
@@ -260,16 +257,15 @@ def integral_pipeline(g: LieAlgebra = None, k: int = 1) -> Verdict:
     elim = eliminate(system)
     transcript.add("solve", "row reduction on the extracted relation", f"c forced: {elim.c_forced_zero}")
     transcript.conclusion = relation
-    verdict = Verdict(
+    return Verdict(
         pipeline="integral",
         level=Fraction(k),
         c_forced_zero=elim.c_forced_zero,
         final_relation=relation,
         equations=[relation],
         transcript=transcript,
+        rerun=lambda: integral_pipeline(g, k),
     )
-    verdict._replay = lambda: integral_pipeline(g, k)
-    return verdict
 
 
 # The five equations of the level -4/3 system, frozen coefficient-for-coefficient,
@@ -342,23 +338,20 @@ def admissible_pipeline(combination=None) -> Verdict:
     registry.freeze()
 
     words = WEIGHT3_WORDS
-    relation_text = ""
-    for s, w in zip(sigma, words):
-        piece = f"{format_rational(abs(s))}*{render_word(g, w)}"
-        if not relation_text:
-            relation_text = ("-" if s < 0 else "") + piece
-        else:
-            relation_text += (" - " if s < 0 else " + ") + piece
+    relation_text = signed_sum(
+        ("-" if s < 0 else "") + f"{format_rational(abs(s))}*{render_word(g, w)}"
+        for s, w in zip(sigma, words)
+    )
     transcript.add("singular-relation", f"0 = {relation_text}")
     try:
         f_image = State.zero()
         h_image = State.zero()
         for s, w in zip(sigma, words):
             f_image = f_image + evaluate(
-                DefExpression.atom(DefMode(f, 1), w), registry, k
+                DefExpression.atom(Mode(f, 1), w), registry, k
             ).scale(s)
             h_image = h_image + evaluate(
-                DefExpression.atom(DefMode(h, 1), w), registry, k
+                DefExpression.atom(Mode(h, 1), w), registry, k
             ).scale(s)
     except UnresolvedAtom as exc:
         raise PipelineStuck(str(exc)) from exc
@@ -451,17 +444,16 @@ def admissible_pipeline(combination=None) -> Verdict:
     )
     final_relation = final if not quarantine else (elim.c_row or final)
     transcript.conclusion = final_relation
-    verdict = Verdict(
+    return Verdict(
         pipeline="admissible-sl2",
         level=k,
         c_forced_zero=elim.c_forced_zero,
         final_relation=final_relation,
         equations=list(normalized),
         transcript=transcript,
+        rerun=lambda: admissible_pipeline(combination),
         quarantine=quarantine,
     )
-    verdict._replay = lambda: admissible_pipeline(combination)
-    return verdict
 
 
 @dataclass
@@ -492,9 +484,9 @@ def cross_check() -> list:
             atom = DefAtom(gen, 1, word)
             label = base.render_atom(atom)
             derived_tail, derived_res = evaluate(
-                DefExpression.atom(DefMode(gen, 1), word), base, k, collect_residual=True
+                DefExpression.atom(Mode(gen, 1), word), base, k, collect_residual=True
             )
-            expected_expr, _ = table.lookup_rewrite(DefMode(gen, 1), word)
+            expected_expr, _ = table.lookup_rewrite(Mode(gen, 1), word)
             expected_tail, expected_res = evaluate(
                 expected_expr, base, k, collect_residual=True
             )
@@ -508,7 +500,7 @@ def cross_check() -> list:
             elif not tail_diff:
                 atoms = sorted(
                     {
-                        base.render_atom(DefAtom(t.defmode.gen, t.defmode.depth, t.target))
+                        base.render_atom(DefAtom(*t.defmode, t.target))
                         for t in term_diff
                     }
                 )

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-# Rationals are stdlib Fractions: always reduced, positive denominator, exact.
-Rational = Fraction
-
 
 class NonlinearProduct(Exception):
     """Product of two non-constant linear forms (forbidden: unknowns are first order)."""
@@ -28,6 +25,31 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
+
+
+def signed_term(coeff, body: str, bare: bool) -> str:
+    """``coeff*body``, with a unit coefficient dropped; ``bare=False`` writes ``(coeff)*body``."""
+    if coeff == 1:
+        return body
+    if coeff == -1:
+        return "-" + body
+    return f"{coeff}*{body}" if bare else f"({coeff})*{body}"
+
+
+def signed_sum(pieces) -> str:
+    """Join signed pieces as ``a + b - c``: a piece starting with ``-`` is subtracted.
+
+    The empty sum is ``0``.
+    """
+    out = ""
+    for piece in pieces:
+        if not out:
+            out = piece
+        elif piece.startswith("-"):
+            out += " - " + piece[1:]
+        else:
+            out += " + " + piece
+    return out or "0"
 
 
 def symbol_sort_key(name: str):
@@ -56,10 +78,6 @@ class LinForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("LinForm is immutable")
-
-    @classmethod
-    def const(cls, value) -> "LinForm":
-        return cls(value)
 
     @classmethod
     def symbol(cls, name: str, coeff=1) -> "LinForm":
@@ -127,34 +145,18 @@ class LinForm:
         return self.constant == other.constant and self.terms == other.terms
 
     def __hash__(self):
+        # a constant form equals its Fraction, so it must hash like one
+        if not self.terms:
+            return hash(self.constant)
         return hash((self.constant, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
         return not self.is_zero
 
     def __str__(self):
-        if self.is_zero:
-            return "0"
-        pieces = []
-        if self.constant:
-            pieces.append((self.constant, None))
-        for name in self.symbols():
-            pieces.append((self.terms[name], name))
-        out = []
-        for i, (coeff, name) in enumerate(pieces):
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if name is None:
-                body = format_rational(mag)
-            elif mag == 1:
-                body = name
-            else:
-                body = f"{format_rational(mag)}*{name}"
-            if i == 0:
-                out.append(body if sign == "+" else "-" + body)
-            else:
-                out.append(f" {sign} {body}")
-        return "".join(out)
+        pieces = [format_rational(self.constant)] if self.constant else []
+        pieces += [signed_term(self.terms[name], name, True) for name in self.symbols()]
+        return signed_sum(pieces)
 
     def __repr__(self):
         return f"LinForm({self})"
@@ -167,6 +169,3 @@ def _coerce(value) -> LinForm:
         return LinForm(value)
     raise TypeError(f"cannot treat {value!r} as a linear form")
 
-
-ZERO = LinForm(0)
-ONE = LinForm(1)

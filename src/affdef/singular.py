@@ -75,14 +75,12 @@ def catalog(label: str) -> SingularVector:
     raise KeyError(f"unknown catalog label {label!r}")
 
 
-def is_singular(v: State, k, g: LieAlgebra = None) -> tuple:
+def is_singular(v: State, k, g: LieAlgebra) -> tuple:
     """True iff e(0) v = 0 and a(m) v = 0 for every basis a and 1 <= m <= weight(v).
 
     Returns ``(ok, witness)``; the witness names the first nonvanishing
     application and carries the offending state.
     """
-    if g is None:
-        g = sl2()
     k = Fraction(k)
     w = weight(v)
     checks = [(g.theta[0], 0)]

@@ -16,7 +16,6 @@ import test_rigidity
 import test_scalar
 from affdef.cli import main
 from affdef.deform import (
-    DefMode,
     cartan_def_power_vanishing,
     e_def_power_value,
     mode_identity,
@@ -101,11 +100,11 @@ def test_criterion_3_elimination_replay():
 
 def test_criterion_4_singularity():
     sv = admissible_sl2()
-    ok, witness = is_singular(sv.vector, sv.level)
+    ok, witness = is_singular(sv.vector, sv.level, G)
     assert ok and witness is None
     for k in (1, 2, 3):
         sv = integral_relation(k)
-        ok, witness = is_singular(sv.vector, sv.level)
+        ok, witness = is_singular(sv.vector, sv.level, G)
         assert ok and witness is None
     report(4, "the weight-3 vector at -4/3 and e(-1)^(k+1)|0> for k in {1,2,3} pass every annihilator exactly")
 
@@ -156,7 +155,7 @@ def test_criterion_7_property_suites():
 def test_criterion_8_master_relation_goldens():
     ident = mode_identity(G, F, 1, E, -1)
     assert ident.render(G) == "-h^def(0) + c"
-    assert ident.terms == ((LinForm(-1), DefMode(H, 0)), (LinForm.symbol("c"), None))
+    assert ident.terms == ((LinForm(-1), Mode(H, 0)), (LinForm.symbol("c"), None))
     ident = mode_identity(G, H, 0, E, -1)
     assert ident.render(G) == "2*e^def(-1)"
     report(8, "the master rewrite reproduces both stated operator identities exactly")

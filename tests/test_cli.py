@@ -24,7 +24,7 @@ E, H, F = G.theta
 # --- parser ---
 
 def test_parse_two_term_state():
-    ast = parse_state("-48*h(-1)e(-2)|0> + 80*e(-3)|0>")
+    ast = parse_state("-48*h(-1)e(-2)|0> + 80*e(-3)|0>", G)
     assert ast.terms == (
         (Fraction(-48), (("h", -1), ("e", -2))),
         (Fraction(80), (("e", -3),)),
@@ -32,53 +32,53 @@ def test_parse_two_term_state():
 
 
 def test_parse_vacuum():
-    assert parse_state("|0>").terms == ((Fraction(1), ()),)
-    assert parse_state("-|0>").terms == ((Fraction(-1), ()),)
+    assert parse_state("|0>", G).terms == ((Fraction(1), ()),)
+    assert parse_state("-|0>", G).terms == ((Fraction(-1), ()),)
 
 
 def test_parse_exponent_expansion():
-    ast = parse_state("e(-1)^2*f(-1)|0>")
+    ast = parse_state("e(-1)^2*f(-1)|0>", G)
     assert ast.terms == ((Fraction(1), (("e", -1), ("e", -1), ("f", -1))),)
 
 
 def test_parse_rational_coefficient():
-    ast = parse_state("3/2*h(-2)|0>")
+    ast = parse_state("3/2*h(-2)|0>", G)
     assert ast.terms == ((Fraction(3, 2), (("h", -2),)),)
 
 
 def test_parse_star_optional():
-    with_star = parse_state("2*e(-1)*f(-1)|0>")
-    without = parse_state("2e(-1)f(-1)|0>")
+    with_star = parse_state("2*e(-1)*f(-1)|0>", G)
+    without = parse_state("2e(-1)f(-1)|0>", G)
     assert with_star == without
 
 
 def test_parse_whitespace_insensitive():
-    assert parse_state(" e( -1 ) |0> ") == parse_state("e(-1)|0>")
+    assert parse_state(" e( -1 ) |0> ", G) == parse_state("e(-1)|0>", G)
 
 
 def test_parse_syntax_error_offset():
     with pytest.raises(StateSyntaxError) as err:
-        parse_state("e(-1")
+        parse_state("e(-1", G)
     assert err.value.offset == 4
     with pytest.raises(StateSyntaxError):
-        parse_state("e(-1)|0> e(-2)|0>")
+        parse_state("e(-1)|0> e(-2)|0>", G)
 
 
 def test_parse_unknown_generator():
     with pytest.raises(UnknownGenerator) as err:
-        parse_state("q(-1)|0>")
+        parse_state("q(-1)|0>", G)
     assert err.value.label == "q"
 
 
 def test_parse_non_negative_depth():
     with pytest.raises(NonNegativeDepth):
-        parse_state("e(0)|0>")
+        parse_state("e(0)|0>", G)
     with pytest.raises(NonNegativeDepth):
-        parse_state("e(2)|0>")
+        parse_state("e(2)|0>", G)
 
 
 def test_ast_to_state_normal_orders():
-    ast = parse_state("h(-1)e(-2)|0>")
+    ast = parse_state("h(-1)e(-2)|0>", G)
     got = ast.to_state(G, Fraction(-4, 3))
     expected = State.monomial((Mode(E, -2), Mode(H, -1))) + State.monomial(
         (Mode(E, -3),), 2
@@ -104,7 +104,7 @@ def test_parse_print_roundtrip_1000():
     rng = random.Random(99)
     for _ in range(1000):
         ast = random_ast(rng)
-        assert parse_state(ast.render()) == ast
+        assert parse_state(ast.render(), G) == ast
 
 
 def test_parse_mode():
@@ -247,3 +247,40 @@ def test_algebra_file_loading(tmp_path):
     )
     assert result.exit_code == 0
     assert len(result.output.strip().splitlines()) == 3
+
+
+def assert_usage_error(result, message):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert message in result.output
+
+
+def test_parse_zero_denominator():
+    with pytest.raises(StateSyntaxError):
+        parse_state("2/0*e(-1)|0>", G)
+
+
+def test_act_zero_denominator_exits_2():
+    result = runner.invoke(
+        main, ["act", "--mode", "f(1)", "--state", "2/0*e(-1)|0>", "--level", "1"]
+    )
+    assert_usage_error(result, "zero denominator")
+
+
+def test_invalid_rank_exits_2():
+    result = runner.invoke(main, ["pbw-basis", "--algebra", "sl1", "--weight", "2"])
+    assert_usage_error(result, "sln needs n >= 2")
+
+
+def test_missing_algebra_file_exits_2(tmp_path):
+    missing = tmp_path / "missing.txt"
+    result = runner.invoke(main, ["pbw-basis", "--algebra", str(missing), "--weight", "2"])
+    assert_usage_error(result, "No such file")
+
+
+def test_invalid_algebra_file_exits_2(tmp_path):
+    algebra_file = tmp_path / "alg.txt"
+    algebra_file.write_text("basis e h f\n[h,e] = 2*e\n<e,f> = 1\n")
+    result = runner.invoke(main, ["pbw-basis", "--algebra", str(algebra_file), "--weight", "2"])
+    assert_usage_error(result, "missing 'triple' line")

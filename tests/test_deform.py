@@ -6,7 +6,6 @@ import pytest
 from affdef.deform import (
     DefAtom,
     DefExpression,
-    DefMode,
     DefTerm,
     DuplicateAtom,
     RegistryFrozen,
@@ -23,7 +22,6 @@ from affdef.deform import (
     register_ansatz,
     single_generator_value,
     trivializing_map,
-    vacuum_rule,
 )
 from affdef.liealg import sl2
 from affdef.pbw import Mode, State, basis_enum
@@ -37,7 +35,7 @@ C = LinForm.symbol("c")
 
 
 def atom_expr(gen, depth, word):
-    return DefExpression.atom(DefMode(gen, depth), word)
+    return DefExpression.atom(Mode(gen, depth), word)
 
 
 def empty_registry():
@@ -48,7 +46,6 @@ def empty_registry():
 
 def test_vacuum_rule_everywhere():
     for gen, m in [(H, 0), (F, 1), (E, -5)]:
-        assert vacuum_rule(G, gen, m).is_zero
         assert evaluate(atom_expr(gen, m, ()), empty_registry(), K43).is_zero
 
 
@@ -65,13 +62,13 @@ def test_generator_value_pairings():
 
 def test_mode_identity_f1_e():
     ident = mode_identity(G, F, 1, E, -1)
-    assert ident.terms == ((LinForm(-1), DefMode(H, 0)), (C, None))
+    assert ident.terms == ((LinForm(-1), Mode(H, 0)), (C, None))
     assert ident.render(G) == "-h^def(0) + c"
 
 
 def test_mode_identity_h0_e():
     ident = mode_identity(G, H, 0, E, -1)
-    assert ident.terms == ((LinForm(2), DefMode(E, -1)),)
+    assert ident.terms == ((LinForm(2), Mode(E, -1)),)
     assert ident.render(G) == "2*e^def(-1)"
 
 
@@ -84,9 +81,9 @@ def test_mode_identity_nilpotent_direction():
 def test_master_commute_structure():
     expr = master_commute(G, F, 1, E, -1, (), Fraction(2))
     # pushes past one mode: b(n) a^def(m) - a(m) b^def(n) (+ moved + bracket + central)
-    assert DefTerm(LinForm(1), (Mode(E, -1),), DefMode(F, 1), ()) in expr.terms
-    assert DefTerm(LinForm(-1), (Mode(F, 1),), DefMode(E, -1), ()) in expr.terms
-    assert DefTerm(LinForm(-1), (), DefMode(H, 0), ()) in expr.terms
+    assert DefTerm(LinForm(1), (Mode(E, -1),), Mode(F, 1), ()) in expr.terms
+    assert DefTerm(LinForm(-1), (Mode(F, 1),), Mode(E, -1), ()) in expr.terms
+    assert DefTerm(LinForm(-1), (), Mode(H, 0), ()) in expr.terms
     assert expr.tail == State.vacuum(C)
 
 
@@ -231,17 +228,17 @@ def test_registry_dump():
 def test_rule_table_lookups():
     table = admissible_sl2_rule_table(G)
     w1, w2, w3, w4, w5 = WEIGHT3_WORDS
-    expr, _ = table.lookup_rewrite(DefMode(F, 1), w5)
+    expr, _ = table.lookup_rewrite(Mode(F, 1), w5)
     assert expr.is_state and expr.tail.is_zero  # f^def(1)e(-3)|0> = 0
-    expr, _ = table.lookup_rewrite(DefMode(H, 1), w3)
+    expr, _ = table.lookup_rewrite(Mode(H, 1), w3)
     assert expr.tail.is_zero
     assert expr.terms == (
-        DefTerm(LinForm(-1), (Mode(H, 1),), DefMode(H, -2), (Mode(E, -1),)),
+        DefTerm(LinForm(-1), (Mode(H, 1),), Mode(H, -2), (Mode(E, -1),)),
     )
-    expr, _ = table.lookup_rewrite(DefMode(F, 1), w3)
+    expr, _ = table.lookup_rewrite(Mode(F, 1), w3)
     assert expr.tail == State.monomial((Mode(H, -2),), C)
     assert expr.terms == (
-        DefTerm(LinForm(-1), (Mode(F, 1),), DefMode(H, -2), (Mode(E, -1),)),
+        DefTerm(LinForm(-1), (Mode(F, 1),), Mode(H, -2), (Mode(E, -1),)),
     )
 
 
@@ -294,7 +291,7 @@ def test_evaluate_unresolved_atom():
 def test_evaluate_nonlinear_guard_fires():
     registry = empty_registry()
     register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a")
-    expr = DefExpression.atom(DefMode(H, -1), (Mode(E, -2),), coeff=C)
+    expr = DefExpression.atom(Mode(H, -1), (Mode(E, -2),), coeff=C)
     with pytest.raises(NonlinearProduct):
         evaluate(expr, registry, K43)
 
@@ -304,7 +301,7 @@ def test_evaluate_collect_residual():
         atom_expr(F, 1, WEIGHT3_WORDS[0]), empty_registry(), K43, collect_residual=True
     )
     atoms = {(t.defmode, t.target) for t in residual}
-    assert (DefMode(H, -1), (Mode(E, -2),)) in atoms
+    assert (Mode(H, -1), (Mode(E, -2),)) in atoms
 
 
 # --- the trivializing map ---

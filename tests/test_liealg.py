@@ -152,3 +152,18 @@ def test_lie_elt_arithmetic():
     assert x == LieElt({1: 1})
     assert x.scale(0) == LieElt()
     assert not LieElt()
+
+
+def test_validate_runs_once_per_algebra():
+    g = sl2()
+    assert g.report is None
+    report = validate(g)
+    assert report.ok
+    assert g.report is report
+    assert validate(g) is report
+
+
+def test_structure_file_keeps_its_load_report():
+    g = load_structure_file(SL2_FILE)
+    assert g.report is not None and g.report.ok
+    assert validate(g) is g.report

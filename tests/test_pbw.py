@@ -246,7 +246,9 @@ def test_representation_property_sweep(k):
                         G, b, n, apply_mode(G, a, m, v, k), k
                     )
                     elt, depth, central = affine_commutator(G, a, m, b, n, k)
-                    rhs = apply_mode(G, elt, depth, v, k)
+                    rhs = State.zero()
+                    for idx, coeff in elt.items():
+                        rhs = rhs + apply_mode(G, idx, depth, v, k).scale(coeff)
                     if central:
                         rhs = rhs + v.scale(central)
                     assert lhs == rhs, (a, b, m, n)

@@ -122,6 +122,15 @@ def test_integral_replay():
     assert verdict.replay()
 
 
+def test_verdict_rerun_is_not_part_of_its_value():
+    a = integral_pipeline(sl2(), 2)
+    b = integral_pipeline(sl2(), 2)
+    assert a.rerun is not b.rerun
+    assert a == b
+    assert "rerun" not in repr(a)
+    assert "rerun" not in a.to_jsonable(include_steps=True)
+
+
 def test_integral_deterministic():
     a = integral_pipeline(sl2(), 4)
     b = integral_pipeline(sl2(), 4)

@@ -121,3 +121,11 @@ def test_neg_inverse(x):
 @given(rationals, rationals, linforms)
 def test_scale_composes(r, s, x):
     assert x.scale(r).scale(s) == x.scale(r * s)
+
+
+def test_constant_form_hashes_like_its_value():
+    for value in (3, Fraction(1, 2)):
+        assert LinForm(value) == value
+        assert hash(LinForm(value)) == hash(value)
+        assert len({LinForm(value), value}) == 1
+        assert {value: "found"}[LinForm(value)] == "found"

@@ -58,27 +58,27 @@ def test_admissible_canonical_coefficients():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_integral_vectors_are_singular(k):
     sv = integral_relation(k)
-    ok, witness = is_singular(sv.vector, sv.level)
+    ok, witness = is_singular(sv.vector, sv.level, G)
     assert ok and witness is None
 
 
 def test_admissible_vector_is_singular():
     sv = admissible_sl2()
-    ok, witness = is_singular(sv.vector, sv.level)
+    ok, witness = is_singular(sv.vector, sv.level, G)
     assert ok and witness is None
 
 
 def test_singularity_is_level_specific():
     vec = admissible_sl2().vector
     for bad_level in [ADMISSIBLE_LEVEL + 1, Fraction(0), Fraction(1)]:
-        ok, witness = is_singular(vec, bad_level)
+        ok, witness = is_singular(vec, bad_level, G)
         assert not ok
         assert witness is not None
 
 
 def test_non_singular_witness():
     vec = State.monomial((Mode(E, -1),) * 2)
-    ok, witness = is_singular(vec, Fraction(3))
+    ok, witness = is_singular(vec, Fraction(3), G)
     assert not ok
     label, depth, image, _ = witness
     assert (label, depth) == ("f", 1)
