@@ -106,13 +106,6 @@ class LieAlgebra:
     def form(self, i: int, j: int) -> Fraction:
         return self._form.get((i, j), Fraction(0))
 
-    def form_elt(self, x: LieElt, y: LieElt) -> Fraction:
-        total = Fraction(0)
-        for i, ci in x.items():
-            for j, cj in y.items():
-                total += ci * cj * self.form(i, j)
-        return total
-
     def charge(self, idx: int) -> int:
         """Eigenvalue of ad(h_theta) on the basis vector (the Cartan charge)."""
         return self.charges[idx]
@@ -174,60 +167,55 @@ def sln(n: int) -> LieAlgebra:
     if n < 2:
         raise InvalidRank(f"sln needs n >= 2, got {n}")
     labels = []
-    mats = []
-
-    def unit(i, j):
-        m = [[Fraction(0)] * n for _ in range(n)]
-        m[i][j] = Fraction(1)
-        return m
-
+    mats = []  # sparse matrices: (row, column) -> entry
     for i in range(n):
         for j in range(n):
             if i < j:
                 labels.append(f"E{i + 1}{j + 1}")
-                mats.append(unit(i, j))
+                mats.append({(i, j): 1})
     for i in range(n - 1):
         labels.append(f"D{i + 1}")
-        m = unit(i, i)
-        m[n - 1][n - 1] = Fraction(-1)
-        mats.append(m)
+        mats.append({(i, i): 1, (n - 1, n - 1): -1})
     for i in range(n):
         for j in range(n):
             if i > j:
                 labels.append(f"E{i + 1}{j + 1}")
-                mats.append(unit(i, j))
+                mats.append({(i, j): 1})
+    index = {label: a for a, label in enumerate(labels)}
 
-    def matmul(a, b):
-        return [
-            [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def msub(a, b):
-        return [[a[i][j] - b[i][j] for j in range(n)] for i in range(n)]
+    def matmul(x, y):
+        out = {}
+        for (i, t), p in x.items():
+            for (t2, j), q in y.items():
+                if t == t2:
+                    out[(i, j)] = out.get((i, j), 0) + p * q
+        return out
 
     def decompose(m):
-        # off-diagonal entries sit on matrix units; traceless diagonal on the D_i
+        # off-diagonal entries sit on matrix units, row by row; the traceless
+        # diagonal sits on the D_i
         out = {}
-        for i in range(n):
-            for j in range(n):
-                if i != j and m[i][j]:
-                    out[labels.index(f"E{i + 1}{j + 1}")] = m[i][j]
+        for (i, j) in sorted(m):
+            if i != j and m[(i, j)]:
+                out[index[f"E{i + 1}{j + 1}"]] = m[(i, j)]
         for i in range(n - 1):
-            if m[i][i]:
-                out[labels.index(f"D{i + 1}")] = m[i][i]
+            if m.get((i, i)):
+                out[index[f"D{i + 1}"]] = m[(i, i)]
         return out
 
     bracket = {}
     form = {}
     for a in range(len(mats)):
         for b in range(a, len(mats)):
-            comm = msub(matmul(mats[a], mats[b]), matmul(mats[b], mats[a]))
+            ab, ba = matmul(mats[a], mats[b]), matmul(mats[b], mats[a])
+            comm = dict(ab)
+            for key, q in ba.items():
+                comm[key] = comm.get(key, 0) - q
             bracket[(a, b)] = decompose(comm)
-            tr = sum(matmul(mats[a], mats[b])[i][i] for i in range(n))
+            tr = sum(q for (i, j), q in ab.items() if i == j)
             if tr:
                 form[(a, b)] = tr
-    theta = (labels.index(f"E1{n}"), labels.index("D1"), labels.index(f"E{n}1"))
+    theta = (index[f"E1{n}"], index["D1"], index[f"E{n}1"])
     return LieAlgebra(labels, bracket, form, theta)
 
 
@@ -257,18 +245,28 @@ def _check(g: LieAlgebra) -> ValidationReport:
                 failures.append(f"[{name(i)},{name(j)}] not antisymmetric")
             if g.form(i, j) != g.form(j, i):
                 failures.append(f"<{name(i)},{name(j)}> not symmetric")
+    # the triple loop reads the tables directly: index -> coefficient dicts
+    table, form = g._bracket, g._form
+
+    def add_bracket(acc, x, elt):
+        """acc += [b_x, elt]."""
+        for y, c in elt.items():
+            for z, d in table.get((x, y), {}).items():
+                acc[z] = acc.get(z, 0) + c * d
+
     for i in range(dim):
         for j in range(dim):
+            ij = table.get((i, j), {})
             for l in range(dim):
-                jac = (
-                    g.bracket_elt(LieElt.basis(i), g.bracket(j, l))
-                    + g.bracket_elt(LieElt.basis(j), g.bracket(l, i))
-                    + g.bracket_elt(LieElt.basis(l), g.bracket(i, j))
-                )
-                if jac:
+                jl = table.get((j, l), {})
+                jac = {}
+                add_bracket(jac, i, jl)
+                add_bracket(jac, j, table.get((l, i), {}))
+                add_bracket(jac, l, ij)
+                if any(jac.values()):
                     failures.append(f"Jacobi fails on ({name(i)},{name(j)},{name(l)})")
-                lhs = g.form_elt(g.bracket(i, j), LieElt.basis(l))
-                rhs = g.form_elt(LieElt.basis(i), g.bracket(j, l))
+                lhs = sum(c * form.get((x, l), 0) for x, c in ij.items())
+                rhs = sum(form.get((i, x), 0) * c for x, c in jl.items())
                 if lhs != rhs:
                     failures.append(
                         f"form not invariant on ({name(i)},{name(j)},{name(l)})"

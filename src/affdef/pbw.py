@@ -173,37 +173,96 @@ def affine_commutator(g: LieAlgebra, a: int, m: int, b: int, n: int, k) -> tuple
 
     ``a`` and ``b`` are basis indices; the scalar is nonzero only when m + n = 0.
     """
-    central = Fraction(m) * Fraction(k) * g.form(a, b) if m + n == 0 else Fraction(0)
+    central = m * Fraction(k) * g.form(a, b) if m + n == 0 else 0
     return g.bracket(a, b), m + n, central
 
 
 def apply_mode(g: LieAlgebra, a: int, m: int, v: State, k) -> State:
-    """a(m) . v in canonical form, for the basis index a."""
-    k = Fraction(k)
-    out = State.zero()
+    """a(m) . v in canonical form, for the basis index a.
+
+    Each word of ``v`` goes through the rational kernel ``_act``; its results
+    are scaled by the word's coefficient and added in order, so the terms of
+    the returned state come out in the order that repeated ``State.__add__``
+    would give.  The kernel's memo lives for this one call.
+    """
+    k = _exact(Fraction(k))
+    memo = {}
+    out = {}
     for word, coeff in v.items():
-        out = out + _apply_to_word(g, a, m, word, k).scale(coeff)
-    return out
+        _add_scaled(out, _act(g, a, m, word, k, memo), coeff)
+    return State(out)
 
 
-def _apply_to_word(g: LieAlgebra, gen: int, m: int, word: Word, k) -> State:
-    # creation mode already in canonical position: prepend
-    if m <= -1 and (not word or mode_sort_key(Mode(gen, m)) <= mode_sort_key(word[0])):
-        return State.monomial((Mode(gen, m),) + word)
-    if not word:
-        return State.zero()  # m >= 0 annihilates the vacuum
-    b, rest = word[0], word[1:]
-    # a(m) b(n) = b(n) a(m) + [a,b](m+n) + central
-    out = State.zero()
-    inner = _apply_to_word(g, gen, m, rest, k)
-    for w2, c2 in inner.items():
-        out = out + _apply_to_word(g, b.gen, b.depth, w2, k).scale(c2)
-    elt, depth, central = affine_commutator(g, gen, m, b.gen, b.depth, k)
-    for g2, c in elt.items():
-        out = out + _apply_to_word(g, g2, depth, rest, k).scale(c)
-    if central:
-        out = out + State.monomial(rest).scale(central)
-    return out
+def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict) -> dict:
+    """gen(m) applied to a canonical word, as a ``word -> rational`` dict.
+
+    The relation ``a(m) b(n) w = b(n) a(m) w + [a,b](m+n) w + central * w``
+    is unfolded with an explicit stack: a key ``(gen, m, word)`` is resolved
+    once every key its value is built from is in ``memo``, and its terms are
+    added in the same order as the recursive definition would add them.
+    """
+    root = (gen, m, word)
+    stack = [root]
+    pending = {}  # key -> its commutator datum, for keys still waiting on parts
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        gen, m, word = key
+        # a Mode compares like its sort key
+        if m <= -1 and (not word or (gen, m) <= word[0]):
+            # creation mode already in canonical position: prepend
+            memo[key] = {(Mode(gen, m),) + word: 1}
+        elif not word:
+            memo[key] = {}  # m >= 0 annihilates the vacuum
+        else:
+            b, rest = word[0], word[1:]
+            inner = memo.get((gen, m, rest))
+            if inner is None:
+                stack.append((gen, m, rest))
+                continue
+            datum = pending.get(key)
+            if datum is None:
+                datum = pending[key] = affine_commutator(g, gen, m, b.gen, b.depth, k)
+            elt, depth, central = datum
+            needed = [(b.gen, b.depth, w2) for w2 in inner]
+            needed += [(g2, depth, rest) for g2 in elt.coeffs]
+            missing = [n for n in needed if n not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            out = {}
+            for w2, c2 in inner.items():
+                _add_scaled(out, memo[(b.gen, b.depth, w2)], c2)
+            for g2, c in elt.items():
+                _add_scaled(out, memo[(g2, depth, rest)], _exact(c))
+            if central:
+                _add_scaled(out, {rest: 1}, _exact(central))
+            memo[key] = out
+        stack.pop()
+    return memo[root]
+
+
+def _exact(q: Fraction):
+    """q as an int when it is integral, so that the kernel's arithmetic stays on ints."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def _add_scaled(out: dict, terms: dict, factor) -> None:
+    """out += factor * terms, for rational terms and a rational or LinForm factor.
+
+    A word is dropped as soon as its coefficient cancels, as ``State.__add__``
+    does, so a word that comes back is placed last.
+    """
+    for w, c in terms.items():
+        term = factor if c == 1 else c * factor
+        if w in out:
+            term = out[w] + term
+            if not term:
+                del out[w]
+                continue
+        out[w] = term
 
 
 def normal_order(g: LieAlgebra, word, k) -> State:

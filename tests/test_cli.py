@@ -284,3 +284,15 @@ def test_invalid_algebra_file_exits_2(tmp_path):
     algebra_file.write_text("basis e h f\n[h,e] = 2*e\n<e,f> = 1\n")
     result = runner.invoke(main, ["pbw-basis", "--algebra", str(algebra_file), "--weight", "2"])
     assert_usage_error(result, "missing 'triple' line")
+
+
+def test_act_on_deep_word():
+    # f(1) e(-1)^n|0> = n(k-n+1) e(-1)^(n-1)|0>; n = 1200 is past the
+    # interpreter's default recursion limit
+    result = runner.invoke(
+        main,
+        ["act", "--mode", "f(1)", "--state", "e(-1)^1200|0>", "--level", "2",
+         "--format", "json"],
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["result"] == "-1436400*e(-1)^1199|0>"

@@ -76,6 +76,46 @@ def test_sln_rank_guard():
         sln(1)
 
 
+def _explicit_matrices(labels, n):
+    """E_ij as the matrix unit, D_i as E_ii - E_nn, as dense integer matrices."""
+    mats = []
+    for label in labels:
+        m = [[0] * n for _ in range(n)]
+        if label[0] == "E":
+            m[int(label[1]) - 1][int(label[2]) - 1] = 1
+        else:
+            i = int(label[1:]) - 1
+            m[i][i], m[n - 1][n - 1] = 1, -1
+        mats.append(m)
+    return mats
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sln_tables_match_explicit_matrices(n):
+    g = sln(n)
+    mats = _explicit_matrices(g.basis, n)
+    index = {label: a for a, label in enumerate(g.basis)}
+
+    def mul(x, y):
+        return [[sum(x[i][t] * y[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+
+    for a in range(g.dim):
+        for b in range(g.dim):
+            xy, yx = mul(mats[a], mats[b]), mul(mats[b], mats[a])
+            comm = [[xy[i][j] - yx[i][j] for j in range(n)] for i in range(n)]
+            # expected coefficients in table order: matrix units row by row, then D_1..D_(n-1)
+            want = [
+                (index[f"E{i + 1}{j + 1}"], comm[i][j])
+                for i in range(n)
+                for j in range(n)
+                if i != j and comm[i][j]
+            ]
+            want += [(index[f"D{i + 1}"], comm[i][i]) for i in range(n - 1) if comm[i][i]]
+            assert list(g.bracket(a, b).coeffs.items()) == want, (g.basis[a], g.basis[b])
+            assert g.form(a, b) == sum(xy[i][i] for i in range(n))
+    assert g.theta == (index[f"E1{n}"], index["D1"], index[f"E{n}1"])
+
+
 def _edited_sl2(edit):
     g = sl2()
     bracket = {key: dict(vec) for key, vec in g._bracket.items()}
@@ -167,3 +207,72 @@ def test_structure_file_keeps_its_load_report():
     g = load_structure_file(SL2_FILE)
     assert g.report is not None and g.report.ok
     assert validate(g) is g.report
+
+
+def _corrupted_sl3():
+    g = sln(3)
+    bracket = {key: dict(vec) for key, vec in g._bracket.items()}
+    form = dict(g._form)
+    i, j, t = g.index("E12"), g.index("E23"), g.index("E13")
+    bracket[(i, j)] = {t: Fraction(2)}  # [E12,E23] = 2*E13, mirror left at -E13
+    d1, d2 = g.index("D1"), g.index("D2")
+    form[(d1, d2)] = form[(d2, d1)] = Fraction(2)  # <D1,D2> = 2 instead of 1
+    return LieAlgebra(g.basis, bracket, form, g.theta)
+
+
+# the report of the exhaustive check on _corrupted_sl3, in the order it is found
+CORRUPTED_SL3_FAILURES = [
+    "[E12,E23] not antisymmetric",
+    "[E23,E12] not antisymmetric",
+    "Jacobi fails on (E12,E13,E21)",
+    "Jacobi fails on (E12,E23,D1)",
+    "Jacobi fails on (E12,E23,D2)",
+    "Jacobi fails on (E12,E23,E21)",
+    "Jacobi fails on (E12,E23,E31)",
+    "form not invariant on (E12,E23,E31)",
+    "Jacobi fails on (E12,E23,E32)",
+    "Jacobi fails on (E12,D1,E23)",
+    "Jacobi fails on (E12,D2,E23)",
+    "Jacobi fails on (E12,E21,E13)",
+    "form not invariant on (E12,E21,D1)",
+    "form not invariant on (E12,E21,D2)",
+    "Jacobi fails on (E13,E12,E21)",
+    "Jacobi fails on (E13,E21,E12)",
+    "form not invariant on (E13,E31,D2)",
+    "Jacobi fails on (E23,E12,D1)",
+    "Jacobi fails on (E23,E12,D2)",
+    "Jacobi fails on (E23,D1,E12)",
+    "Jacobi fails on (E23,D2,E12)",
+    "Jacobi fails on (E23,E21,E12)",
+    "Jacobi fails on (E23,E31,E12)",
+    "Jacobi fails on (E23,E32,E12)",
+    "form not invariant on (E23,E32,D1)",
+    "Jacobi fails on (D1,E12,E23)",
+    "form not invariant on (D1,E12,E21)",
+    "Jacobi fails on (D1,E23,E12)",
+    "form not invariant on (D1,E23,E32)",
+    "form not invariant on (D1,E21,E12)",
+    "form not invariant on (D1,E32,E23)",
+    "Jacobi fails on (D2,E12,E23)",
+    "form not invariant on (D2,E12,E21)",
+    "form not invariant on (D2,E13,E31)",
+    "Jacobi fails on (D2,E23,E12)",
+    "form not invariant on (D2,E21,E12)",
+    "form not invariant on (D2,E31,E13)",
+    "Jacobi fails on (E21,E12,E13)",
+    "Jacobi fails on (E21,E12,E23)",
+    "form not invariant on (E21,E12,D1)",
+    "form not invariant on (E21,E12,D2)",
+    "Jacobi fails on (E21,E13,E12)",
+    "Jacobi fails on (E31,E12,E23)",
+    "form not invariant on (E31,E12,E23)",
+    "form not invariant on (E31,E13,D2)",
+    "Jacobi fails on (E32,E12,E23)",
+    "form not invariant on (E32,E23,D1)",
+]
+
+
+def test_validate_failures_on_corrupted_sl3():
+    report = validate(_corrupted_sl3())
+    assert not report.ok
+    assert report.failures == CORRUPTED_SL3_FAILURES

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from affdef.liealg import LieElt, sl2
+from affdef.liealg import LieElt, sl2, sln
 from affdef.pbw import (
     Mode,
     NotHomogeneous,
@@ -14,6 +14,7 @@ from affdef.pbw import (
     charge,
     d_operator,
     is_canonical,
+    mode_sort_key,
     normal_order,
     render_word,
     weight,
@@ -78,6 +79,83 @@ def test_h0_acts_by_charge():
 
 def test_positive_mode_kills_vacuum():
     assert apply_mode(G, E, 0, State.vacuum(), Fraction(1)).is_zero
+
+
+def test_f1_on_deep_word():
+    # 1200 modes is past the interpreter's default recursion limit
+    n, k = 1200, Fraction(2)
+    got = apply_mode(G, F, 1, e_pow(n), k)
+    assert got == e_pow(n - 1, coeff=n * (k - n + 1))
+
+
+# --- the recursive kernel the iterative one replaced, kept as a reference ---
+
+def reference_apply_to_word(g, gen, m, word, k):
+    if m <= -1 and (not word or mode_sort_key(Mode(gen, m)) <= mode_sort_key(word[0])):
+        return State.monomial((Mode(gen, m),) + word)
+    if not word:
+        return State.zero()
+    b, rest = word[0], word[1:]
+    out = State.zero()
+    inner = reference_apply_to_word(g, gen, m, rest, k)
+    for w2, c2 in inner.items():
+        out = out + reference_apply_to_word(g, b.gen, b.depth, w2, k).scale(c2)
+    elt, depth, central = affine_commutator(g, gen, m, b.gen, b.depth, k)
+    for g2, c in elt.items():
+        out = out + reference_apply_to_word(g, g2, depth, rest, k).scale(c)
+    if central:
+        out = out + State.monomial(rest).scale(central)
+    return out
+
+
+def reference_apply_mode(g, a, m, v, k):
+    k = Fraction(k)
+    out = State.zero()
+    for word, coeff in v.items():
+        out = out + reference_apply_to_word(g, a, m, word, k).scale(coeff)
+    return out
+
+
+def reference_normal_order(g, word, k):
+    state = State.vacuum()
+    for mode in reversed(word):
+        state = reference_apply_mode(g, mode.gen, mode.depth, state, k)
+    return state
+
+
+@pytest.mark.parametrize("k", [Fraction(2), Fraction(-4, 3), Fraction(7, 2)])
+@pytest.mark.parametrize("rank, max_modes", [(2, 8), (3, 7)])
+def test_kernel_matches_recursive_reference(rank, max_modes, k):
+    # equal states are not enough: the term order reaches rendered expressions
+    g = sln(rank)
+    rng = random.Random(f"{rank}:{k}")
+    for trial in range(30):
+        word = [
+            Mode(rng.randrange(g.dim), -rng.randint(1, 2))
+            for _ in range(rng.randint(0, max_modes))
+        ]
+        v = normal_order(g, word, k)
+        want = reference_normal_order(g, word, k)
+        assert v == want and list(v.items()) == list(want.items()), word
+        if trial % 3 == 0:
+            # symbolic coefficients go through the LinForm boundary
+            v = v.scale(LinForm(1, {"c": 2})) + State.monomial(
+                tuple(sorted(word)), LinForm.symbol("a1", -1)
+            )
+        a, m = rng.randrange(g.dim), rng.randint(-2, 2)
+        got, want = apply_mode(g, a, m, v, k), reference_apply_mode(g, a, m, v, k)
+        assert got == want and list(got.items()) == list(want.items()), (word, a, m)
+
+
+def test_mode_action_leaves_the_algebra_untouched():
+    g = sl2()
+    before = dict(vars(g))
+    snapshot = {name: repr(value) for name, value in before.items()}
+    v = normal_order(g, [Mode(F, -1), Mode(E, -1), Mode(H, -2), Mode(E, -1)], Fraction(3))
+    apply_mode(g, F, 1, v, Fraction(3))
+    assert vars(g).keys() == before.keys()
+    assert all(vars(g)[name] is value for name, value in before.items())
+    assert {name: repr(value) for name, value in vars(g).items()} == snapshot
 
 
 # --- normal ordering ---
