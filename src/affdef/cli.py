@@ -17,7 +17,16 @@ import click
 
 from . import rigidity, singular
 from .liealg import InvalidRank, LieAlgebra, load_structure_file, sl2, sln
-from .pbw import Mode, State, apply_mode, basis_enum, normal_order, render_modes, render_word
+from .pbw import (
+    Mode,
+    State,
+    add_scaled,
+    apply_mode,
+    basis_enum,
+    normal_order,
+    render_modes,
+    render_word,
+)
 from .scalar import format_rational, parse_rational, signed_sum, signed_term
 
 
@@ -77,12 +86,12 @@ class ExprAST:
         )
 
     def to_state(self, g: LieAlgebra, k) -> State:
-        total = State.zero()
+        total = {}  # the sum of the terms, in State.__add__ order
         for coeff, word in self.terms:
-            modes = tuple(Mode(g.index(label), depth) for label, depth in word)
-            part = normal_order(g, modes, k) if modes else State.vacuum()
-            total = total + part.scale(coeff)
-        return total
+            part = normal_order(g, tuple(Mode(g.index(label), depth) for label, depth in word), k)
+            if coeff:
+                add_scaled(total, part, coeff)
+        return State(total)
 
 
 def parse_state(text: str, g: LieAlgebra) -> ExprAST:

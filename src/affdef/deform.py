@@ -24,11 +24,14 @@ from .liealg import LieAlgebra
 from .pbw import (
     Mode,
     State,
+    add_scaled,
+    apply_chain,
     apply_mode,
     basis_enum,
     charge,
     d_operator,
     normal_order,
+    plain,
     render_word,
     weight,
     word_charge,
@@ -259,8 +262,8 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
     # the target word need not be canonical: the moved-past action and the
     # central term both apply to the vector the word spells
     spelled = normal_order(g, w, k)
-    for w2, coeff in apply_mode(g, a, m, spelled, k).items():
-        terms.append(DefTerm(coeff, (), Mode(b, n), w2))
+    for w2, coeff in apply_chain(g, ((a, m),), spelled, k).items():
+        terms.append(DefTerm(LinForm(coeff), (), Mode(b, n), w2))
     for g2, coeff in g.bracket(a, b).items():
         terms.append(DefTerm(LinForm(coeff), (), Mode(g2, m + n), w))
     tail = State.zero()
@@ -269,12 +272,6 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
         if m and pairing:
             tail = spelled.scale(LinForm.symbol("c", Fraction(m) * pairing))
     return DefExpression(terms, tail)
-
-
-def _apply_prefix(g: LieAlgebra, prefix, state: State, k) -> State:
-    for mode in reversed(prefix):
-        state = apply_mode(g, mode.gen, mode.depth, state, k)
-    return state
 
 
 def evaluate(
@@ -293,7 +290,7 @@ def evaluate(
     g = registry.g
     k = Fraction(k)
     terms = list(expr.terms)
-    tail = expr.tail
+    tail = dict(expr.tail.items())  # the tail's sum, in State.__add__ order
     residual = []
     rounds = 0
     while terms:
@@ -308,37 +305,29 @@ def evaluate(
                 continue  # vacuum rule
             rule = registry.lookup_value(t.defmode, t.target)
             if rule is not None:
-                tail = tail + _apply_prefix(g, t.prefix, rule.value, k).scale(t.coeff)
-                continue
-            rewrite = registry.lookup_rewrite(t.defmode, t.target)
-            if rewrite is not None:
+                sub = DefExpression((), rule.value)
+            elif (rewrite := registry.lookup_rewrite(t.defmode, t.target)) is not None:
                 sub, _provenance = rewrite
-                for s in sub.terms:
-                    next_terms.append(
-                        DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.defmode, s.target)
-                    )
-                tail = tail + _apply_prefix(g, t.prefix, sub.tail, k).scale(t.coeff)
-                continue
-            if t.defmode.depth >= 0:
-                if len(t.target) == 1 and t.target[0].depth == -1:
-                    value = generator_value(g, t.defmode.gen, t.defmode.depth, t.target[0].gen)
-                    tail = tail + _apply_prefix(g, t.prefix, value, k).scale(t.coeff)
-                    continue
+            elif t.defmode.depth >= 0 and len(t.target) == 1 and t.target[0].depth == -1:
+                value = generator_value(g, t.defmode.gen, t.defmode.depth, t.target[0].gen)
+                sub = DefExpression((), value)
+            elif t.defmode.depth >= 0:
                 head = t.target[0]
                 sub = master_commute(
                     g, t.defmode.gen, t.defmode.depth, head.gen, head.depth, t.target[1:], k
                 )
-                for s in sub.terms:
-                    next_terms.append(
-                        DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.defmode, s.target)
-                    )
-                tail = tail + _apply_prefix(g, t.prefix, sub.tail, k).scale(t.coeff)
-                continue
-            if collect_residual:
+            elif collect_residual:
                 residual.append(t)
                 continue
-            raise UnresolvedAtom(DefAtom(*t.defmode, t.target))
+            else:
+                raise UnresolvedAtom(DefAtom(*t.defmode, t.target))
+            for s in sub.terms:
+                next_terms.append(
+                    DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.defmode, s.target)
+                )
+            add_scaled(tail, apply_chain(g, t.prefix, sub.tail, k), plain(t.coeff))
         terms = _merge_terms(next_terms)
+    tail = State(tail)
     if not collect_residual:
         return tail
     return tail, _normalize_residual(g, residual)
@@ -359,16 +348,13 @@ def _normalize_residual(g: LieAlgebra, terms):
     return _merge_terms(out)
 
 
-def e_def_power_value(g: LieAlgebra, j: int, k) -> tuple:
-    """Value of e^def(-1) e(-1)^j |0>, certified zero by its vanishing ingredients.
+def power_rule_ingredients(g: LieAlgebra, k) -> list:
+    """The vanishing ingredients of e^def(-1) e(-1)^j |0>, the same for every j.
 
     The double-sum expansion of this mode only involves e(alpha) e(-1)|0> and
     e^def(alpha) e(-1)|0> for alpha >= 0; both vanish (nilpotent direction, and
     modes with alpha >= 2 land below weight zero), so every summand is zero.
     """
-    k = Fraction(k)
-    if k.denominator == 1 and k > 0 and j > k:
-        raise ValueError(f"power {j} exceeds the integral level {k}")
     e = g.theta[0]
     steps = []
     single = State.monomial((Mode(e, -1),))
@@ -383,16 +369,27 @@ def e_def_power_value(g: LieAlgebra, j: int, k) -> tuple:
             ("ingredient",
              f"e({alpha})e(-1)|0> = 0 and e^def({alpha})e(-1)|0> = 0")
         )
-    steps.append(("conclude", f"e^def(-1)e(-1)^{j}|0> = 0"))
-    return State.zero(), steps
+    return steps
 
 
-def cartan_def_power_vanishing(g: LieAlgebra, i: int, k) -> tuple:
+def e_def_power_value(g: LieAlgebra, j: int, k, ingredients: list) -> tuple:
+    """Value of e^def(-1) e(-1)^j |0>, certified zero by ``ingredients``.
+
+    ``ingredients`` is ``power_rule_ingredients(g, k)``, checked once by the caller.
+    """
+    k = Fraction(k)
+    if k.denominator == 1 and k > 0 and j > k:
+        raise ValueError(f"power {j} exceeds the integral level {k}")
+    return State.zero(), list(ingredients) + [("conclude", f"e^def(-1)e(-1)^{j}|0> = 0")]
+
+
+def cartan_def_power_vanishing(g: LieAlgebra, i: int, k, ingredients: list) -> tuple:
     """Derive h^def(0) e(-1)^(i-1)|0> = 0 by induction on the power.
 
     Each step expands with the Cartan mode identity, and every summand dies:
     the previous power by induction, the e^def(-1) terms by the power rule,
-    the middle terms by the diagonal action of h(0).
+    the middle terms by the diagonal action of h(0).  The first p + 1 steps
+    derive the index p + 1.  ``ingredients`` is ``power_rule_ingredients(g, k)``.
     """
     k = Fraction(k)
     if i < 1:
@@ -410,7 +407,7 @@ def cartan_def_power_vanishing(g: LieAlgebra, i: int, k) -> tuple:
         expected = power.scale(2 * (p - 1))
         if diag != expected:
             raise ArithmeticError("diagonal Cartan action check failed")
-        zero_power, _ = e_def_power_value(g, p - 1, k)
+        zero_power, _ = e_def_power_value(g, p - 1, k, ingredients)
         if zero_power:
             raise ArithmeticError("power rule ingredient is nonzero")
         steps.append(

@@ -39,10 +39,8 @@ def mode_sort_key(mode: Mode):
 
 
 def is_canonical(word: Word) -> bool:
-    return all(
-        mode_sort_key(word[i]) <= mode_sort_key(word[i + 1])
-        for i in range(len(word) - 1)
-    )
+    # a Mode compares like its sort key
+    return all(a <= b for a, b in zip(word, word[1:]))
 
 
 def word_weight(word: Word) -> int:
@@ -168,42 +166,51 @@ def render_word(g: LieAlgebra, word: Word) -> str:
     return render_modes((g.label(mode.gen), mode.depth) for mode in word)
 
 
-def affine_commutator(g: LieAlgebra, a: int, m: int, b: int, n: int, k) -> tuple:
-    """[a(m), b(n)] as the pair ([a,b], m+n) plus the central scalar m*k*<a,b>.
-
-    ``a`` and ``b`` are basis indices; the scalar is nonzero only when m + n = 0.
-    """
-    central = m * Fraction(k) * g.form(a, b) if m + n == 0 else 0
-    return g.bracket(a, b), m + n, central
-
-
 def apply_mode(g: LieAlgebra, a: int, m: int, v: State, k) -> State:
-    """a(m) . v in canonical form, for the basis index a.
+    """a(m) . v in canonical form, for the basis index a."""
+    return State(apply_chain(g, ((a, m),), v, k))
 
-    Each word of ``v`` goes through the rational kernel ``_act``; its results
-    are scaled by the word's coefficient and added in order, so the terms of
-    the returned state come out in the order that repeated ``State.__add__``
-    would give.  The kernel's memo lives for this one call.
+
+def normal_order(g: LieAlgebra, word, k) -> State:
+    """The state equal to the (possibly unordered) word applied to the vacuum."""
+    word = tuple(word if isinstance(word[0], Mode) else (Mode(*m) for m in word)) if word else ()
+    for mode in word:
+        if mode.depth >= 0:
+            raise ValueError(f"normal_order expects creation modes, got depth {mode.depth}")
+    return State(apply_chain(g, word, {VACUUM_WORD: 1}, k))
+
+
+def apply_chain(g: LieAlgebra, modes, terms, k):
+    """The modes applied to ``terms``, rightmost first, as a ``word -> coefficient`` dict.
+
+    ``modes`` holds ``(gen, depth)`` pairs, leftmost outermost; ``terms`` maps
+    canonical words to rationals or LinForms (a ``State`` will do).  Each step
+    adds the kernel's results into one dict in the order that repeated
+    ``apply_mode`` would give; coefficients are LinForms only where symbolic.
+    The kernel's memo and the bracket table it reads live for this one call.
+    With no modes, ``terms`` itself comes back: the caller must not mutate it.
     """
     k = _exact(Fraction(k))
-    memo = {}
-    out = {}
-    for word, coeff in v.items():
-        _add_scaled(out, _act(g, a, m, word, k, memo), coeff)
-    return State(out)
+    memo, brackets = {}, {}
+    for gen, m in reversed(modes):
+        out = {}
+        for word, coeff in terms.items():
+            add_scaled(out, _act(g, gen, m, word, k, memo, brackets), plain(coeff))
+        terms = out
+    return terms
 
 
-def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict) -> dict:
+def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict, brackets: dict) -> dict:
     """gen(m) applied to a canonical word, as a ``word -> rational`` dict.
 
-    The relation ``a(m) b(n) w = b(n) a(m) w + [a,b](m+n) w + central * w``
+    The relation ``a(m) b(n) w = b(n) a(m) w + [a,b](m+n) w + m*k*<a,b>*[m+n=0] w``
     is unfolded with an explicit stack: a key ``(gen, m, word)`` is resolved
     once every key its value is built from is in ``memo``, and its terms are
     added in the same order as the recursive definition would add them.
+    ``brackets`` holds each pair's exact ``(index, coeff)`` pairs and form value.
     """
     root = (gen, m, word)
     stack = [root]
-    pending = {}  # key -> its commutator datum, for keys still waiting on parts
     while stack:
         key = stack[-1]
         if key in memo:
@@ -217,28 +224,34 @@ def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict) -> dict:
         elif not word:
             memo[key] = {}  # m >= 0 annihilates the vacuum
         else:
-            b, rest = word[0], word[1:]
+            (bg, bd), rest = word[0], word[1:]
             inner = memo.get((gen, m, rest))
             if inner is None:
                 stack.append((gen, m, rest))
                 continue
-            datum = pending.get(key)
-            if datum is None:
-                datum = pending[key] = affine_commutator(g, gen, m, b.gen, b.depth, k)
-            elt, depth, central = datum
-            needed = [(b.gen, b.depth, w2) for w2 in inner]
-            needed += [(g2, depth, rest) for g2 in elt.coeffs]
-            missing = [n for n in needed if n not in memo]
-            if missing:
-                stack.extend(missing)
+            table = brackets.get((gen, bg))
+            if table is None:
+                pairs = tuple((g2, _exact(c)) for g2, c in g.bracket(gen, bg).items())
+                table = brackets[(gen, bg)] = (pairs, _exact(g.form(gen, bg)))
+            pairs, pairing = table
+            depth = m + bd
+            waiting = len(stack)
+            for w2 in inner:
+                if (bg, bd, w2) not in memo:
+                    stack.append((bg, bd, w2))
+            for g2, _ in pairs:
+                if (g2, depth, rest) not in memo:
+                    stack.append((g2, depth, rest))
+            if len(stack) > waiting:
                 continue
             out = {}
             for w2, c2 in inner.items():
-                _add_scaled(out, memo[(b.gen, b.depth, w2)], c2)
-            for g2, c in elt.items():
-                _add_scaled(out, memo[(g2, depth, rest)], _exact(c))
+                add_scaled(out, memo[(bg, bd, w2)], c2)
+            for g2, c in pairs:
+                add_scaled(out, memo[(g2, depth, rest)], c)
+            central = m * k * pairing if not depth else 0
             if central:
-                _add_scaled(out, {rest: 1}, _exact(central))
+                add_scaled(out, {rest: 1}, _exact(central))
             memo[key] = out
         stack.pop()
     return memo[root]
@@ -249,8 +262,15 @@ def _exact(q: Fraction):
     return q.numerator if q.denominator == 1 else q
 
 
-def _add_scaled(out: dict, terms: dict, factor) -> None:
-    """out += factor * terms, for rational terms and a rational or LinForm factor.
+def plain(coeff):
+    """A constant LinForm as its rational; any other coefficient as it is."""
+    if isinstance(coeff, LinForm) and not coeff.terms:
+        return _exact(coeff.constant)
+    return coeff
+
+
+def add_scaled(out: dict, terms, factor) -> None:
+    """out += factor * terms, for rational or LinForm terms and factor, factor nonzero.
 
     A word is dropped as soon as its coefficient cancels, as ``State.__add__``
     does, so a word that comes back is placed last.
@@ -263,18 +283,6 @@ def _add_scaled(out: dict, terms: dict, factor) -> None:
                 del out[w]
                 continue
         out[w] = term
-
-
-def normal_order(g: LieAlgebra, word, k) -> State:
-    """The state equal to the (possibly unordered) word applied to the vacuum."""
-    word = tuple(word if isinstance(word[0], Mode) else (Mode(*m) for m in word)) if word else ()
-    for mode in word:
-        if mode.depth >= 0:
-            raise ValueError(f"normal_order expects creation modes, got depth {mode.depth}")
-    state = State.vacuum()
-    for mode in reversed(word):
-        state = apply_mode(g, mode.gen, mode.depth, state, k)
-    return state
 
 
 def weight(v: State) -> int:

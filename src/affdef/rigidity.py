@@ -23,6 +23,7 @@ from .deform import (
     cartan_def_power_vanishing,
     e_def_power_value,
     evaluate,
+    power_rule_ingredients,
     register_ansatz,
 )
 from .liealg import LieAlgebra, sl2, validate
@@ -203,18 +204,20 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     transcript.add("setup", f"algebra validated; level k = {k}")
 
     registry = RuleRegistry(g)
+    ingredients = power_rule_ingredients(g, k)
     for j in range(1, k + 1):
-        value, _ = e_def_power_value(g, j, k)
+        value, _ = e_def_power_value(g, j, k, ingredients)
         registry.register_value(
             DefAtom(e, -1, (Mode(e, -1),) * j), value, "derived:power-rule"
         )
         transcript.add("power-rule", f"e^def(-1)e(-1)^{j}|0> := 0", "all ingredients vanish")
+    # one induction up to the top power; the power p uses its first p + 1 steps
+    value, steps = cartan_def_power_vanishing(g, k + 1, k, ingredients)
     for p in range(1, k + 1):
-        value, steps = cartan_def_power_vanishing(g, p + 1, k)
         registry.register_value(
             DefAtom(h, 0, (Mode(e, -1),) * p), value, "derived:cartan-induction"
         )
-        transcript.add("cartan-rule", f"h^def(0)e(-1)^{p}|0> := 0", f"{len(steps)}-step induction")
+        transcript.add("cartan-rule", f"h^def(0)e(-1)^{p}|0> := 0", f"{p + 1}-step induction")
     registry.freeze()
 
     def e_word(n):

@@ -19,6 +19,7 @@ from affdef.deform import (
     cartan_def_power_vanishing,
     e_def_power_value,
     mode_identity,
+    power_rule_ingredients,
 )
 from affdef.liealg import sl2
 from affdef.pbw import Mode, State, apply_mode
@@ -123,10 +124,10 @@ def test_criterion_5_f1_power_law():
 def test_criterion_6_vanishing_lemmas():
     for k in range(1, 6):
         for j in range(0, k + 1):
-            value, _ = e_def_power_value(G, j, Fraction(k))
+            value, _ = e_def_power_value(G, j, Fraction(k), power_rule_ingredients(G, k))
             assert value.is_zero, (j, k)
         for i in range(1, k + 2):
-            value, _ = cartan_def_power_vanishing(G, i, Fraction(k))
+            value, _ = cartan_def_power_vanishing(G, i, Fraction(k), power_rule_ingredients(G, k))
             assert value.is_zero, (i, k)
     report(6, "both deformation vanishing lemmas hold for all j <= k <= 5 and 1 <= i <= k+1 <= 6")
 

@@ -19,6 +19,7 @@ from affdef.deform import (
     generator_value,
     master_commute,
     mode_identity,
+    power_rule_ingredients,
     register_ansatz,
     single_generator_value,
     trivializing_map,
@@ -136,24 +137,24 @@ def test_d_shift_on_vacuum():
 
 @pytest.mark.parametrize("j,k", [(1, 1), (1, 5), (3, 3)])
 def test_power_rule_vanishes(j, k):
-    value, steps = e_def_power_value(G, j, Fraction(k))
+    value, steps = e_def_power_value(G, j, Fraction(k), power_rule_ingredients(G, k))
     assert value.is_zero
     assert any("conclude" in s[0] for s in steps)
 
 
 def test_power_rule_guard():
     with pytest.raises(ValueError):
-        e_def_power_value(G, 4, Fraction(3))
+        e_def_power_value(G, 4, Fraction(3), power_rule_ingredients(G, 3))
 
 
 def test_cartan_vanishing_base_case():
-    value, steps = cartan_def_power_vanishing(G, 1, Fraction(2))
+    value, steps = cartan_def_power_vanishing(G, 1, Fraction(2), power_rule_ingredients(G, 2))
     assert value.is_zero
     assert len(steps) == 1  # base case only
 
 
 def test_cartan_vanishing_induction():
-    value, steps = cartan_def_power_vanishing(G, 3, Fraction(2))
+    value, steps = cartan_def_power_vanishing(G, 3, Fraction(2), power_rule_ingredients(G, 2))
     assert value.is_zero
     inductions = [s for s in steps if s[0] == "induction"]
     assert len(inductions) == 2
@@ -251,9 +252,9 @@ def test_evaluate_generator_pairing():
 
 def test_evaluate_telescoped_power_at_k1():
     registry = empty_registry()
-    value, _ = e_def_power_value(G, 1, Fraction(1))
+    value, _ = e_def_power_value(G, 1, Fraction(1), power_rule_ingredients(G, 1))
     registry.register_value(DefAtom(E, -1, (Mode(E, -1),)), value, "derived:power-rule")
-    value, _ = cartan_def_power_vanishing(G, 2, Fraction(1))
+    value, _ = cartan_def_power_vanishing(G, 2, Fraction(1), power_rule_ingredients(G, 1))
     registry.register_value(DefAtom(H, 0, (Mode(E, -1),)), value, "derived:cartan")
     got = evaluate(atom_expr(F, 1, (Mode(E, -1), Mode(E, -1))), registry, Fraction(1))
     assert got == State.monomial((Mode(E, -1),), C.scale(2))
