@@ -30,6 +30,10 @@ from .pbw import (
 from .scalar import format_rational, parse_rational, signed_sum, signed_term
 
 
+# Longest mode word one term may spell, checked before the word is expanded.
+MAX_WORD_LENGTH = 5_000
+
+
 class StateSyntaxError(Exception):
     def __init__(self, message: str, offset: int):
         self.offset = offset
@@ -158,15 +162,22 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
             advance()
             if depth >= 0:
                 raise NonNegativeDepth(depth, ident_off)
-            count = 1
+            count, count_off = 1, ident_off
             kind, value, off = peek()
             if kind == "op" and value == "^":
                 advance()
-                kind, value, off = peek()
-                if kind != "number" or "/" in value or int(value) < 1:
-                    raise StateSyntaxError("expected a positive exponent", off)
+                kind, value, count_off = peek()
+                digits = value.lstrip("0")
+                if kind != "number" or "/" in value or not digits:
+                    raise StateSyntaxError("expected a positive exponent", count_off)
                 advance()
-                count = int(value)
+                # a literal too long to be within budget is never converted
+                too_long = len(digits) > len(str(MAX_WORD_LENGTH))
+                count = MAX_WORD_LENGTH + 1 if too_long else int(digits)
+            if len(word) + count > MAX_WORD_LENGTH:
+                raise StateSyntaxError(
+                    f"word longer than the budget of {MAX_WORD_LENGTH} modes", count_off
+                )
             word.extend([(label, depth)] * count)
             kind, value, off = peek()
             if kind == "op" and value == "*":
@@ -291,11 +302,11 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
 @format_options
 def singular_check_cmd(label, fmt, transcript):
     """Verify a cataloged singular vector by exhausting its annihilators."""
+    g = sl2()
     try:
-        entry = singular.catalog(label)
+        entry = singular.catalog(label, g)
     except (KeyError, singular.NonPositiveLevel) as exc:
         raise click.UsageError(str(exc))
-    g = sl2()
     ok, witness = singular.is_singular(entry.vector, entry.level, g)
     lines = [
         f"label: {entry.label}",

@@ -50,9 +50,9 @@ class DefAtom(NamedTuple):
 
 
 class UnresolvedAtom(Exception):
-    def __init__(self, atom: DefAtom):
+    def __init__(self, atom: DefAtom, rendered: str):
         self.atom = atom
-        super().__init__(f"no rule for def-atom {atom}")
+        super().__init__(f"no rule for def-atom {rendered}")
 
 
 class DuplicateAtom(Exception):
@@ -241,7 +241,10 @@ class ModeIdentity:
 
 
 def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity:
-    """The commutator condition specialized to weight-1 generators, as operators."""
+    """The commutator condition specialized to weight-1 generators, as operators.
+
+    The bracket and central terms of ``master_commute`` are read from here.
+    """
     terms = []
     for g2, coeff in g.bracket(a, b).items():
         terms.append((LinForm(coeff), Mode(g2, m + n)))
@@ -264,13 +267,12 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
     spelled = normal_order(g, w, k)
     for w2, coeff in apply_chain(g, ((a, m),), spelled, k).items():
         terms.append(DefTerm(LinForm(coeff), (), Mode(b, n), w2))
-    for g2, coeff in g.bracket(a, b).items():
-        terms.append(DefTerm(LinForm(coeff), (), Mode(g2, m + n), w))
     tail = State.zero()
-    if m + n == 0:
-        pairing = g.form(a, b)
-        if m and pairing:
-            tail = spelled.scale(LinForm.symbol("c", Fraction(m) * pairing))
+    for coeff, dm in mode_identity(g, a, m, b, n).terms:
+        if dm is None:
+            tail = spelled.scale(coeff)
+        else:
+            terms.append(DefTerm(coeff, (), dm, w))
     return DefExpression(terms, tail)
 
 
@@ -320,7 +322,8 @@ def evaluate(
                 residual.append(t)
                 continue
             else:
-                raise UnresolvedAtom(DefAtom(*t.defmode, t.target))
+                atom = DefAtom(*t.defmode, t.target)
+                raise UnresolvedAtom(atom, registry.render_atom(atom))
             for s in sub.terms:
                 next_terms.append(
                     DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.defmode, s.target)
@@ -348,77 +351,20 @@ def _normalize_residual(g: LieAlgebra, terms):
     return _merge_terms(out)
 
 
-def power_rule_ingredients(g: LieAlgebra, k) -> list:
-    """The vanishing ingredients of e^def(-1) e(-1)^j |0>, the same for every j.
+def check_power_rule_ingredients(g: LieAlgebra, k) -> None:
+    """Check the vanishing ingredients of e^def(-1) e(-1)^j |0>, the same for every j.
 
     The double-sum expansion of this mode only involves e(alpha) e(-1)|0> and
     e^def(alpha) e(-1)|0> for alpha >= 0; both vanish (nilpotent direction, and
     modes with alpha >= 2 land below weight zero), so every summand is zero.
     """
     e = g.theta[0]
-    steps = []
     single = State.monomial((Mode(e, -1),))
     for alpha in range(0, 4):
-        ordinary = apply_mode(g, e, alpha, single, k)
-        deformed = generator_value(g, e, alpha, e)
-        if ordinary or deformed:
+        if apply_mode(g, e, alpha, single, k) or generator_value(g, e, alpha, e):
             raise ArithmeticError(
                 f"nonzero ingredient at alpha={alpha}: the vanishing argument fails"
             )
-        steps.append(
-            ("ingredient",
-             f"e({alpha})e(-1)|0> = 0 and e^def({alpha})e(-1)|0> = 0")
-        )
-    return steps
-
-
-def e_def_power_value(g: LieAlgebra, j: int, k, ingredients: list) -> tuple:
-    """Value of e^def(-1) e(-1)^j |0>, certified zero by ``ingredients``.
-
-    ``ingredients`` is ``power_rule_ingredients(g, k)``, checked once by the caller.
-    """
-    k = Fraction(k)
-    if k.denominator == 1 and k > 0 and j > k:
-        raise ValueError(f"power {j} exceeds the integral level {k}")
-    return State.zero(), list(ingredients) + [("conclude", f"e^def(-1)e(-1)^{j}|0> = 0")]
-
-
-def cartan_def_power_vanishing(g: LieAlgebra, i: int, k, ingredients: list) -> tuple:
-    """Derive h^def(0) e(-1)^(i-1)|0> = 0 by induction on the power.
-
-    Each step expands with the Cartan mode identity, and every summand dies:
-    the previous power by induction, the e^def(-1) terms by the power rule,
-    the middle terms by the diagonal action of h(0).  The first p + 1 steps
-    derive the index p + 1.  ``ingredients`` is ``power_rule_ingredients(g, k)``.
-    """
-    k = Fraction(k)
-    if i < 1:
-        raise ValueError("power index must be >= 1")
-    if k.denominator == 1 and k > 0 and i > k + 1:
-        raise ValueError(f"index {i} exceeds the integral level bound {k + 1}")
-    e, h = g.theta[0], g.theta[1]
-    identity = mode_identity(g, h, 0, e, -1)
-    if identity.terms != ((LinForm(2), Mode(e, -1)),):
-        raise ArithmeticError("Cartan mode identity is not 2*e^def(-1)")
-    steps = [("base", "h^def(0)|0> = 0")]
-    for p in range(1, i):
-        power = State.monomial((Mode(e, -1),) * (p - 1))
-        diag = apply_mode(g, h, 0, power, k)
-        expected = power.scale(2 * (p - 1))
-        if diag != expected:
-            raise ArithmeticError("diagonal Cartan action check failed")
-        zero_power, _ = e_def_power_value(g, p - 1, k, ingredients)
-        if zero_power:
-            raise ArithmeticError("power rule ingredient is nonzero")
-        steps.append(
-            (
-                "induction",
-                f"h^def(0)e(-1)^{p}|0> = e(-1)h^def(0)e(-1)^{p - 1}|0> "
-                f"- h(0)e^def(-1)e(-1)^{p - 1}|0> + e^def(-1)h(0)e(-1)^{p - 1}|0> "
-                f"+ 2e^def(-1)e(-1)^{p - 1}|0> = 0",
-            )
-        )
-    return State.zero(), steps
 
 
 def d_shift(g: LieAlgebra, a: int, m: int, v: State, value_of, k) -> State:

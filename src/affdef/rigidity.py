@@ -20,10 +20,8 @@ from .deform import (
     UnresolvedAtom,
     _merge_terms,
     admissible_sl2_rule_table,
-    cartan_def_power_vanishing,
-    e_def_power_value,
+    check_power_rule_ingredients,
     evaluate,
-    power_rule_ingredients,
     register_ansatz,
 )
 from .liealg import LieAlgebra, sl2, validate
@@ -191,8 +189,9 @@ def rational_jsonable(q: Fraction):
 def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     """Run the positive-integral-level computation and force c = 0.
 
-    Builds the registry of vanishing rules, reduces f^def(1) e(-1)^(k+1)|0>
-    mechanically, and telescopes to the relation (k+1)*c = 0.
+    Registers the stated power rule, computes the Cartan rules with the
+    evaluator, reduces f^def(1) e(-1)^(k+1)|0> mechanically, and extracts the
+    relation (k+1)*c = 0 as the coefficient of e(-1)^k|0> in that image.
     """
     if not isinstance(k, int) or k < 1:
         raise ValueError(f"level must be a positive integer, got {k!r}")
@@ -203,27 +202,27 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     transcript = ProofTranscript()
     transcript.add("setup", f"algebra validated; level k = {k}")
 
-    registry = RuleRegistry(g)
-    ingredients = power_rule_ingredients(g, k)
-    for j in range(1, k + 1):
-        value, _ = e_def_power_value(g, j, k, ingredients)
-        registry.register_value(
-            DefAtom(e, -1, (Mode(e, -1),) * j), value, "derived:power-rule"
-        )
-        transcript.add("power-rule", f"e^def(-1)e(-1)^{j}|0> := 0", "all ingredients vanish")
-    # one induction up to the top power; the power p uses its first p + 1 steps
-    value, steps = cartan_def_power_vanishing(g, k + 1, k, ingredients)
-    for p in range(1, k + 1):
-        registry.register_value(
-            DefAtom(h, 0, (Mode(e, -1),) * p), value, "derived:cartan-induction"
-        )
-        transcript.add("cartan-rule", f"h^def(0)e(-1)^{p}|0> := 0", f"{p + 1}-step induction")
-    registry.freeze()
-
     def e_word(n):
         return (Mode(e, -1),) * n
 
+    registry = RuleRegistry(g)
+    check_power_rule_ingredients(g, k)
+    for j in range(1, k + 1):
+        registry.register_value(DefAtom(e, -1, e_word(j)), State.zero(), "derived:power-rule")
+        transcript.add("power-rule", f"e^def(-1)e(-1)^{j}|0> := 0", "all ingredients vanish")
     try:
+        # each power takes one master-commute step over the previous,
+        # registered power and the power rule
+        for p in range(1, k + 1):
+            value = evaluate(DefExpression.atom(Mode(h, 0), e_word(p)), registry, k)
+            if value:
+                raise SystemMismatch(
+                    f"h^def(0)e(-1)^{p}|0> evaluated to {value.render(g)}, not 0"
+                )
+            registry.register_value(DefAtom(h, 0, e_word(p)), value, "derived:cartan-induction")
+            transcript.add("cartan-rule", f"h^def(0)e(-1)^{p}|0> := 0", f"{p + 1}-step induction")
+        registry.freeze()
+
         for i in range(1, k + 2):
             got = evaluate(DefExpression.atom(Mode(f, 1), e_word(i)), registry, k)
             want = State.monomial(e_word(i - 1), LinForm.symbol("c", i))
@@ -250,7 +249,8 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
             "telescope",
             f"0 = {prefix}f^def(1)e(-1)^{i}|0> + {done}*c*e(-1)^{k}|0>",
         )
-    relation = LinForm.symbol("c", k + 1)
+    # the image of the ideal's generator, read off below the ideal's weight
+    relation = got.coefficient(e_word(k))
     transcript.add(
         "extract",
         f"coefficient of {render_word(g, e_word(k))} at weight {k}, below the ideal's weight {k + 1}",

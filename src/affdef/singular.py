@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .liealg import LieAlgebra, sl2
+from .liealg import LieAlgebra
 from .pbw import Mode, State, apply_mode, normal_order, weight
 
 ADMISSIBLE_LEVEL = Fraction(-4, 3)
@@ -43,35 +43,32 @@ class SingularVector:
     label: str
 
 
-def integral_relation(k: int) -> SingularVector:
-    """e(-1)^(k+1)|0> at positive integral level k."""
+def integral_relation(g: LieAlgebra, k: int) -> SingularVector:
+    """e_theta(-1)^(k+1)|0> at positive integral level k."""
     if not isinstance(k, int) or k < 1:
         raise NonPositiveLevel(f"integral level must be a positive integer, got {k!r}")
-    g = sl2()
-    e = g.theta[0]
-    word = (Mode(e, -1),) * (k + 1)
+    word = (Mode(g.theta[0], -1),) * (k + 1)
     return SingularVector(Fraction(k), State.monomial(word), f"integral:k={k}")
 
 
-def admissible_sl2() -> SingularVector:
-    """The weight-3 singular vector of the level -4/3 vacuum module, in canonical form."""
-    g = sl2()
+def admissible_sl2(g: LieAlgebra) -> SingularVector:
+    """The weight-3 singular vector of the level -4/3 sl2 vacuum module, in canonical form."""
     vec = State.zero()
     for coeff, word in zip(SINGULAR_COEFFS, WEIGHT3_WORDS):
         vec = vec + normal_order(g, word, ADMISSIBLE_LEVEL).scale(coeff)
     return SingularVector(ADMISSIBLE_LEVEL, vec, "sl2:-4/3")
 
 
-def catalog(label: str) -> SingularVector:
-    """Look up a cataloged singular vector: ``integral:k=N`` or ``sl2:-4/3``."""
+def catalog(label: str, g: LieAlgebra) -> SingularVector:
+    """Look up a cataloged singular vector on ``g``: ``integral:k=N`` or ``sl2:-4/3``."""
     if label == "sl2:-4/3":
-        return admissible_sl2()
+        return admissible_sl2(g)
     if label.startswith("integral:k="):
         try:
             k = int(label.removeprefix("integral:k="))
         except ValueError:
             raise KeyError(f"bad catalog label {label!r}") from None
-        return integral_relation(k)
+        return integral_relation(g, k)
     raise KeyError(f"unknown catalog label {label!r}")
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from affdef.cli import (
+    MAX_WORD_LENGTH,
     ExprAST,
     NonNegativeDepth,
     StateSyntaxError,
@@ -296,3 +297,33 @@ def test_act_on_deep_word():
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["result"] == "-1436400*e(-1)^1199|0>"
+
+
+# --- the word-length budget: no test here lets the parser expand past it ---
+
+def test_act_overflowing_exponent_exits_2():
+    result = runner.invoke(
+        main,
+        ["act", "--mode", "f(1)", "--state", "e(-1)^99999999999999999999999|0>",
+         "--level", "2"],
+    )
+    assert_usage_error(result, f"budget of {MAX_WORD_LENGTH} modes (at byte 6)")
+
+
+HALF = MAX_WORD_LENGTH // 2
+
+
+@pytest.mark.parametrize("head,power", [
+    ("", MAX_WORD_LENGTH + 1),
+    # the budget counts the whole term, not one exponent
+    (f"h(-1)^{HALF}f(-1)^{MAX_WORD_LENGTH - HALF}", 1),
+])
+def test_parse_exponent_one_past_budget(head, power):
+    with pytest.raises(StateSyntaxError) as err:
+        parse_state(f"{head}e(-1)^{power}|0>", G)
+    assert err.value.offset == len(head) + 6
+
+
+def test_parse_exponent_at_budget():
+    ast = parse_state(f"e(-1)^{MAX_WORD_LENGTH}|0>", G)
+    assert ast.terms == ((Fraction(1), (("e", -1),) * MAX_WORD_LENGTH),)

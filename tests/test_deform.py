@@ -12,14 +12,12 @@ from affdef.deform import (
     RuleRegistry,
     UnresolvedAtom,
     admissible_sl2_rule_table,
-    cartan_def_power_vanishing,
+    check_power_rule_ingredients,
     d_shift,
-    e_def_power_value,
     evaluate,
     generator_value,
     master_commute,
     mode_identity,
-    power_rule_ingredients,
     register_ansatz,
     single_generator_value,
     trivializing_map,
@@ -133,31 +131,41 @@ def test_d_shift_on_vacuum():
     assert got.is_zero
 
 
-# --- the two vanishing lemmas ---
+# --- the integral lemmas, computed ---
 
-@pytest.mark.parametrize("j,k", [(1, 1), (1, 5), (3, 3)])
-def test_power_rule_vanishes(j, k):
-    value, steps = e_def_power_value(G, j, Fraction(k), power_rule_ingredients(G, k))
-    assert value.is_zero
-    assert any("conclude" in s[0] for s in steps)
-
-
-def test_power_rule_guard():
-    with pytest.raises(ValueError):
-        e_def_power_value(G, 4, Fraction(3), power_rule_ingredients(G, 3))
+def power_rule_registry(k):
+    """The stated power rule e^def(-1)e(-1)^j|0> := 0 for 1 <= j <= k."""
+    registry = empty_registry()
+    for j in range(1, k + 1):
+        registry.register_value(
+            DefAtom(E, -1, (Mode(E, -1),) * j), State.zero(), "derived:power-rule"
+        )
+    return registry
 
 
-def test_cartan_vanishing_base_case():
-    value, steps = cartan_def_power_vanishing(G, 1, Fraction(2), power_rule_ingredients(G, 2))
-    assert value.is_zero
-    assert len(steps) == 1  # base case only
+@pytest.mark.parametrize("k", range(1, 6))
+def test_power_rule_ingredients_vanish(k):
+    check_power_rule_ingredients(G, Fraction(k))
 
 
-def test_cartan_vanishing_induction():
-    value, steps = cartan_def_power_vanishing(G, 3, Fraction(2), power_rule_ingredients(G, 2))
-    assert value.is_zero
-    inductions = [s for s in steps if s[0] == "induction"]
-    assert len(inductions) == 2
+@pytest.mark.parametrize("k", range(1, 6))
+def test_cartan_value_computed(k):
+    registry = power_rule_registry(k)
+    for i in range(1, k + 2):
+        got = evaluate(atom_expr(H, 0, (Mode(E, -1),) * (i - 1)), registry, Fraction(k))
+        assert got.is_zero, (i, k)
+
+
+def test_cartan_value_blind_to_power_ansatz():
+    # negative control: with e^def(-1)e(-1)|0> free, the Cartan value still
+    # vanishes (by charge), but the f^def(1) reduction sees the free symbol
+    registry = empty_registry()
+    register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1),)), "x")
+    k = Fraction(2)
+    assert evaluate(atom_expr(H, 0, (Mode(E, -1),) * 2), registry, k).is_zero
+    got = evaluate(atom_expr(F, 1, (Mode(E, -1),) * 2), registry, k)
+    assert got != State.monomial((Mode(E, -1),), C.scale(2))
+    assert got == State.monomial((Mode(E, -1),), C.scale(2) + LinForm.symbol("x1", -2))
 
 
 # --- registry ---
@@ -251,11 +259,9 @@ def test_evaluate_generator_pairing():
 
 
 def test_evaluate_telescoped_power_at_k1():
-    registry = empty_registry()
-    value, _ = e_def_power_value(G, 1, Fraction(1), power_rule_ingredients(G, 1))
-    registry.register_value(DefAtom(E, -1, (Mode(E, -1),)), value, "derived:power-rule")
-    value, _ = cartan_def_power_vanishing(G, 2, Fraction(1), power_rule_ingredients(G, 1))
-    registry.register_value(DefAtom(H, 0, (Mode(E, -1),)), value, "derived:cartan")
+    registry = power_rule_registry(1)
+    value = evaluate(atom_expr(H, 0, (Mode(E, -1),)), registry, Fraction(1))
+    registry.register_value(DefAtom(H, 0, (Mode(E, -1),)), value, "derived:cartan-induction")
     got = evaluate(atom_expr(F, 1, (Mode(E, -1), Mode(E, -1))), registry, Fraction(1))
     assert got == State.monomial((Mode(E, -1),), C.scale(2))
 
@@ -287,6 +293,12 @@ def test_evaluate_unresolved_atom():
     with pytest.raises(UnresolvedAtom) as err:
         evaluate(atom_expr(H, -1, (Mode(E, -2),)), empty_registry(), K43)
     assert err.value.atom == DefAtom(H, -1, (Mode(E, -2),))
+
+
+def test_unresolved_atom_message_renders_the_atom():
+    with pytest.raises(UnresolvedAtom) as err:
+        evaluate(atom_expr(H, -1, (Mode(E, -2),)), empty_registry(), K43)
+    assert str(err.value) == "no rule for def-atom h^def(-1) e(-2)|0>"
 
 
 def test_evaluate_nonlinear_guard_fires():

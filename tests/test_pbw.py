@@ -260,7 +260,8 @@ def per_mode_evaluate(expr, registry, k, collect_residual=False):
                 residual.append(t)
                 continue
             else:
-                raise UnresolvedAtom(DefAtom(*t.defmode, t.target))
+                atom = DefAtom(*t.defmode, t.target)
+                raise UnresolvedAtom(atom, registry.render_atom(atom))
             for s in sub.terms:
                 next_terms.append(
                     DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.defmode, s.target)

@@ -19,25 +19,25 @@ E, H, F = G.theta
 
 
 def test_integral_relation_k1():
-    sv = integral_relation(1)
+    sv = integral_relation(G, 1)
     assert sv.vector == State.monomial((Mode(E, -1),) * 2)
     assert sv.level == 1
     assert sv.label == "integral:k=1"
 
 
 def test_integral_relation_k3():
-    assert integral_relation(3).vector == State.monomial((Mode(E, -1),) * 4)
+    assert integral_relation(G, 3).vector == State.monomial((Mode(E, -1),) * 4)
 
 
 def test_integral_relation_guard():
     with pytest.raises(NonPositiveLevel):
-        integral_relation(0)
+        integral_relation(G, 0)
     with pytest.raises(NonPositiveLevel):
-        integral_relation(-2)
+        integral_relation(G, -2)
 
 
 def test_admissible_grading():
-    sv = admissible_sl2()
+    sv = admissible_sl2(G)
     assert weight(sv.vector) == 3
     assert charge(G, sv.vector) == 2
     assert sv.level == Fraction(-4, 3)
@@ -47,7 +47,7 @@ def test_admissible_canonical_coefficients():
     # full normal ordering of all three mixed-order words, not just the first:
     # -48*h(-1)e(-2) and -6*h(-2)e(-1) each shed 2*e(-3), 9*h(-1)^2 e(-1) sheds
     # 4*e(-2)h(-1) + 4*e(-3)
-    vec = admissible_sl2().vector
+    vec = admissible_sl2(G).vector
     assert vec.coefficient((Mode(E, -3),)).constant == 8
     assert vec.coefficient((Mode(E, -2), Mode(H, -1))).constant == -12
     assert vec.coefficient((Mode(E, -1), Mode(H, -2))).constant == -6
@@ -57,19 +57,19 @@ def test_admissible_canonical_coefficients():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_integral_vectors_are_singular(k):
-    sv = integral_relation(k)
+    sv = integral_relation(G, k)
     ok, witness = is_singular(sv.vector, sv.level, G)
     assert ok and witness is None
 
 
 def test_admissible_vector_is_singular():
-    sv = admissible_sl2()
+    sv = admissible_sl2(G)
     ok, witness = is_singular(sv.vector, sv.level, G)
     assert ok and witness is None
 
 
 def test_singularity_is_level_specific():
-    vec = admissible_sl2().vector
+    vec = admissible_sl2(G).vector
     for bad_level in [ADMISSIBLE_LEVEL + 1, Fraction(0), Fraction(1)]:
         ok, witness = is_singular(vec, bad_level, G)
         assert not ok
@@ -97,7 +97,7 @@ def test_weight3_vector_unique():
     null = sympy.Matrix(rows).nullspace()
     assert len(null) == 1
     direction = list(null[0])
-    vec = admissible_sl2().vector
+    vec = admissible_sl2(G).vector
     coeffs = [sympy.Rational(vec.coefficient(w).constant) for w in words]
     ratio = next(c / d for c, d in zip(coeffs, direction) if d != 0)
     assert ratio != 0
@@ -105,9 +105,9 @@ def test_weight3_vector_unique():
 
 
 def test_catalog_lookup():
-    assert catalog("sl2:-4/3").label == "sl2:-4/3"
-    assert catalog("integral:k=2").vector == State.monomial((Mode(E, -1),) * 3)
+    assert catalog("sl2:-4/3", G).label == "sl2:-4/3"
+    assert catalog("integral:k=2", G).vector == State.monomial((Mode(E, -1),) * 3)
     with pytest.raises(KeyError):
-        catalog("integral:k=x")
+        catalog("integral:k=x", G)
     with pytest.raises(KeyError):
-        catalog("nonsense")
+        catalog("nonsense", G)
