@@ -20,17 +20,17 @@ from .liealg import InvalidRank, LieAlgebra, load_structure_file, sl2, sln
 from .pbw import (
     Mode,
     State,
-    add_scaled,
     apply_mode,
     basis_enum,
     normal_order,
     render_modes,
     render_word,
 )
-from .scalar import format_rational, parse_rational, signed_sum, signed_term
+from .scalar import add_scaled, format_rational, parse_rational, signed_sum, signed_term
 
 
-# Longest mode word one term may spell, checked before the word is expanded.
+# Most modes a whole state may spell, over all its terms, checked before a
+# word is expanded.
 MAX_WORD_LENGTH = 5_000
 
 
@@ -102,6 +102,7 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
     """Parse a signed sum of mode words applied to ``|0>``."""
     tokens = _tokenize(text)
     pos = 0
+    spent = 0  # modes spelled by the terms parsed so far
 
     def peek():
         return tokens[pos]
@@ -125,6 +126,7 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
         return sign * int(value)
 
     def parse_term(sign):
+        nonlocal spent
         coeff = Fraction(sign)
         kind, value, off = peek()
         if kind == "number":
@@ -174,10 +176,11 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
                 # a literal too long to be within budget is never converted
                 too_long = len(digits) > len(str(MAX_WORD_LENGTH))
                 count = MAX_WORD_LENGTH + 1 if too_long else int(digits)
-            if len(word) + count > MAX_WORD_LENGTH:
+            if spent + count > MAX_WORD_LENGTH:
                 raise StateSyntaxError(
-                    f"word longer than the budget of {MAX_WORD_LENGTH} modes", count_off
+                    f"state longer than the budget of {MAX_WORD_LENGTH} modes", count_off
                 )
+            spent += count
             word.extend([(label, depth)] * count)
             kind, value, off = peek()
             if kind == "op" and value == "*":

@@ -24,7 +24,6 @@ from .liealg import LieAlgebra
 from .pbw import (
     Mode,
     State,
-    add_scaled,
     apply_chain,
     apply_mode,
     basis_enum,
@@ -37,7 +36,7 @@ from .pbw import (
     word_charge,
     word_weight,
 )
-from .scalar import LinForm, signed_sum, signed_term
+from .scalar import LinForm, add_scaled, signed_sum, signed_term
 from .singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
 
@@ -367,44 +366,21 @@ def check_power_rule_ingredients(g: LieAlgebra, k) -> None:
             )
 
 
-def d_shift(g: LieAlgebra, a: int, m: int, v: State, value_of, k) -> State:
-    """Value of a^def(m).(D v) via the translation identity.
+def d_shift(registry: RuleRegistry, a: int, m: int, v: State, k) -> State:
+    """a^def(m-1) v for m != 0, from the translation identity.
 
-    a^def(m)(Dv) = D(a^def(m) v) + m a^def(m-1) v; ``value_of(gen, depth, word)``
-    supplies atom values on the monomials of v.
+    a^def(m)(Dv) = D(a^def(m) v) + m a^def(m-1) v, so
+    a^def(m-1) v = (a^def(m)(Dv) - D(a^def(m) v)) / m; both def-mode actions
+    are evaluated against the registry.
     """
-    k = Fraction(k)
-    first = State.zero()
-    second = State.zero()
-    for word, coeff in v.items():
-        first = first + value_of(a, m, word).scale(coeff)
-        if m:
-            second = second + value_of(a, m - 1, word).scale(coeff)
-    out = d_operator(first)
-    if m:
-        out = out + second.scale(m)
-    return out
+    if not m:
+        raise ValueError("the translation identity gives a^def(m-1) only for m != 0")
 
+    def act(state):
+        terms = [DefTerm(coeff, (), Mode(a, m), word) for word, coeff in state.items()]
+        return evaluate(DefExpression(terms), registry, k)
 
-def single_generator_value(g: LieAlgebra, a: int, m: int, b: int, d: int, k) -> State:
-    """a^def(m) b(-d)|0> for m >= 0, chained down from the generator pairing.
-
-    b(-d)|0> = D(b(-d+1)|0>)/(d-1), so the translation identity reduces depth d
-    to depth d-1 while keeping the mode depth non-negative.
-    """
-    if m < 0:
-        raise ValueError("only non-negative mode depths reduce this way")
-    if d < 1:
-        raise ValueError("target depth must be a creation depth")
-    if d == 1:
-        return generator_value(g, a, m, b)
-
-    def value_of(gen, depth, word):
-        assert word == (Mode(b, -(d - 1)),)
-        return single_generator_value(g, gen, depth, b, d - 1, k)
-
-    shallower = State.monomial((Mode(b, -(d - 1)),))
-    return d_shift(g, a, m, shallower, value_of, k).scale(Fraction(1, d - 1))
+    return (act(d_operator(v)) - d_operator(act(v))).scale(Fraction(1, m))
 
 
 def register_ansatz(registry: RuleRegistry, atom: DefAtom, symbol_prefix: str) -> Rule:
@@ -477,21 +453,3 @@ def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
     for (gen, depth, word), rhs in table.items():
         registry.register_rewrite(DefAtom(gen, depth, tuple(word)), rhs, "stated")
     return registry
-
-
-def trivializing_map(v: State, registry: RuleRegistry, k) -> State:
-    """The coboundary candidate on monomials: deform each factor but the last.
-
-    f1(a1(-m1) ... an(-mn)|0>) = -sum_{i<n} a1(-m1) ... ai^def(-mi) ... an(-mn)|0>,
-    f1(|0>) = 0.  Every needed atom must be registered.
-    """
-    g = registry.g
-    out = State.zero()
-    for word, coeff in v.items():
-        for i in range(len(word) - 1):
-            mode = word[i]
-            expr = DefExpression(
-                [DefTerm(LinForm(-1), word[:i], mode, word[i + 1 :])]
-            )
-            out = out + evaluate(expr, registry, k).scale(coeff)
-    return out

@@ -11,51 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .scalar import add_scaled
+
 
 class InvalidRank(Exception):
     pass
-
-
-class LieElt:
-    """Sparse element of the algebra: basis index -> rational coefficient."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        data = {}
-        if coeffs:
-            for idx, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    data[idx] = c
-        self.coeffs = data
-
-    @classmethod
-    def basis(cls, idx: int) -> "LieElt":
-        return cls({idx: Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            acc = out.get(idx, Fraction(0)) + c
-            if acc:
-                out[idx] = acc
-            else:
-                out.pop(idx, None)
-        return LieElt(out)
-
-    def scale(self, r) -> "LieElt":
-        r = Fraction(r)
-        return LieElt({i: c * r for i, c in self.coeffs.items()}) if r else LieElt()
-
-    def __eq__(self, other):
-        return isinstance(other, LieElt) and self.coeffs == other.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def items(self):
-        return self.coeffs.items()
 
 
 class LieAlgebra:
@@ -93,14 +53,16 @@ class LieAlgebra:
     def label(self, idx: int) -> str:
         return self.basis[idx]
 
-    def bracket(self, i: int, j: int) -> LieElt:
-        return LieElt(self._bracket.get((i, j), {}))
+    def bracket(self, i: int, j: int) -> dict:
+        """[b_i, b_j] as the stored ``{index: Fraction}`` row; callers must not mutate it."""
+        return self._bracket.get((i, j), {})
 
-    def bracket_elt(self, x: LieElt, y: LieElt) -> LieElt:
-        out = LieElt()
+    def bracket_elt(self, x: dict, y: dict) -> dict:
+        """[x, y] for sparse elements ``{index: nonzero coefficient}``."""
+        out = {}
         for i, ci in x.items():
             for j, cj in y.items():
-                out = out + self.bracket(i, j).scale(ci * cj)
+                add_scaled(out, self.bracket(i, j), ci * cj)
         return out
 
     def form(self, i: int, j: int) -> Fraction:
@@ -118,11 +80,11 @@ class LieAlgebra:
             if not img:
                 charges.append(0)
                 continue
-            if set(img.coeffs) != {i}:
+            if set(img) != {i}:
                 raise ValueError(
                     f"ad(h_theta) is not diagonal on basis vector {self.basis[i]!r}"
                 )
-            lam = img.coeffs[i]
+            lam = img[i]
             if lam.denominator != 1:
                 raise ValueError(f"non-integral charge {lam} on {self.basis[i]!r}")
             charges.append(int(lam))
@@ -133,10 +95,6 @@ class LieAlgebra:
 class ValidationReport:
     ok: bool
     failures: list = field(default_factory=list)
-
-    @property
-    def first_counterexample(self):
-        return self.failures[0] if self.failures else None
 
     def __str__(self):
         if self.ok:
@@ -186,9 +144,7 @@ def sln(n: int) -> LieAlgebra:
     def matmul(x, y):
         out = {}
         for (i, t), p in x.items():
-            for (t2, j), q in y.items():
-                if t == t2:
-                    out[(i, j)] = out.get((i, j), 0) + p * q
+            add_scaled(out, {(i, j): q for (t2, j), q in y.items() if t2 == t}, p)
         return out
 
     def decompose(m):
@@ -196,10 +152,10 @@ def sln(n: int) -> LieAlgebra:
         # diagonal sits on the D_i
         out = {}
         for (i, j) in sorted(m):
-            if i != j and m[(i, j)]:
+            if i != j:
                 out[index[f"E{i + 1}{j + 1}"]] = m[(i, j)]
         for i in range(n - 1):
-            if m.get((i, i)):
+            if (i, i) in m:
                 out[index[f"D{i + 1}"]] = m[(i, i)]
         return out
 
@@ -207,10 +163,9 @@ def sln(n: int) -> LieAlgebra:
     form = {}
     for a in range(len(mats)):
         for b in range(a, len(mats)):
-            ab, ba = matmul(mats[a], mats[b]), matmul(mats[b], mats[a])
+            ab = matmul(mats[a], mats[b])
             comm = dict(ab)
-            for key, q in ba.items():
-                comm[key] = comm.get(key, 0) - q
+            add_scaled(comm, matmul(mats[b], mats[a]), -1)
             bracket[(a, b)] = decompose(comm)
             tr = sum(q for (i, j), q in ab.items() if i == j)
             if tr:
@@ -236,23 +191,24 @@ def _check(g: LieAlgebra) -> ValidationReport:
     def name(i):
         return g.basis[i]
 
+    # the checks read the tables directly: index -> nonzero coefficient dicts
+    table, form = g._bracket, g._form
     for i in range(dim):
-        if g.bracket(i, i):
+        if table.get((i, i)):
             failures.append(f"[{name(i)},{name(i)}] != 0")
     for i in range(dim):
         for j in range(dim):
-            if g.bracket(i, j) + g.bracket(j, i):
+            both = dict(table.get((i, j), {}))  # [b_i,b_j] + [b_j,b_i]
+            add_scaled(both, table.get((j, i), {}), 1)
+            if both:
                 failures.append(f"[{name(i)},{name(j)}] not antisymmetric")
             if g.form(i, j) != g.form(j, i):
                 failures.append(f"<{name(i)},{name(j)}> not symmetric")
-    # the triple loop reads the tables directly: index -> coefficient dicts
-    table, form = g._bracket, g._form
 
     def add_bracket(acc, x, elt):
         """acc += [b_x, elt]."""
         for y, c in elt.items():
-            for z, d in table.get((x, y), {}).items():
-                acc[z] = acc.get(z, 0) + c * d
+            add_scaled(acc, table.get((x, y), {}), c)
 
     for i in range(dim):
         for j in range(dim):
@@ -263,7 +219,7 @@ def _check(g: LieAlgebra) -> ValidationReport:
                 add_bracket(jac, i, jl)
                 add_bracket(jac, j, table.get((l, i), {}))
                 add_bracket(jac, l, ij)
-                if any(jac.values()):
+                if jac:
                     failures.append(f"Jacobi fails on ({name(i)},{name(j)},{name(l)})")
                 lhs = sum(c * form.get((x, l), 0) for x, c in ij.items())
                 rhs = sum(form.get((i, x), 0) * c for x, c in jl.items())
@@ -273,9 +229,9 @@ def _check(g: LieAlgebra) -> ValidationReport:
                     )
     e, h, f = g.theta
     triple_checks = [
-        (g.bracket(h, e), LieElt.basis(e).scale(2), "[h,e] = 2e"),
-        (g.bracket(h, f), LieElt.basis(f).scale(-2), "[h,f] = -2f"),
-        (g.bracket(e, f), LieElt.basis(h), "[e,f] = h"),
+        (g.bracket(h, e), {e: 2}, "[h,e] = 2e"),
+        (g.bracket(h, f), {f: -2}, "[h,f] = -2f"),
+        (g.bracket(e, f), {h: 1}, "[e,f] = h"),
     ]
     for got, want, what in triple_checks:
         if got != want:

@@ -16,7 +16,7 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .liealg import LieAlgebra
-from .scalar import LinForm, signed_sum, signed_term
+from .scalar import LinForm, add_scaled, signed_sum, signed_term
 
 
 class Mode(NamedTuple):
@@ -27,6 +27,9 @@ class Mode(NamedTuple):
 Word = tuple  # tuple[Mode, ...]
 
 VACUUM_WORD: Word = ()
+
+# the factor of a plain State sum: a LinForm, so that every coefficient stays one
+_UNIT = LinForm(1)
 
 
 class NotHomogeneous(Exception):
@@ -98,12 +101,7 @@ class State:
 
     def __add__(self, other: "State") -> "State":
         out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            acc = out.get(word, LinForm(0)) + coeff
-            if acc:
-                out[word] = acc
-            else:
-                out.pop(word, None)
+        add_scaled(out, other._terms, _UNIT)
         st = State.__new__(State)
         st._terms = out
         return st
@@ -267,22 +265,6 @@ def plain(coeff):
     if isinstance(coeff, LinForm) and not coeff.terms:
         return _exact(coeff.constant)
     return coeff
-
-
-def add_scaled(out: dict, terms, factor) -> None:
-    """out += factor * terms, for rational or LinForm terms and factor, factor nonzero.
-
-    A word is dropped as soon as its coefficient cancels, as ``State.__add__``
-    does, so a word that comes back is placed last.
-    """
-    for w, c in terms.items():
-        term = factor if c == 1 else c * factor
-        if w in out:
-            term = out[w] + term
-            if not term:
-                del out[w]
-                continue
-        out[w] = term
 
 
 def weight(v: State) -> int:

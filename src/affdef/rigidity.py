@@ -21,6 +21,7 @@ from .deform import (
     _merge_terms,
     admissible_sl2_rule_table,
     check_power_rule_ingredients,
+    d_shift,
     evaluate,
     register_ansatz,
 )
@@ -85,7 +86,6 @@ class LinearSystem:
 
 @dataclass
 class EliminationResult:
-    reduced: LinearSystem
     c_forced_zero: bool
     c_row: LinForm = None
     inconsistent: bool = False
@@ -121,12 +121,6 @@ def eliminate(system: LinearSystem) -> EliminationResult:
     inconsistent = any(
         not any(rows[r]) and aug[r] for r in range(nrows)
     )
-    reduced_eqs = []
-    for r in range(nrows):
-        if any(rows[r]) or aug[r]:
-            reduced_eqs.append(
-                LinForm(aug[r], {u: rows[r][i] for i, u in enumerate(unknowns)})
-            )
     c_row = None
     if "c" in unknowns:
         c_idx = unknowns.index("c")
@@ -135,9 +129,7 @@ def eliminate(system: LinearSystem) -> EliminationResult:
             if support == [c_idx] and not aug[r]:
                 c_row = LinForm(0, {"c": rows[r][c_idx]})
                 break
-    return EliminationResult(
-        LinearSystem(reduced_eqs, unknowns), c_row is not None, c_row, inconsistent
-    )
+    return EliminationResult(c_row is not None, c_row, inconsistent)
 
 
 @dataclass
@@ -333,10 +325,10 @@ def admissible_pipeline(combination=None) -> Verdict:
     c_rule = register_ansatz(registry, DefAtom(e, -1, (Mode(e, -1), Mode(f, -1))), "c")
     for rule in (a_rule, b_rule, c_rule):
         transcript.add("ansatz", registry.render_atom(rule.atom), rule.value.render(g))
-    # D-commutator constraint: h^def(-2)e(-1)|0> = -h^def(-1)e(-2)|0>
-    registry.register_value(
-        DefAtom(h, -2, (Mode(e, -1),)), a_rule.value.scale(-1), "derived:translation"
-    )
+    # translation identity at m = -1 on e(-1)|0>, with h^def(-1)e(-1)|0> = 0:
+    # h^def(-2)e(-1)|0> = -h^def(-1)e(-2)|0>
+    translation = d_shift(registry, h, -1, State.monomial((Mode(e, -1),)), k)
+    registry.register_value(DefAtom(h, -2, (Mode(e, -1),)), translation, "derived:translation")
     transcript.add("translation", "h^def(-2)e(-1)|0> := -h^def(-1)e(-2)|0>")
     registry.freeze()
 

@@ -52,6 +52,23 @@ def signed_sum(pieces) -> str:
     return out or "0"
 
 
+def add_scaled(out: dict, terms, factor) -> None:
+    """out += factor * terms, for a sparse sum ``key -> nonzero coefficient``, factor nonzero.
+
+    The one rule for sparse sums: a key is dropped as soon as its coefficient
+    cancels, so a key that comes back is placed last.  A unit coefficient in
+    ``terms`` stores ``factor`` itself, so a LinForm sum needs a LinForm factor.
+    """
+    for key, c in terms.items():
+        term = factor if c == 1 else c * factor
+        if key in out:
+            term = out[key] + term
+            if not term:
+                del out[key]
+                continue
+        out[key] = term
+
+
 def symbol_sort_key(name: str):
     """Deterministic symbol order: alphabetical, with the constant ``c`` last."""
     return (name == "c", name)
@@ -100,12 +117,7 @@ class LinForm:
     def __add__(self, other) -> "LinForm":
         other = _coerce(other)
         merged = dict(self.terms)
-        for name, coeff in other.terms.items():
-            acc = merged.get(name, Fraction(0)) + coeff
-            if acc:
-                merged[name] = acc
-            else:
-                merged.pop(name, None)
+        add_scaled(merged, other.terms, 1)
         return LinForm(self.constant + other.constant, merged)
 
     __radd__ = __add__
@@ -139,7 +151,7 @@ class LinForm:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LinForm(other)
+            return not self.terms and self.constant == other
         if not isinstance(other, LinForm):
             return NotImplemented
         return self.constant == other.constant and self.terms == other.terms

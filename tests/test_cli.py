@@ -327,3 +327,17 @@ def test_parse_exponent_one_past_budget(head, power):
 def test_parse_exponent_at_budget():
     ast = parse_state(f"e(-1)^{MAX_WORD_LENGTH}|0>", G)
     assert ast.terms == ((Fraction(1), (("e", -1),) * MAX_WORD_LENGTH),)
+
+
+def test_budget_counts_the_whole_state():
+    # two terms that reach the budget exactly parse
+    rest = MAX_WORD_LENGTH - HALF
+    ast = parse_state(f"e(-1)^{HALF}|0> - f(-1)^{rest}|0>", G)
+    assert [len(word) for _, word in ast.terms] == [HALF, rest]
+    # of three full terms the second crosses it, at its exponent's byte offset
+    term = f"e(-1)^{MAX_WORD_LENGTH}|0>"
+    text = " + ".join([term] * 3)
+    result = runner.invoke(
+        main, ["act", "--mode", "f(1)", "--state", text, "--level", "2"]
+    )
+    assert_usage_error(result, f"budget of {MAX_WORD_LENGTH} modes (at byte {len(term) + 9})")

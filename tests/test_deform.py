@@ -19,8 +19,6 @@ from affdef.deform import (
     master_commute,
     mode_identity,
     register_ansatz,
-    single_generator_value,
-    trivializing_map,
 )
 from affdef.liealg import sl2
 from affdef.pbw import Mode, State, basis_enum
@@ -98,37 +96,30 @@ def test_generator_value_agrees_with_master_route():
 
 # --- translation identity ---
 
-def zero_values(gen, depth, word):
-    return State.zero()
-
-
 def test_single_generator_deep_targets_vanish():
     # f^def(1) e(-2)|0> = D(c|0>) + f^def(0) e(-1)|0> = 0
-    assert single_generator_value(G, F, 1, E, 2, K43).is_zero
-    assert single_generator_value(G, F, 1, E, 3, K43).is_zero
-    assert single_generator_value(G, H, 0, E, 2, K43).is_zero
-    assert single_generator_value(G, F, 1, E, 1, K43) == State.vacuum(C)
+    assert evaluate(atom_expr(F, 1, (Mode(E, -2),)), empty_registry(), K43).is_zero
+    assert evaluate(atom_expr(F, 1, (Mode(E, -3),)), empty_registry(), K43).is_zero
+    assert evaluate(atom_expr(H, 0, (Mode(E, -2),)), empty_registry(), K43).is_zero
+    assert evaluate(atom_expr(F, 1, (Mode(E, -1),)), empty_registry(), K43) == State.vacuum(C)
 
 
 def test_d_shift_produces_depth_constraint():
-    # with h^def(-1)e(-1)|0> = 0:  h^def(-1)e(-2)|0> = -h^def(-2)e(-1)|0>
+    # with h^def(-1)e(-1)|0> = 0:  h^def(-2)e(-1)|0> = -h^def(-1)e(-2)|0>
     placeholder = State.monomial((Mode(E, -3),), LinForm.symbol("a1"))
-
-    def values(gen, depth, word):
-        assert word == (Mode(E, -1),)
-        if (gen, depth) == (H, -1):
-            return State.zero()
-        if (gen, depth) == (H, -2):
-            return placeholder
-        raise AssertionError((gen, depth))
-
-    got = d_shift(G, H, -1, State.monomial((Mode(E, -1),)), values, K43)
+    registry = empty_registry()
+    registry.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "test")
+    registry.register_value(DefAtom(H, -1, (Mode(E, -2),)), placeholder, "test")
+    got = d_shift(registry, H, -1, State.monomial((Mode(E, -1),)), K43)
     assert got == placeholder.scale(-1)
 
 
 def test_d_shift_on_vacuum():
-    got = d_shift(G, E, 0, State.vacuum(), zero_values, K43)
+    # a^def(m-1)|0> = 0, and D|0> = 0
+    got = d_shift(empty_registry(), E, 1, State.vacuum(), K43)
     assert got.is_zero
+    with pytest.raises(ValueError):
+        d_shift(empty_registry(), E, 0, State.vacuum(), K43)
 
 
 # --- the integral lemmas, computed ---
@@ -315,41 +306,3 @@ def test_evaluate_collect_residual():
     )
     atoms = {(t.defmode, t.target) for t in residual}
     assert (Mode(H, -1), (Mode(E, -2),)) in atoms
-
-
-# --- the trivializing map ---
-
-def test_trivializing_map_on_vacuum_and_generators():
-    registry = empty_registry()
-    registry.freeze()
-    assert trivializing_map(State.vacuum(), registry, K43).is_zero
-    # single-factor monomials have no summands (the sum stops before the last factor)
-    assert trivializing_map(State.monomial((Mode(E, -1),)), registry, K43).is_zero
-    assert trivializing_map(State.monomial((Mode(E, -3),)), registry, K43).is_zero
-
-
-def test_trivializing_map_zero_registry():
-    registry = empty_registry()
-    registry.register_value(DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), State.zero(), "zero")
-    registry.register_value(DefAtom(E, -1, (Mode(F, -1),)), State.zero(), "zero")
-    registry.freeze()
-    v = State.monomial((Mode(E, -1), Mode(E, -1), Mode(F, -1)))
-    assert trivializing_map(v, registry, K43).is_zero
-
-
-def test_trivializing_map_single_term():
-    registry = empty_registry()
-    # e^def(-1) f(-1)|0> has weight 2 and charge 0
-    value = State.monomial((Mode(H, -2),), LinForm.symbol("a1"))
-    registry.register_value(DefAtom(E, -1, (Mode(F, -1),)), value, "test")
-    registry.freeze()
-    v = State.monomial((Mode(E, -1), Mode(F, -1)))
-    # f1(e(-1)f(-1)|0>) = -e^def(-1) f(-1)|0>
-    assert trivializing_map(v, registry, K43) == value.scale(-1)
-
-
-def test_trivializing_map_unresolved():
-    registry = empty_registry()
-    registry.freeze()
-    with pytest.raises(UnresolvedAtom):
-        trivializing_map(State.monomial((Mode(E, -1), Mode(F, -1))), registry, K43)
