@@ -2,9 +2,9 @@
 
 A def-mode a^def(m) is the m-th mode of the deformation field attached to the
 weight-1 generator a.  Irreducible applications a^def(m).(word)|0> are atoms;
-the registry holds their known or ansatz values (states with symbolic
-coefficients) plus authoritative rewrite rules.  The evaluator pushes def-modes
-rightward with the master commutator identity
+the registry holds one rule per atom: a known or ansatz value (a state with
+symbolic coefficients) or an authoritative rewrite into further def-terms.  The
+evaluator pushes def-modes rightward with the master commutator identity
 
     a^def(m) b(n) = b(n) a^def(m) - a(m) b^def(n) + b^def(n) a(m)
                     + [a,b]^def(m+n) + m * c * <a,b> * delta_{m+n,0}
@@ -65,7 +65,7 @@ class RegistryFrozen(Exception):
 @dataclass(frozen=True)
 class Rule:
     atom: DefAtom
-    value: State
+    value: DefExpression  # a registered state is the tail of a term-free expression
     provenance: str
 
 
@@ -99,10 +99,6 @@ class DefExpression:
             [DefTerm(t.coeff * factor, t.prefix, t.defmode, t.target) for t in self.terms],
             self.tail.scale(factor),
         )
-
-    @property
-    def is_state(self) -> bool:
-        return not self.terms
 
     def render(self, g: LieAlgebra) -> str:
         pieces = [
@@ -141,30 +137,25 @@ def _merge_terms(terms):
 
 
 class RuleRegistry:
-    """Atom values and rewrite rules; frozen after pipeline setup."""
+    """One rule per atom, values and rewrites alike; frozen after pipeline setup."""
 
     def __init__(self, g: LieAlgebra):
         self.g = g
-        self._values = {}
-        self._rewrites = {}
+        self._rules = {}
         self._frozen = False
 
-    def register_value(self, atom: DefAtom, value: State, provenance: str) -> Rule:
+    def register_value(self, atom: DefAtom, value, provenance: str) -> Rule:
+        """Register a ``State`` value or a ``DefExpression`` rewrite for the atom."""
         if self._frozen:
             raise RegistryFrozen("registry is frozen")
-        if atom in self._values:
+        if atom in self._rules:
             raise DuplicateAtom(f"atom already registered: {self.render_atom(atom)}")
-        self._check_grading(atom, value)
+        if isinstance(value, State):
+            value = DefExpression((), value)
+        self._check_grading(atom, value.tail)
         rule = Rule(atom, value, provenance)
-        self._values[atom] = rule
+        self._rules[atom] = rule
         return rule
-
-    def register_rewrite(self, atom: DefAtom, expr: DefExpression, provenance: str):
-        if self._frozen:
-            raise RegistryFrozen("registry is frozen")
-        if atom in self._rewrites:
-            raise DuplicateAtom(f"rewrite already registered: {self.render_atom(atom)}")
-        self._rewrites[atom] = (expr, provenance)
 
     def _check_grading(self, atom: DefAtom, value: State):
         # weight of a^def(m) v is wt(a) - m - 1 + wt(v) = wt(v) - m for weight-1 a
@@ -184,13 +175,10 @@ class RuleRegistry:
             )
 
     def lookup_value(self, defmode: Mode, word) -> Optional[Rule]:
-        return self._values.get(DefAtom(*defmode, tuple(word)))
-
-    def lookup_rewrite(self, defmode: Mode, word):
-        return self._rewrites.get(DefAtom(*defmode, tuple(word)))
+        return self._rules.get(DefAtom(*defmode, tuple(word)))
 
     def rules(self):
-        return list(self._values.values())
+        return list(self._rules.values())
 
     def freeze(self):
         self._frozen = True
@@ -199,16 +187,10 @@ class RuleRegistry:
         return f"{def_label(self.g, atom.gen, atom.depth)} {render_word(self.g, atom.word)}"
 
     def dump(self) -> str:
-        lines = []
-        for atom in sorted(self._values):
-            rule = self._values[atom]
-            lines.append(
-                f"{self.render_atom(atom)} := {rule.value.render(self.g)} ; {rule.provenance}"
-            )
-        for atom in sorted(self._rewrites):
-            expr, provenance = self._rewrites[atom]
-            lines.append(f"{self.render_atom(atom)} := {expr.render(self.g)} ; {provenance}")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{self.render_atom(atom)} := {rule.value.render(self.g)} ; {rule.provenance}"
+            for atom, rule in sorted(self._rules.items())
+        )
 
 
 def generator_value(g: LieAlgebra, a: int, m: int, b: int) -> State:
@@ -300,15 +282,11 @@ def evaluate(
             raise RuntimeError("def-mode reduction failed to terminate")
         next_terms = []
         for t in terms:
-            if not t.coeff:
-                continue
             if not t.target:
                 continue  # vacuum rule
             rule = registry.lookup_value(t.defmode, t.target)
             if rule is not None:
-                sub = DefExpression((), rule.value)
-            elif (rewrite := registry.lookup_rewrite(t.defmode, t.target)) is not None:
-                sub, _provenance = rewrite
+                sub = rule.value
             elif t.defmode.depth >= 0 and len(t.target) == 1 and t.target[0].depth == -1:
                 value = generator_value(g, t.defmode.gen, t.defmode.depth, t.target[0].gen)
                 sub = DefExpression((), value)
@@ -392,16 +370,18 @@ def register_ansatz(registry: RuleRegistry, atom: DefAtom, symbol_prefix: str) -
     g = registry.g
     want_weight = word_weight(atom.word) - atom.depth
     want_charge = g.charge(atom.gen) + word_charge(g, atom.word)
-    value = State.zero()
-    for idx, word in enumerate(basis_enum(g, want_weight, want_charge), start=1):
-        value = value + State.monomial(word, LinForm.symbol(f"{symbol_prefix}{idx}"))
-    return registry.register_value(atom, value, "ansatz")
+    # the basis words are distinct, so one dict keeps State.__add__ order
+    value = {
+        word: LinForm.symbol(f"{symbol_prefix}{idx}")
+        for idx, word in enumerate(basis_enum(g, want_weight, want_charge), start=1)
+    }
+    return registry.register_value(atom, State(value), "ansatz")
 
 
 def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
     """The ten authoritative depth-1 def-mode actions on the weight-3 words.
 
-    These are inputs of the level -4/3 computation, registered as rewrite rules
+    These are inputs of the level -4/3 computation, registered as rewrites
     keyed by the traditional mixed-order spellings; the cross-check diagnostic
     attempts to re-derive each one independently.
     """
@@ -451,5 +431,5 @@ def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
         (h, 1, w5): expr([]),
     }
     for (gen, depth, word), rhs in table.items():
-        registry.register_rewrite(DefAtom(gen, depth, tuple(word)), rhs, "stated")
+        registry.register_value(DefAtom(gen, depth, tuple(word)), rhs, "stated")
     return registry

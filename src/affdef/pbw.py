@@ -36,13 +36,8 @@ class NotHomogeneous(Exception):
     pass
 
 
-def mode_sort_key(mode: Mode):
-    # depth ascending = deeper first: e(-3) precedes e(-2)
-    return (mode.gen, mode.depth)
-
-
 def is_canonical(word: Word) -> bool:
-    # a Mode compares like its sort key
+    # a Mode compares as (gen, depth): depth ascending = deeper first
     return all(a <= b for a, b in zip(word, word[1:]))
 
 
@@ -215,7 +210,7 @@ def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict, brackets: d
             stack.pop()
             continue
         gen, m, word = key
-        # a Mode compares like its sort key
+        # a Mode compares as the pair (gen, depth)
         if m <= -1 and (not word or (gen, m) <= word[0]):
             # creation mode already in canonical position: prepend
             memo[key] = {(Mode(gen, m),) + word: 1}
@@ -269,22 +264,22 @@ def plain(coeff):
 
 def weight(v: State) -> int:
     """Conformal weight of a homogeneous state."""
-    weights = {word_weight(w) for w in v.words()}
-    if not weights:
-        raise NotHomogeneous("weight of the zero state is undefined")
-    if len(weights) > 1:
-        raise NotHomogeneous(f"mixed weights {sorted(weights)}")
-    return weights.pop()
+    return _homogeneous(v, "weight", word_weight)
 
 
 def charge(g: LieAlgebra, v: State) -> int:
     """Cartan charge (h(0)-eigenvalue) of a homogeneous state."""
-    charges = {word_charge(g, w) for w in v.words()}
-    if not charges:
-        raise NotHomogeneous("charge of the zero state is undefined")
-    if len(charges) > 1:
-        raise NotHomogeneous(f"mixed charges {sorted(charges)}")
-    return charges.pop()
+    return _homogeneous(v, "charge", lambda word: word_charge(g, word))
+
+
+def _homogeneous(v: State, name: str, grade) -> int:
+    """The one value of ``grade`` over the words of ``v``."""
+    values = {grade(w) for w in v.words()}
+    if not values:
+        raise NotHomogeneous(f"{name} of the zero state is undefined")
+    if len(values) > 1:
+        raise NotHomogeneous(f"mixed {name}s {sorted(values)}")
+    return values.pop()
 
 
 def basis_enum(g: LieAlgebra, w: int, q=None) -> list:
@@ -304,10 +299,10 @@ def basis_enum(g: LieAlgebra, w: int, q=None) -> list:
         for gen in range(g.dim):
             for depth in range(-remaining, 0):
                 mode = Mode(gen, depth)
-                if mode_sort_key(mode) < min_key:
+                if mode < min_key:
                     continue
                 prefix.append(mode)
-                extend(prefix, remaining + depth, mode_sort_key(mode))
+                extend(prefix, remaining + depth, mode)
                 prefix.pop()
 
     extend([], w, (-1, -(w + 1)))
@@ -319,11 +314,10 @@ def basis_enum(g: LieAlgebra, w: int, q=None) -> list:
 
 def d_operator(v: State) -> State:
     """Translation operator: D(a(-m) w) = m a(-m-1) w + a(-m) D(w), D|0> = 0."""
-    out = State.zero()
+    out = {}
     for word, coeff in v.items():
         for i, mode in enumerate(word):
             shifted = word[:i] + (Mode(mode.gen, mode.depth - 1),) + word[i + 1 :]
             # same-generator modes commute freely, so resorting is exact
-            shifted = tuple(sorted(shifted, key=mode_sort_key))
-            out = out + State.monomial(shifted).scale(coeff.scale(-mode.depth))
-    return out
+            add_scaled(out, {tuple(sorted(shifted)): coeff}, -mode.depth)
+    return State(out)

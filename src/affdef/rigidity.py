@@ -481,7 +481,7 @@ def cross_check() -> list:
             derived_tail, derived_res = evaluate(
                 DefExpression.atom(Mode(gen, 1), word), base, k, collect_residual=True
             )
-            expected_expr, _ = table.lookup_rewrite(Mode(gen, 1), word)
+            expected_expr = table.lookup_value(Mode(gen, 1), word).value
             expected_tail, expected_res = evaluate(
                 expected_expr, base, k, collect_residual=True
             )

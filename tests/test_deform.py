@@ -167,14 +167,14 @@ def test_register_ansatz_expansions():
     expected = State.zero()
     for idx, word in enumerate(basis_enum(G, 3, 2), start=1):
         expected = expected + State.monomial(word, LinForm.symbol(f"a{idx}"))
-    assert rule.value == expected
+    assert rule.value.tail == expected and not rule.value.terms
     # the other two families expand over the same five monomials
     rule_b = register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "b")
     rule_c = register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "c")
-    assert sorted(rule_b.value.words()) == sorted(expected.words())
-    assert sorted(rule_c.value.words()) == sorted(expected.words())
-    assert rule_b.value.coefficient((Mode(E, -3),)) == LinForm.symbol("b1")
-    assert rule_c.value.coefficient((Mode(E, -3),)) == LinForm.symbol("c1")
+    assert sorted(rule_b.value.tail.words()) == sorted(expected.words())
+    assert sorted(rule_c.value.tail.words()) == sorted(expected.words())
+    assert rule_b.value.tail.coefficient((Mode(E, -3),)) == LinForm.symbol("b1")
+    assert rule_c.value.tail.coefficient((Mode(E, -3),)) == LinForm.symbol("c1")
 
 
 def test_register_duplicate_atom():
@@ -212,7 +212,7 @@ def test_registry_rule_grading_holds_for_pipeline_rules():
     register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b")
     register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c")
     for rule in registry.rules():
-        registry._check_grading(rule.atom, rule.value)  # re-check, exact
+        registry._check_grading(rule.atom, rule.value.tail)  # re-check, exact
 
 
 def test_registry_dump():
@@ -223,19 +223,70 @@ def test_registry_dump():
     assert "; ansatz" in dump
 
 
+def rewrite_of_h_minus2_e():
+    # -h(1)h^def(-2)e(-1)|0>: the stated rewrite of h^def(1)h(-2)e(-1)|0>
+    return DefExpression([DefTerm(LinForm(-1), (Mode(H, 1),), Mode(H, -2), (Mode(E, -1),))])
+
+
+def test_value_and_rewrite_share_one_atom_table():
+    atom = DefAtom(H, 1, (Mode(H, -2), Mode(E, -1)))
+    registry = empty_registry()
+    registry.register_value(atom, State.zero(), "value")
+    with pytest.raises(DuplicateAtom):
+        registry.register_value(atom, rewrite_of_h_minus2_e(), "rewrite")
+    registry = empty_registry()
+    registry.register_value(atom, rewrite_of_h_minus2_e(), "rewrite")
+    with pytest.raises(DuplicateAtom):
+        registry.register_value(atom, State.zero(), "value")
+    assert registry.lookup_value(Mode(H, 1), atom.word).provenance == "rewrite"
+
+
+def test_rewrite_tail_is_graded():
+    # h^def(1)h(-1)e(-2)|0> has weight 2 and charge 2
+    atom = DefAtom(H, 1, (Mode(H, -1), Mode(E, -2)))
+    term = DefTerm(LinForm(-1), (Mode(H, 1),), Mode(H, -1), (Mode(E, -2),))
+    with pytest.raises(ValueError, match="weight"):
+        empty_registry().register_value(
+            atom, DefExpression([term], State.monomial((Mode(E, -3),), C)), "bad"
+        )
+    with pytest.raises(ValueError, match="charge"):
+        empty_registry().register_value(
+            atom, DefExpression([term], State.monomial((Mode(H, -2),), C)), "bad"
+        )
+    rule = empty_registry().register_value(
+        atom, DefExpression([term], State.monomial((Mode(E, -2),), C.scale(2))), "good"
+    )
+    assert rule.value.terms == (term,)
+
+
+def test_registry_dump_lists_values_and_rewrites_in_atom_order():
+    registry = empty_registry()
+    registry.register_value(
+        DefAtom(H, 1, (Mode(H, -2), Mode(E, -1))), rewrite_of_h_minus2_e(), "stated"
+    )
+    registry.register_value(DefAtom(F, -1, (Mode(E, -1),)), State.zero(), "input")
+    register_ansatz(registry, DefAtom(H, 0, (Mode(E, -1),)), "x")
+    # atoms sort by generator index (e, h, f), so the f^def value comes last
+    assert registry.dump().splitlines() == [
+        "h^def(0) e(-1)|0> := x1*e(-1)|0> ; ansatz",
+        "h^def(1) h(-2)*e(-1)|0> := -h(1)h^def(-2)e(-1)|0> ; stated",
+        "f^def(-1) e(-1)|0> := 0 ; input",
+    ]
+
+
 # --- the stated rule table ---
 
 def test_rule_table_lookups():
     table = admissible_sl2_rule_table(G)
     w1, w2, w3, w4, w5 = WEIGHT3_WORDS
-    expr, _ = table.lookup_rewrite(Mode(F, 1), w5)
-    assert expr.is_state and expr.tail.is_zero  # f^def(1)e(-3)|0> = 0
-    expr, _ = table.lookup_rewrite(Mode(H, 1), w3)
+    expr = table.lookup_value(Mode(F, 1), w5).value
+    assert not expr.terms and expr.tail.is_zero  # f^def(1)e(-3)|0> = 0
+    expr = table.lookup_value(Mode(H, 1), w3).value
     assert expr.tail.is_zero
     assert expr.terms == (
         DefTerm(LinForm(-1), (Mode(H, 1),), Mode(H, -2), (Mode(E, -1),)),
     )
-    expr, _ = table.lookup_rewrite(Mode(F, 1), w3)
+    expr = table.lookup_value(Mode(F, 1), w3).value
     assert expr.tail == State.monomial((Mode(H, -2),), C)
     assert expr.terms == (
         DefTerm(LinForm(-1), (Mode(F, 1),), Mode(H, -2), (Mode(E, -1),)),

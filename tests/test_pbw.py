@@ -29,7 +29,6 @@ from affdef.pbw import (
     charge,
     d_operator,
     is_canonical,
-    mode_sort_key,
     normal_order,
     render_word,
     weight,
@@ -119,7 +118,7 @@ def test_f1_on_deep_word():
 # --- the recursive kernel the iterative one replaced, kept as a reference ---
 
 def reference_apply_to_word(g, gen, m, word, k):
-    if m <= -1 and (not word or mode_sort_key(Mode(gen, m)) <= mode_sort_key(word[0])):
+    if m <= -1 and (not word or Mode(gen, m) <= word[0]):
         return State.monomial((Mode(gen, m),) + word)
     if not word:
         return State.zero()
@@ -241,13 +240,13 @@ def per_mode_evaluate(expr, registry, k, collect_residual=False):
         for t in terms:
             if not t.coeff or not t.target:
                 continue
+            # a term-free value, then a rewrite, then the pairing
             rule = registry.lookup_value(t.defmode, t.target)
-            if rule is not None:
-                tail = tail + per_mode_apply_prefix(g, t.prefix, rule.value, k).scale(t.coeff)
+            if rule is not None and not rule.value.terms:
+                tail = tail + per_mode_apply_prefix(g, t.prefix, rule.value.tail, k).scale(t.coeff)
                 continue
-            rewrite = registry.lookup_rewrite(t.defmode, t.target)
-            if rewrite is not None:
-                sub = rewrite[0]
+            if rule is not None:
+                sub = rule.value
             elif t.defmode.depth >= 0:
                 if len(t.target) == 1 and t.target[0].depth == -1:
                     value = generator_value(g, t.defmode.gen, t.defmode.depth, t.target[0].gen)
@@ -335,8 +334,9 @@ def test_chain_matches_per_mode_prefixes_on_ansatz_values():
                 prefix = tuple(
                     Mode(rng.randrange(3), rng.randint(-2, 2)) for _ in range(rng.randint(0, 4))
                 )
-                got = State(apply_chain(G, prefix, rule.value, k))
-                assert_same_state(got, per_mode_apply_prefix(G, prefix, rule.value, k), prefix)
+                value = rule.value.tail
+                got = State(apply_chain(G, prefix, value, k))
+                assert_same_state(got, per_mode_apply_prefix(G, prefix, value, k), prefix)
 
 
 @pytest.mark.parametrize("collect_residual", [False, True])
@@ -350,7 +350,7 @@ def test_evaluate_matches_per_mode_evaluator(collect_residual):
     a_rule = register_ansatz(full, DefAtom(H, -1, (Mode(E, -2),)), "a")
     register_ansatz(full, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b")
     register_ansatz(full, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c")
-    full.register_value(DefAtom(H, -2, (Mode(E, -1),)), a_rule.value.scale(-1), "translation")
+    full.register_value(DefAtom(H, -2, (Mode(E, -1),)), a_rule.value.tail.scale(-1), "translation")
     # the cross-check's base registry
     base = RuleRegistry(G)
     base.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "stated")
@@ -359,7 +359,7 @@ def test_evaluate_matches_per_mode_evaluator(collect_residual):
             atom = DefExpression.atom(Mode(gen, 1), word)
             assert_same_evaluation(atom, full, k, collect_residual)
             assert_same_evaluation(atom, base, k, collect_residual)
-            expected, _ = table.lookup_rewrite(Mode(gen, 1), word)
+            expected = table.lookup_value(Mode(gen, 1), word).value
             assert_same_evaluation(expected, base, k, collect_residual)
 
 
@@ -498,6 +498,26 @@ def test_d_raises_weight_by_one():
         image = d_operator(State.monomial(word))
         if image:
             assert weight(image) == 4
+
+
+def per_position_d(v):
+    """D summed one shifted word at a time with State.__add__."""
+    out = State.zero()
+    for word, coeff in v.items():
+        for i, mode in enumerate(word):
+            shifted = word[:i] + (Mode(mode.gen, mode.depth - 1),) + word[i + 1 :]
+            out = out + State.monomial(tuple(sorted(shifted))).scale(coeff.scale(-mode.depth))
+    return out
+
+
+def test_d_keeps_the_state_sum_order():
+    # e(-2)h(-2) cancels between the first two words
+    c = LinForm.symbol("c")
+    cancel = mono((E, -1), (H, -2)) - mono((E, -2), (H, -1)) + mono((E, -1), (H, -1), coeff=c)
+    rng = random.Random("d-order")
+    states = [cancel] + [random_state(rng, 4).scale(LinForm(1, {"c": 1})) for _ in range(10)]
+    for v in states:
+        assert_same_state(d_operator(v), per_position_d(v), v)
 
 
 # --- the representation property, exhaustive small sweep ---
