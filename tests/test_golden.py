@@ -7,6 +7,8 @@ against ``(c)*...`` in def-expressions).  After an intended output change,
 rewrite the corpus with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import dataclasses
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,9 +22,11 @@ from affdef.deform import (
     master_commute,
     mode_identity,
 )
-from affdef.liealg import sl2
+from affdef.liealg import sl2, sln
 from affdef.pbw import Mode
+from affdef.rigidity import admissible_pipeline, cross_check, integral_pipeline
 from affdef.scalar import LinForm
+from affdef.singular import SINGULAR_COEFFS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,10 +97,40 @@ def def_expressions() -> str:
     return "\n".join(lines) + "\n"
 
 
+# integral levels per rank N of sl_N, and the admissible combinations
+INTEGRAL_LEVELS = {2: range(1, 15), 3: range(1, 5), 4: range(1, 6), 5: (2,)}
+ADMISSIBLE_COMBINATIONS = {
+    "display": None,
+    "singular": SINGULAR_COEFFS,
+    "degenerate": (0, 0, 0, 0, 1),
+}
+
+
+def pipelines() -> str:
+    """Verdict JSON with steps and the rendered transcript of every pipeline run."""
+    runs = []
+    for n, levels in INTEGRAL_LEVELS.items():
+        g = sl2() if n == 2 else sln(n)
+        runs += [(f"integral sl{n} k={k}", integral_pipeline(g, k)) for k in levels]
+    runs += [
+        (f"admissible-sl2 {name}", admissible_pipeline(combination))
+        for name, combination in ADMISSIBLE_COMBINATIONS.items()
+    ]
+    lines = []
+    for label, verdict in runs:
+        lines.append(f"# {label}")
+        lines.append(json.dumps(verdict.to_jsonable(include_steps=True), sort_keys=True))
+        lines.append(verdict.transcript.render())
+    lines.append("# cross-check")
+    lines += [json.dumps(dataclasses.asdict(e), sort_keys=True) for e in cross_check()]
+    return "\n".join(lines) + "\n"
+
+
 LIBRARY_CASES = {
     "library/admissible-rule-table.txt": registry_dump,
     "library/mode-identities.txt": mode_identities,
     "library/def-expressions.txt": def_expressions,
+    "library/pipelines.txt": pipelines,
 }
 
 
