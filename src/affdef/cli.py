@@ -40,22 +40,6 @@ class StateSyntaxError(Exception):
         super().__init__(f"{message} (at byte {offset})")
 
 
-class UnknownGenerator(Exception):
-    def __init__(self, label: str, offset: int):
-        self.label = label
-        self.offset = offset
-        super().__init__(f"unknown generator {label!r} (at byte {offset})")
-
-
-class NonNegativeDepth(Exception):
-    def __init__(self, depth: int, offset: int):
-        self.depth = depth
-        self.offset = offset
-        super().__init__(
-            f"depth {depth} is not a creation depth (at byte {offset})"
-        )
-
-
 _TOKEN = re.compile(
     r"\s*(?:(?P<vac>\|0>)|(?P<number>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^()]))"
@@ -152,7 +136,7 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
             try:
                 g.index(label)
             except KeyError:
-                raise UnknownGenerator(label, ident_off) from None
+                raise StateSyntaxError(f"unknown generator {label!r}", ident_off) from None
             kind, value, off = peek()
             if not (kind == "op" and value == "("):
                 raise StateSyntaxError("expected '(' after generator", off)
@@ -163,7 +147,7 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
                 raise StateSyntaxError("expected ')'", off)
             advance()
             if depth >= 0:
-                raise NonNegativeDepth(depth, ident_off)
+                raise StateSyntaxError(f"depth {depth} is not a creation depth", ident_off)
             count, count_off = 1, ident_off
             kind, value, off = peek()
             if kind == "op" and value == "^":
@@ -289,7 +273,7 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
         k = parse_rational(level)
         mode = parse_mode(mode_text, g)
         ast = parse_state(state_text, g)
-    except (ValueError, StateSyntaxError, UnknownGenerator, NonNegativeDepth, KeyError) as exc:
+    except (ValueError, StateSyntaxError, KeyError) as exc:
         raise click.UsageError(str(exc))
     result = apply_mode(g, mode.gen, mode.depth, ast.to_state(g, k), k)
     text = result.render(g)

@@ -16,6 +16,7 @@ from typing import Callable
 from .deform import (
     DefAtom,
     DefExpression,
+    DefTerm,
     RuleRegistry,
     UnresolvedAtom,
     _merge_terms,
@@ -27,7 +28,7 @@ from .deform import (
 )
 from .liealg import LieAlgebra, sl2, validate
 from .pbw import Mode, State, render_word
-from .scalar import LinForm, format_rational, signed_sum, symbol_sort_key
+from .scalar import LinForm, add_scaled, format_rational, signed_sum, symbol_sort_key
 from .singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
 
@@ -71,65 +72,33 @@ class ProofTranscript:
         ]
 
 
-@dataclass
-class LinearSystem:
-    equations: list  # LinForms, each asserted = 0
-    unknowns: list  # ordered symbol names
+def eliminate(equations) -> LinForm | None:
+    """Decide whether the homogeneous equations force c = 0.
 
-    def __post_init__(self):
-        known = set(self.unknowns)
-        for eq in self.equations:
-            extra = set(eq.terms) - known
-            if extra:
-                raise ValueError(f"equation uses symbols outside the system: {sorted(extra)}")
-
-
-@dataclass
-class EliminationResult:
-    c_forced_zero: bool
-    c_row: LinForm = None
-    inconsistent: bool = False
-
-
-def eliminate(system: LinearSystem) -> EliminationResult:
-    """Exact reduced row echelon form over the rationals.
-
-    ``c_forced_zero`` holds iff the reduced system contains a homogeneous row
-    supported on the symbol ``c`` alone, i.e. the c-unit vector lies in the row
-    space of the coefficient matrix.
+    Forward elimination over the rationals on sparse ``symbol -> coefficient``
+    rows, pivoting on the symbols in ``symbol_sort_key`` order, which puts
+    ``c`` last.  So the c-unit vector lies in the row space exactly when a row
+    still holds ``c`` once every other pivot has been eliminated, and such a
+    row holds nothing else.  Returns that row scaled to ``1*c``, or ``None``.
+    Deformation equations are linear in the unknowns, so a constant term is a
+    pipeline bug and raises ``ValueError``.
     """
-    unknowns = list(system.unknowns)
-    rows = [[eq.coefficient(u) for u in unknowns] for eq in system.equations]
-    aug = [eq.constant for eq in system.equations]
-    nrows, ncols = len(rows), len(unknowns)
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if pivot is None:
+    rows = []
+    for eq in equations:
+        if eq.constant:
+            raise ValueError(f"equation has a constant term: {eq} = 0")
+        rows.append(dict(eq.terms))
+    for name in sorted({name for row in rows for name in row}, key=symbol_sort_key):
+        at = next((i for i, row in enumerate(rows) if name in row), None)
+        if at is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        aug[rank] = aug[rank] / lead
-        for r in range(nrows):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-                aug[r] -= factor * aug[rank]
-        rank += 1
-    inconsistent = any(
-        not any(rows[r]) and aug[r] for r in range(nrows)
-    )
-    c_row = None
-    if "c" in unknowns:
-        c_idx = unknowns.index("c")
-        for r in range(nrows):
-            support = [i for i, x in enumerate(rows[r]) if x]
-            if support == [c_idx] and not aug[r]:
-                c_row = LinForm(0, {"c": rows[r][c_idx]})
-                break
-    return EliminationResult(c_row is not None, c_row, inconsistent)
+        if name == "c":
+            return LinForm.symbol("c")
+        pivot = rows.pop(at)
+        for row in rows:
+            if name in row:
+                add_scaled(row, pivot, -row[name] / pivot[name])
+    return None
 
 
 @dataclass
@@ -248,14 +217,13 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
         f"coefficient of {render_word(g, e_word(k))} at weight {k}, below the ideal's weight {k + 1}",
         f"{relation} = 0",
     )
-    system = LinearSystem([relation], ["c"])
-    elim = eliminate(system)
-    transcript.add("solve", "row reduction on the extracted relation", f"c forced: {elim.c_forced_zero}")
+    forced = eliminate([relation]) is not None
+    transcript.add("solve", "row reduction on the extracted relation", f"c forced: {forced}")
     transcript.conclusion = relation
     return Verdict(
         pipeline="integral",
         level=Fraction(k),
-        c_forced_zero=elim.c_forced_zero,
+        c_forced_zero=forced,
         final_relation=relation,
         equations=[relation],
         transcript=transcript,
@@ -276,7 +244,6 @@ ADMISSIBLE_EQUATIONS = (
      "b2": 60, "b3": 36, "b4": -168, "b5": 72, "c1": -12, "c2": 40,
      "c3": 24, "c4": -112, "c5": 48, "c": -96},
 )
-ADMISSIBLE_C_NORMALIZATION = (12, 9, -6, 36, -96)
 
 # Eliminated-row contents reached by the stated row operations, up to scaling.
 ELIMINATED_ROW_4 = {"a4": 112, "a5": -28, "b4": -24, "b5": 6, "c": -9, "c4": -16, "c5": 4}
@@ -338,16 +305,15 @@ def admissible_pipeline(combination=None) -> Verdict:
         for s, w in zip(sigma, words)
     )
     transcript.add("singular-relation", f"0 = {relation_text}")
+
+    def image(gen):
+        # a^def(1) on the relation, as one expression: evaluate is linear
+        terms = [DefTerm(LinForm(s), (), Mode(gen, 1), w) for s, w in zip(sigma, words)]
+        return evaluate(DefExpression(terms), registry, k)
+
     try:
-        f_image = State.zero()
-        h_image = State.zero()
-        for s, w in zip(sigma, words):
-            f_image = f_image + evaluate(
-                DefExpression.atom(Mode(f, 1), w), registry, k
-            ).scale(s)
-            h_image = h_image + evaluate(
-                DefExpression.atom(Mode(h, 1), w), registry, k
-            ).scale(s)
+        f_image = image(f)
+        h_image = image(h)
     except UnresolvedAtom as exc:
         raise PipelineStuck(str(exc)) from exc
     transcript.add("mode-action", "f^def(1) on the relation", f_image.render(g))
@@ -381,25 +347,18 @@ def admissible_pipeline(combination=None) -> Verdict:
     normalized = equations
     if golden:
         normalized = []
-        for idx, (eq, expected, target_c) in enumerate(
-            zip(equations, ADMISSIBLE_EQUATIONS, ADMISSIBLE_C_NORMALIZATION), 1
-        ):
+        for idx, (eq, expected) in enumerate(zip(equations, ADMISSIBLE_EQUATIONS), 1):
             ratio = _proportionality(eq, expected)
             if ratio is None:
                 raise SystemMismatch(
                     f"collected equation {idx} does not match the expected row: {eq}"
                 )
-            scaled = eq.scale(Fraction(1) / ratio)
-            if scaled.coefficient("c") != Fraction(target_c):
-                raise SystemMismatch(
-                    f"equation {idx} normalizes to c-coefficient "
-                    f"{scaled.coefficient('c')}, expected {target_c}"
-                )
-            normalized.append(scaled)
+            # proportional with the same support, so the scaled form is the frozen row
+            normalized.append(eq.scale(Fraction(1) / ratio))
         transcript.add(
             "golden-check",
             "all five equations match the expected rows",
-            f"c-coefficients normalize to {ADMISSIBLE_C_NORMALIZATION}",
+            f"c-coefficients normalize to {tuple(row['c'] for row in ADMISSIBLE_EQUATIONS)}",
         )
 
     eq1, eq2, eq3, eq4, eq5 = normalized
@@ -428,21 +387,18 @@ def admissible_pipeline(combination=None) -> Verdict:
     if set(final.terms) != {"c"} or final.constant:
         quarantine.append(f"final combination is not supported on c alone: {final}")
 
-    unknowns = sorted(
-        {name for eq in normalized for name in eq.terms}, key=symbol_sort_key
-    )
-    elim = eliminate(LinearSystem(list(normalized), unknowns))
+    c_row = eliminate(normalized)
     transcript.add(
         "solve",
         "exact row reduction over all sixteen unknowns",
-        f"c forced: {elim.c_forced_zero}",
+        f"c forced: {c_row is not None}",
     )
-    final_relation = final if not quarantine else (elim.c_row or final)
+    final_relation = final if not quarantine else (c_row or final)
     transcript.conclusion = final_relation
     return Verdict(
         pipeline="admissible-sl2",
         level=k,
-        c_forced_zero=elim.c_forced_zero,
+        c_forced_zero=c_row is not None,
         final_relation=final_relation,
         equations=list(normalized),
         transcript=transcript,

@@ -8,9 +8,7 @@ from click.testing import CliRunner
 from affdef.cli import (
     MAX_WORD_LENGTH,
     ExprAST,
-    NonNegativeDepth,
     StateSyntaxError,
-    UnknownGenerator,
     main,
     parse_mode,
     parse_state,
@@ -66,16 +64,20 @@ def test_parse_syntax_error_offset():
 
 
 def test_parse_unknown_generator():
-    with pytest.raises(UnknownGenerator) as err:
+    with pytest.raises(StateSyntaxError, match="unknown generator 'q'") as err:
         parse_state("q(-1)|0>", G)
-    assert err.value.label == "q"
+    assert err.value.offset == 0
 
 
 def test_parse_non_negative_depth():
-    with pytest.raises(NonNegativeDepth):
+    with pytest.raises(StateSyntaxError, match="depth 0 is not a creation depth") as err:
         parse_state("e(0)|0>", G)
-    with pytest.raises(NonNegativeDepth):
+    assert err.value.offset == 0
+    with pytest.raises(StateSyntaxError, match="depth 2 is not a creation depth"):
         parse_state("e(2)|0>", G)
+    with pytest.raises(StateSyntaxError, match="depth 2 is not a creation depth") as err:
+        parse_state("e(-1)|0> + e(2)|0>", G)
+    assert err.value.offset == 11
 
 
 def test_ast_to_state_normal_orders():
