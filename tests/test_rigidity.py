@@ -98,7 +98,7 @@ def sparse_row(rng, nonzeros=5):
 
 
 def test_eliminate_wide_sparse_systems_against_rank_oracle():
-    """Thirty symbols, five nonzeros a row: most pivots appear only after fill-in."""
+    """Thirty symbols, five nonzeros a row: about 40% of the pivots exist only after fill-in."""
     rng = random.Random(20261018)
     forced_seen = free_seen = 0
     for trial in range(24):
