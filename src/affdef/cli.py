@@ -194,7 +194,12 @@ def parse_mode(text: str, g: LieAlgebra):
     m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9_]*)\(\s*([+-]?\d+)\s*\)\s*", text)
     if not m:
         raise StateSyntaxError(f"bad mode {text!r}", 0)
-    return Mode(g.index(m.group(1)), int(m.group(2)))
+    label = m.group(1)
+    try:
+        gen = g.index(label)
+    except KeyError:
+        raise StateSyntaxError(f"unknown generator {label!r}", m.start(1)) from None
+    return Mode(gen, int(m.group(2)))
 
 
 def resolve_algebra(name: str) -> LieAlgebra:
@@ -273,7 +278,7 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
         k = parse_rational(level)
         mode = parse_mode(mode_text, g)
         ast = parse_state(state_text, g)
-    except (ValueError, StateSyntaxError, KeyError) as exc:
+    except (ValueError, StateSyntaxError) as exc:
         raise click.UsageError(str(exc))
     result = apply_mode(g, mode.gen, mode.depth, ast.to_state(g, k), k)
     text = result.render(g)
@@ -293,7 +298,8 @@ def singular_check_cmd(label, fmt, transcript):
     try:
         entry = singular.catalog(label, g)
     except (KeyError, singular.NonPositiveLevel) as exc:
-        raise click.UsageError(str(exc))
+        # str() of a KeyError is the repr of its message
+        raise click.UsageError(exc.args[0])
     ok, witness = singular.is_singular(entry.vector, entry.level, g)
     lines = [
         f"label: {entry.label}",

@@ -25,7 +25,6 @@ from .pbw import (
     Mode,
     State,
     apply_chain,
-    apply_mode,
     basis_enum,
     charge,
     d_operator,
@@ -37,7 +36,6 @@ from .pbw import (
     word_weight,
 )
 from .scalar import LinForm, add_scaled, signed_sum, signed_term
-from .singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
 
 class DefAtom(NamedTuple):
@@ -328,22 +326,6 @@ def _normalize_residual(g: LieAlgebra, terms):
     return _merge_terms(out)
 
 
-def check_power_rule_ingredients(g: LieAlgebra, k) -> None:
-    """Check the vanishing ingredients of e^def(-1) e(-1)^j |0>, the same for every j.
-
-    The double-sum expansion of this mode only involves e(alpha) e(-1)|0> and
-    e^def(alpha) e(-1)|0> for alpha >= 0; both vanish (nilpotent direction, and
-    modes with alpha >= 2 land below weight zero), so every summand is zero.
-    """
-    e = g.theta[0]
-    single = State.monomial((Mode(e, -1),))
-    for alpha in range(0, 4):
-        if apply_mode(g, e, alpha, single, k) or generator_value(g, e, alpha, e):
-            raise ArithmeticError(
-                f"nonzero ingredient at alpha={alpha}: the vanishing argument fails"
-            )
-
-
 def d_shift(registry: RuleRegistry, a: int, m: int, v: State, k) -> State:
     """a^def(m-1) v for m != 0, from the translation identity.
 
@@ -376,60 +358,3 @@ def register_ansatz(registry: RuleRegistry, atom: DefAtom, symbol_prefix: str) -
         for idx, word in enumerate(basis_enum(g, want_weight, want_charge), start=1)
     }
     return registry.register_value(atom, State(value), "ansatz")
-
-
-def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
-    """The ten authoritative depth-1 def-mode actions on the weight-3 words.
-
-    These are inputs of the level -4/3 computation, registered as rewrites
-    keyed by the traditional mixed-order spellings; the cross-check diagnostic
-    attempts to re-derive each one independently.
-    """
-    k = ADMISSIBLE_LEVEL
-    e, h, f = g.theta
-    w1, w2, w3, w4, w5 = WEIGHT3_WORDS
-    c = LinForm.symbol("c")
-    registry = RuleRegistry(g)
-
-    def expr(terms, tail=None):
-        return DefExpression(terms, tail)
-
-    def term(coeff, prefix, gen, depth, target):
-        return DefTerm(LinForm(coeff), prefix, Mode(gen, depth), tuple(target))
-
-    f1 = (Mode(f, 1),)
-    h1 = (Mode(h, 1),)
-    e_m2 = (Mode(e, -2),)
-    e_m1 = (Mode(e, -1),)
-    ef = (Mode(e, -1), Mode(f, -1))
-    he = (Mode(h, -1), Mode(e, -1))
-    table = {
-        (f, 1, w1): expr([term(-1, f1, h, -1, e_m2)]),
-        (f, 1, w2): expr(
-            [term(-1, f1, e, -1, ef)],
-            State.monomial(ef, c.scale(2)),
-        ),
-        (f, 1, w3): expr(
-            [term(-1, f1, h, -2, e_m1)],
-            State.monomial((Mode(h, -2),), c),
-        ),
-        (f, 1, w4): expr(
-            [term(-1, f1, h, -1, he)],
-            State.monomial((Mode(h, -1), Mode(h, -1)), c),
-        ),
-        (f, 1, w5): expr([]),
-        (h, 1, w1): expr(
-            [term(-1, h1, h, -1, e_m2)],
-            State.monomial(e_m2, c.scale(2)),
-        ),
-        (h, 1, w2): expr([term(-1, h1, e, -1, ef)]),
-        (h, 1, w3): expr([term(-1, h1, h, -2, e_m1)]),
-        (h, 1, w4): expr(
-            [term(-1, h1, h, -1, he)],
-            normal_order(g, he, k).scale(c.scale(4)),
-        ),
-        (h, 1, w5): expr([]),
-    }
-    for (gen, depth, word), rhs in table.items():
-        registry.register_value(DefAtom(gen, depth, tuple(word)), rhs, "stated")
-    return registry

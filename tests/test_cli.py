@@ -116,6 +116,19 @@ def test_parse_mode():
     assert parse_mode("e(-2)", G) == Mode(E, -2)
     with pytest.raises(StateSyntaxError):
         parse_mode("f(1)e(2)", G)
+    # the same message as the state parser's, at the label's offset
+    with pytest.raises(StateSyntaxError) as err:
+        parse_mode("  q(1)", G)
+    assert str(err.value) == "unknown generator 'q' (at byte 2)"
+    assert err.value.offset == 2
+
+
+def test_act_unknown_mode_generator_exits_2():
+    result = runner.invoke(
+        main, ["act", "--mode", "q(1)", "--state", "e(-1)|0>", "--level", "1"]
+    )
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: unknown generator 'q' (at byte 0)"
 
 
 # --- commands ---
@@ -192,6 +205,7 @@ def test_singular_check_integral():
 def test_singular_check_unknown_label():
     result = runner.invoke(main, ["singular-check", "--label", "integral:k=zebra"])
     assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: bad catalog label 'integral:k=zebra'"
 
 
 def test_rigidity_integral_command():

@@ -11,8 +11,6 @@ from affdef.deform import (
     RegistryFrozen,
     RuleRegistry,
     UnresolvedAtom,
-    admissible_sl2_rule_table,
-    check_power_rule_ingredients,
     d_shift,
     evaluate,
     generator_value,
@@ -20,8 +18,9 @@ from affdef.deform import (
     mode_identity,
     register_ansatz,
 )
-from affdef.liealg import sl2
+from affdef.liealg import sl2, sln
 from affdef.pbw import Mode, State, basis_enum
+from affdef.rigidity import admissible_sl2_rule_table, check_power_rule_ingredients
 from affdef.scalar import LinForm, NonlinearProduct
 from affdef.singular import WEIGHT3_WORDS
 
@@ -157,6 +156,24 @@ def test_cartan_value_blind_to_power_ansatz():
     got = evaluate(atom_expr(F, 1, (Mode(E, -1),) * 2), registry, k)
     assert got != State.monomial((Mode(E, -1),), C.scale(2))
     assert got == State.monomial((Mode(E, -1),), C.scale(2) + LinForm.symbol("x1", -2))
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("g", [sl2(), sln(3)], ids=["sl2", "sl3"])
+def test_relation_blind_to_power_rule(g, k):
+    # with every power atom e^def(-1)e(-1)^j|0> free and no Cartan rules, each
+    # step's x term carries the factor (k+1-i), which vanishes at i = k+1: the
+    # image of e(-1)^(k+1)|0> is (k+1)*c e(-1)^k|0> whatever the power rule says
+    e, _, f = g.theta
+    registry = RuleRegistry(g)
+    for j in range(1, k + 1):
+        register_ansatz(registry, DefAtom(e, -1, (Mode(e, -1),) * j), f"x{j}_")
+    for i in range(1, k + 2):
+        got = evaluate(DefExpression.atom(Mode(f, 1), (Mode(e, -1),) * i), registry, k)
+        coeff = C.scale(i)
+        if i > 1:
+            coeff = coeff + LinForm.symbol(f"x{i - 1}_1", -i * (k + 1 - i))
+        assert got == State.monomial((Mode(e, -1),) * (i - 1), coeff), (i, got.render(g))
 
 
 # --- registry ---

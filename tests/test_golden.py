@@ -16,15 +16,15 @@ import pytest
 from click.testing import CliRunner
 
 from affdef.cli import main
-from affdef.deform import (
-    DefExpression,
-    admissible_sl2_rule_table,
-    master_commute,
-    mode_identity,
-)
+from affdef.deform import DefExpression, master_commute, mode_identity
 from affdef.liealg import sl2, sln
 from affdef.pbw import Mode
-from affdef.rigidity import admissible_pipeline, cross_check, integral_pipeline
+from affdef.rigidity import (
+    admissible_pipeline,
+    admissible_sl2_rule_table,
+    cross_check,
+    integral_pipeline,
+)
 from affdef.scalar import LinForm
 from affdef.singular import SINGULAR_COEFFS
 

@@ -13,7 +13,6 @@ from affdef.deform import (
     UnresolvedAtom,
     _merge_terms,
     _normalize_residual,
-    admissible_sl2_rule_table,
     evaluate,
     generator_value,
     register_ansatz,
@@ -33,7 +32,7 @@ from affdef.pbw import (
     render_word,
     weight,
 )
-from affdef.rigidity import integral_pipeline
+from affdef.rigidity import admissible_sl2_rule_table, integral_pipeline
 from affdef.scalar import LinForm
 from affdef.singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
