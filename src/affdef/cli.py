@@ -32,6 +32,8 @@ from .scalar import add_scaled, format_rational, parse_rational, signed_sum, sig
 # Most modes a whole state may spell, over all its terms, checked before a
 # word is expanded.
 MAX_WORD_LENGTH = 5_000
+# Highest level k the integral commands accept, checked before any computation.
+MAX_LEVEL = 100
 
 
 class StateSyntaxError(Exception):
@@ -189,17 +191,39 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
     return ExprAST(tuple(terms))
 
 
+# a mode, piece by piece: a required piece that fails to match marks the first
+# byte no mode can continue with
+_MODE_PIECES = tuple(
+    re.compile(piece)
+    for piece in (
+        r"\s*", r"[A-Za-z_][A-Za-z0-9_]*", r"\(", r"\s*", r"[+-]?", r"\d+", r"\s*", r"\)", r"\s*"
+    )
+)
+
+
 def parse_mode(text: str, g: LieAlgebra):
     """Parse a single mode like ``f(1)`` (any depth)."""
-    m = re.fullmatch(r"\s*([A-Za-z_][A-Za-z0-9_]*)\(\s*([+-]?\d+)\s*\)\s*", text)
-    if not m:
-        raise StateSyntaxError(f"bad mode {text!r}", 0)
-    label = m.group(1)
+    parts, pos = [], 0
+    for piece in _MODE_PIECES:
+        m = piece.match(text, pos)
+        if m is None:
+            break
+        parts.append(m.group())
+        pos = m.end()
+    if len(parts) < len(_MODE_PIECES) or pos < len(text):
+        raise StateSyntaxError(f"bad mode {text!r}", pos)
+    label = parts[1]
     try:
         gen = g.index(label)
     except KeyError:
-        raise StateSyntaxError(f"unknown generator {label!r}", m.start(1)) from None
-    return Mode(gen, int(m.group(2)))
+        raise StateSyntaxError(f"unknown generator {label!r}", len(parts[0])) from None
+    return Mode(gen, int(parts[4] + parts[5]))
+
+
+def check_level(k: int):
+    """Refuse a level above ``MAX_LEVEL`` as a usage error."""
+    if k > MAX_LEVEL:
+        raise click.UsageError(f"level {k} is above the budget of {MAX_LEVEL}")
 
 
 def resolve_algebra(name: str) -> LieAlgebra:
@@ -295,6 +319,13 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
 def singular_check_cmd(label, fmt, transcript):
     """Verify a cataloged singular vector by exhausting its annihilators."""
     g = sl2()
+    if label.startswith("integral:k="):
+        try:
+            k = int(label.removeprefix("integral:k="))
+        except ValueError:
+            pass  # the catalog reports the bad label
+        else:
+            check_level(k)
     try:
         entry = singular.catalog(label, g)
     except (KeyError, singular.NonPositiveLevel) as exc:
@@ -349,9 +380,10 @@ def _emit_verdict(verdict, fmt, transcript):
 @format_options
 def rigidity_integral_cmd(algebra, k, fmt, transcript):
     """Positive integral level: conclude (k+1)*c = 0."""
-    g = resolve_algebra(algebra)
     if k < 1:
         raise click.UsageError("k must be a positive integer")
+    check_level(k)
+    g = resolve_algebra(algebra)
     verdict = rigidity.integral_pipeline(g, k)
     _emit_verdict(verdict, fmt, transcript)
 

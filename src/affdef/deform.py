@@ -135,12 +135,18 @@ def _merge_terms(terms):
 
 
 class RuleRegistry:
-    """One rule per atom, values and rewrites alike; frozen after pipeline setup."""
+    """One rule per atom, values and rewrites alike; frozen after pipeline setup.
+
+    A frozen registry also remembers the value of every bare atom evaluated
+    against it, keyed by the atom and the level: the rules no longer change, so
+    neither do those values.  The memo lives and dies with the registry.
+    """
 
     def __init__(self, g: LieAlgebra):
         self.g = g
         self._rules = {}
         self._frozen = False
+        self._memo = {}  # (def-mode, target, k) -> term-free DefExpression, once frozen
 
     def register_value(self, atom: DefAtom, value, provenance: str) -> Rule:
         """Register a ``State`` value or a ``DefExpression`` rewrite for the atom."""
@@ -267,9 +273,14 @@ def evaluate(
     atom.  With ``collect_residual`` the unresolved terms are returned alongside
     the state instead (used by the cross-check diagnostic); trailing Cartan
     zero-modes in front of a residual atom are resolved by charge diagonality.
+
+    On a frozen registry a strict evaluation of a bare atom (unit coefficient,
+    no prefix, no tail) is remembered, and a later reduction that reaches the
+    atom takes that value as it takes a registered one.
     """
     g = registry.g
     k = Fraction(k)
+    memo = registry._memo
     terms = list(expr.terms)
     tail = dict(expr.tail.items())  # the tail's sum, in State.__add__ order
     residual = []
@@ -285,6 +296,8 @@ def evaluate(
             rule = registry.lookup_value(t.defmode, t.target)
             if rule is not None:
                 sub = rule.value
+            elif memo and (t.defmode, t.target, k) in memo:
+                sub = memo[t.defmode, t.target, k]
             elif t.defmode.depth >= 0 and len(t.target) == 1 and t.target[0].depth == -1:
                 value = generator_value(g, t.defmode.gen, t.defmode.depth, t.target[0].gen)
                 sub = DefExpression((), value)
@@ -307,6 +320,10 @@ def evaluate(
         terms = _merge_terms(next_terms)
     tail = State(tail)
     if not collect_residual:
+        if registry._frozen and not expr.tail and len(expr.terms) == 1:
+            (t,) = expr.terms
+            if not t.prefix and t.coeff == 1:
+                memo[t.defmode, t.target, k] = DefExpression((), tail)
         return tail
     return tail, _normalize_residual(g, residual)
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from affdef.cli import (
+    MAX_LEVEL,
     MAX_WORD_LENGTH,
     ExprAST,
     StateSyntaxError,
@@ -116,11 +117,25 @@ def test_parse_mode():
     assert parse_mode("e(-2)", G) == Mode(E, -2)
     with pytest.raises(StateSyntaxError):
         parse_mode("f(1)e(2)", G)
+    # a malformed mode is reported at the first byte no mode can continue with
+    for text, offset in [("f(1)e(2)", 4), ("f(1", 3), ("f(x)", 2), ("f (1)", 1), ("  (1)", 2)]:
+        with pytest.raises(StateSyntaxError) as err:
+            parse_mode(text, G)
+        assert str(err.value) == f"bad mode {text!r} (at byte {offset})"
+        assert err.value.offset == offset
     # the same message as the state parser's, at the label's offset
     with pytest.raises(StateSyntaxError) as err:
         parse_mode("  q(1)", G)
     assert str(err.value) == "unknown generator 'q' (at byte 2)"
     assert err.value.offset == 2
+
+
+def test_act_malformed_mode_exits_2():
+    result = runner.invoke(
+        main, ["act", "--mode", "f(1)e(2)", "--state", "e(-1)|0>", "--level", "1"]
+    )
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: bad mode 'f(1)e(2)' (at byte 4)"
 
 
 def test_act_unknown_mode_generator_exits_2():
@@ -357,3 +372,32 @@ def test_budget_counts_the_whole_state():
         main, ["act", "--mode", "f(1)", "--state", text, "--level", "2"]
     )
     assert_usage_error(result, f"budget of {MAX_WORD_LENGTH} modes (at byte {len(term) + 9})")
+
+
+# --- the level budget of the integral commands ---
+
+def test_rigidity_integral_at_level_budget():
+    result = runner.invoke(main, ["rigidity", "integral", "--k", str(MAX_LEVEL)])
+    assert result.exit_code == 0, result.output
+    assert f"final relation: {MAX_LEVEL + 1}*c = 0" in result.output
+
+
+def test_singular_check_at_level_budget():
+    result = runner.invoke(main, ["singular-check", "--label", f"integral:k={MAX_LEVEL}"])
+    assert result.exit_code == 0, result.output
+    assert "singular: True" in result.output
+
+
+@pytest.mark.parametrize("k", [MAX_LEVEL + 1, 10**9])
+@pytest.mark.parametrize(
+    "argv",
+    [["rigidity", "integral", "--k", "{k}"], ["singular-check", "--label", "integral:k={k}"]],
+    ids=["rigidity-integral", "singular-check"],
+)
+def test_level_past_budget_exits_2(argv, k):
+    # refused before any computation: a level of 10**9 would not finish
+    result = runner.invoke(main, [arg.format(k=k) for arg in argv])
+    assert_usage_error(result, f"level {k} is above the budget of {MAX_LEVEL}")
+    assert result.output.splitlines()[-1] == (
+        f"Error: level {k} is above the budget of {MAX_LEVEL}"
+    )

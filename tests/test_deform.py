@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from affdef import deform
 from affdef.deform import (
     DefAtom,
     DefExpression,
@@ -20,7 +21,11 @@ from affdef.deform import (
 )
 from affdef.liealg import sl2, sln
 from affdef.pbw import Mode, State, basis_enum
-from affdef.rigidity import admissible_sl2_rule_table, check_power_rule_ingredients
+from affdef.rigidity import (
+    admissible_sl2_rule_table,
+    check_power_rule_ingredients,
+    integral_pipeline,
+)
 from affdef.scalar import LinForm, NonlinearProduct
 from affdef.singular import WEIGHT3_WORDS
 
@@ -374,3 +379,61 @@ def test_evaluate_collect_residual():
     )
     atoms = {(t.defmode, t.target) for t in residual}
     assert (Mode(H, -1), (Mode(E, -2),)) in atoms
+
+
+# --- reuse on a frozen registry ---
+
+@pytest.mark.parametrize("k", [4, 8, 16, 32])
+def test_integral_pipeline_commutes_each_power_once(monkeypatch, k):
+    # each Cartan power past the first and each f^def(1) power past the first
+    # takes one master-commute step; every earlier power comes from the memo
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return master_commute(*args)
+
+    monkeypatch.setattr(deform, "master_commute", counted)
+    assert integral_pipeline(sl2(), k).final_relation == C.scale(k + 1)
+    assert calls <= 2 * k - 1
+
+
+def test_unfrozen_registry_never_memoises():
+    registry = power_rule_registry(1)
+    word = (Mode(E, -1),) * 2
+    assert evaluate(atom_expr(F, 1, word), registry, Fraction(2)) == State.monomial(
+        word[:1], C.scale(2)
+    )
+    # a rule for an atom the reduction reaches changes the value
+    registry.register_value(DefAtom(H, 0, word[:1]), State.monomial(word[:1]), "late")
+    assert evaluate(atom_expr(F, 1, word), registry, Fraction(2)) == State.monomial(
+        word[:1], C.scale(2) - 1
+    )
+
+
+def blind_power_registry(top):
+    # every power atom free, so each f^def(1) value depends on the level
+    registry = empty_registry()
+    for j in range(1, top + 1):
+        register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1),) * j), f"x{j}_")
+    registry.freeze()
+    return registry
+
+
+def test_frozen_registry_memo_is_per_level():
+    shared = blind_power_registry(3)
+    for k in (2, 3):
+        fresh = blind_power_registry(3)
+        for i in range(1, k + 2):
+            atom = atom_expr(F, 1, (Mode(E, -1),) * i)
+            got = evaluate(atom, shared, k)
+            assert got == evaluate(atom, fresh, k), (k, i, got.render(G))
+            coeff = C.scale(i)
+            if i > 1:
+                coeff = coeff + LinForm.symbol(f"x{i - 1}_1", -i * (k + 1 - i))
+            assert got == State.monomial((Mode(E, -1),) * (i - 1), coeff), (k, i)
+
+
+def test_integral_pipeline_deep_level():
+    assert integral_pipeline(sl2(), 100).final_relation == C.scale(101)
