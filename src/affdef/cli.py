@@ -319,13 +319,13 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
 def singular_check_cmd(label, fmt, transcript):
     """Verify a cataloged singular vector by exhausting its annihilators."""
     g = sl2()
-    if label.startswith("integral:k="):
+    m = singular.INTEGRAL_LABEL.fullmatch(label)
+    if m:
         try:
-            k = int(label.removeprefix("integral:k="))
-        except ValueError:
-            pass  # the catalog reports the bad label
-        else:
-            check_level(k)
+            k = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            raise click.UsageError(f"bad catalog label {label!r}") from None
+        check_level(k)
     try:
         entry = singular.catalog(label, g)
     except (KeyError, singular.NonPositiveLevel) as exc:
@@ -356,20 +356,14 @@ def rigidity_group():
 
 
 def _emit_verdict(verdict, fmt, transcript):
-    if fmt == "json":
-        click.echo(json.dumps(verdict.to_jsonable(include_steps=transcript),
-                              sort_keys=True, indent=2))
-    else:
-        click.echo(f"pipeline: {verdict.pipeline}")
-        click.echo(f"level: {format_rational(verdict.level)}")
-        for i, eq in enumerate(verdict.equations, 1):
-            click.echo(f"equation {i}: {eq} = 0")
-        click.echo(f"final relation: {verdict.final_relation} = 0")
-        click.echo(f"c forced to zero: {verdict.c_forced_zero}")
-        for note in verdict.quarantine:
-            click.echo(f"quarantine: {note}")
-        if transcript:
-            click.echo(verdict.transcript.render())
+    lines = [f"pipeline: {verdict.pipeline}", f"level: {format_rational(verdict.level)}"]
+    lines += [f"equation {i}: {eq} = 0" for i, eq in enumerate(verdict.equations, 1)]
+    lines.append(f"final relation: {verdict.final_relation} = 0")
+    lines.append(f"c forced to zero: {verdict.c_forced_zero}")
+    lines += [f"quarantine: {note}" for note in verdict.quarantine]
+    if transcript:
+        lines.append(verdict.transcript.render())
+    emit(verdict.to_jsonable(include_steps=transcript), fmt, lines)
     if not verdict.c_forced_zero or verdict.quarantine:
         sys.exit(1)
 

@@ -46,6 +46,18 @@ class DefAtom(NamedTuple):
     word: tuple
 
 
+def atom_grading(g: LieAlgebra, atom: DefAtom) -> tuple:
+    """The (weight, charge) of the atom's value.
+
+    The weight of a^def(m) v is wt(a) - m - 1 + wt(v) = wt(v) - m for weight-1
+    a, and charges add.
+    """
+    return (
+        word_weight(atom.word) - atom.depth,
+        g.charge(atom.gen) + word_charge(g, atom.word),
+    )
+
+
 class UnresolvedAtom(Exception):
     def __init__(self, atom: DefAtom, rendered: str):
         self.atom = atom
@@ -70,8 +82,7 @@ class Rule:
 class DefTerm(NamedTuple):
     coeff: LinForm
     prefix: tuple  # ordinary modes applied after the def-mode, leftmost outermost
-    defmode: Mode  # the def-mode gen^def(depth)
-    target: tuple  # word the def-mode acts on (need not be canonical)
+    atom: DefAtom  # the def-mode and the word it acts on (need not be canonical)
 
 
 class DefExpression:
@@ -84,9 +95,9 @@ class DefExpression:
         self.tail = tail if tail is not None else State.zero()
 
     @classmethod
-    def atom(cls, defmode: Mode, target, coeff=1) -> "DefExpression":
+    def atom(cls, atom: DefAtom, coeff=1) -> "DefExpression":
         coeff = coeff if isinstance(coeff, LinForm) else LinForm(coeff)
-        return cls([DefTerm(coeff, (), defmode, tuple(target))])
+        return cls([DefTerm(coeff, (), atom)])
 
     def __add__(self, other: "DefExpression") -> "DefExpression":
         return DefExpression(list(self.terms) + list(other.terms), self.tail + other.tail)
@@ -94,7 +105,7 @@ class DefExpression:
     def scale(self, factor) -> "DefExpression":
         factor = factor if isinstance(factor, LinForm) else LinForm(factor)
         return DefExpression(
-            [DefTerm(t.coeff * factor, t.prefix, t.defmode, t.target) for t in self.terms],
+            [DefTerm(t.coeff * factor, t.prefix, t.atom) for t in self.terms],
             self.tail.scale(factor),
         )
 
@@ -103,8 +114,8 @@ class DefExpression:
             signed_term(
                 t.coeff,
                 "".join(f"{g.label(m.gen)}({m.depth})" for m in t.prefix)
-                + def_label(g, *t.defmode)
-                + render_word(g, t.target).replace("*", ""),
+                + def_label(g, t.atom.gen, t.atom.depth)
+                + render_word(g, t.atom.word).replace("*", ""),
                 t.coeff.is_constant,
             )
             for t in self.terms
@@ -123,7 +134,7 @@ def _merge_terms(terms):
     merged = {}
     order = []
     for t in terms:
-        key = (t.prefix, t.defmode, t.target)
+        key = (t.prefix, t.atom)
         if key in merged:
             merged[key] = merged[key] + t.coeff
         else:
@@ -135,18 +146,18 @@ def _merge_terms(terms):
 
 
 class RuleRegistry:
-    """One rule per atom, values and rewrites alike; frozen after pipeline setup.
+    """One rule per atom at level ``k``, values and rewrites alike; frozen after setup.
 
-    A frozen registry also remembers the value of every bare atom evaluated
-    against it, keyed by the atom and the level: the rules no longer change, so
-    neither do those values.  The memo lives and dies with the registry.
+    A frozen registry also keeps, as a ``computed`` rule, the value of every
+    bare atom without a rule that a strict evaluation reduced against it: the
+    rules no longer change, so neither do those values.
     """
 
-    def __init__(self, g: LieAlgebra):
+    def __init__(self, g: LieAlgebra, k):
         self.g = g
+        self.k = Fraction(k)
         self._rules = {}
         self._frozen = False
-        self._memo = {}  # (def-mode, target, k) -> term-free DefExpression, once frozen
 
     def register_value(self, atom: DefAtom, value, provenance: str) -> Rule:
         """Register a ``State`` value or a ``DefExpression`` rewrite for the atom."""
@@ -162,11 +173,9 @@ class RuleRegistry:
         return rule
 
     def _check_grading(self, atom: DefAtom, value: State):
-        # weight of a^def(m) v is wt(a) - m - 1 + wt(v) = wt(v) - m for weight-1 a
         if value.is_zero:
             return
-        want_weight = word_weight(atom.word) - atom.depth
-        want_charge = self.g.charge(atom.gen) + word_charge(self.g, atom.word)
+        want_weight, want_charge = atom_grading(self.g, atom)
         if weight(value) != want_weight:
             raise ValueError(
                 f"rule breaks the weight law: {self.render_atom(atom)} has weight "
@@ -178,8 +187,13 @@ class RuleRegistry:
                 f"{want_charge}, value has {charge(self.g, value)}"
             )
 
-    def lookup_value(self, defmode: Mode, word) -> Optional[Rule]:
-        return self._rules.get(DefAtom(*defmode, tuple(word)))
+    def lookup_value(self, atom: DefAtom) -> Optional[Rule]:
+        return self._rules.get(atom)
+
+    def remember(self, atom: DefAtom, value: State):
+        """Keep a computed value of an atom without a rule, once frozen."""
+        if self._frozen and atom not in self._rules:
+            self._rules[atom] = Rule(atom, DefExpression((), value), "computed")
 
     def rules(self):
         return list(self._rules.values())
@@ -244,43 +258,36 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
     """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward."""
     w = tuple(w)
     terms = [
-        DefTerm(LinForm(1), (Mode(b, n),), Mode(a, m), w),
-        DefTerm(LinForm(-1), (Mode(a, m),), Mode(b, n), w),
+        DefTerm(LinForm(1), (Mode(b, n),), DefAtom(a, m, w)),
+        DefTerm(LinForm(-1), (Mode(a, m),), DefAtom(b, n, w)),
     ]
     # the target word need not be canonical: the moved-past action and the
     # central term both apply to the vector the word spells
     spelled = normal_order(g, w, k)
     for w2, coeff in apply_chain(g, ((a, m),), spelled, k).items():
-        terms.append(DefTerm(LinForm(coeff), (), Mode(b, n), w2))
+        terms.append(DefTerm(LinForm(coeff), (), DefAtom(b, n, w2)))
     tail = State.zero()
     for coeff, dm in mode_identity(g, a, m, b, n).terms:
         if dm is None:
             tail = spelled.scale(coeff)
         else:
-            terms.append(DefTerm(coeff, (), dm, w))
+            terms.append(DefTerm(coeff, (), DefAtom(*dm, w)))
     return DefExpression(terms, tail)
 
 
-def evaluate(
-    expr: DefExpression,
-    registry: RuleRegistry,
-    k,
-    collect_residual: bool = False,
-):
-    """Reduce a def-expression to a pure state.
+def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool = False):
+    """Reduce a def-expression to a pure state at the registry's level.
 
     Strict mode raises ``UnresolvedAtom`` on any unregistered negative-depth
     atom.  With ``collect_residual`` the unresolved terms are returned alongside
     the state instead (used by the cross-check diagnostic); trailing Cartan
     zero-modes in front of a residual atom are resolved by charge diagonality.
 
-    On a frozen registry a strict evaluation of a bare atom (unit coefficient,
-    no prefix, no tail) is remembered, and a later reduction that reaches the
-    atom takes that value as it takes a registered one.
+    A strict evaluation of a bare atom (unit coefficient, no prefix, no tail)
+    is offered to ``registry.remember``, so on a frozen registry a later
+    reduction that reaches the atom takes its value as a ``computed`` rule.
     """
-    g = registry.g
-    k = Fraction(k)
-    memo = registry._memo
+    g, k = registry.g, registry.k
     terms = list(expr.terms)
     tail = dict(expr.tail.items())  # the tail's sum, in State.__add__ order
     residual = []
@@ -291,39 +298,33 @@ def evaluate(
             raise RuntimeError("def-mode reduction failed to terminate")
         next_terms = []
         for t in terms:
-            if not t.target:
+            atom = t.atom
+            if not atom.word:
                 continue  # vacuum rule
-            rule = registry.lookup_value(t.defmode, t.target)
+            rule = registry.lookup_value(atom)
             if rule is not None:
                 sub = rule.value
-            elif memo and (t.defmode, t.target, k) in memo:
-                sub = memo[t.defmode, t.target, k]
-            elif t.defmode.depth >= 0 and len(t.target) == 1 and t.target[0].depth == -1:
-                value = generator_value(g, t.defmode.gen, t.defmode.depth, t.target[0].gen)
+            elif atom.depth >= 0 and len(atom.word) == 1 and atom.word[0].depth == -1:
+                value = generator_value(g, atom.gen, atom.depth, atom.word[0].gen)
                 sub = DefExpression((), value)
-            elif t.defmode.depth >= 0:
-                head = t.target[0]
-                sub = master_commute(
-                    g, t.defmode.gen, t.defmode.depth, head.gen, head.depth, t.target[1:], k
-                )
+            elif atom.depth >= 0:
+                (b, n), rest = atom.word[0], atom.word[1:]
+                sub = master_commute(g, atom.gen, atom.depth, b, n, rest, k)
             elif collect_residual:
                 residual.append(t)
                 continue
             else:
-                atom = DefAtom(*t.defmode, t.target)
                 raise UnresolvedAtom(atom, registry.render_atom(atom))
             for s in sub.terms:
-                next_terms.append(
-                    DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.defmode, s.target)
-                )
+                next_terms.append(DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.atom))
             add_scaled(tail, apply_chain(g, t.prefix, sub.tail, k), plain(t.coeff))
         terms = _merge_terms(next_terms)
     tail = State(tail)
     if not collect_residual:
-        if registry._frozen and not expr.tail and len(expr.terms) == 1:
+        if not expr.tail and len(expr.terms) == 1:
             (t,) = expr.terms
             if not t.prefix and t.coeff == 1:
-                memo[t.defmode, t.target, k] = DefExpression((), tail)
+                registry.remember(t.atom, tail)
         return tail
     return tail, _normalize_residual(g, residual)
 
@@ -335,15 +336,14 @@ def _normalize_residual(g: LieAlgebra, terms):
         coeff, prefix = t.coeff, t.prefix
         # a Cartan zero-mode adjacent to the atom acts by the atom's charge
         while prefix and prefix[-1] == Mode(h, 0):
-            q = g.charge(t.defmode.gen) + word_charge(g, t.target)
-            coeff = coeff.scale(q)
+            coeff = coeff.scale(atom_grading(g, t.atom)[1])
             prefix = prefix[:-1]
         if coeff:
-            out.append(DefTerm(coeff, prefix, t.defmode, t.target))
+            out.append(DefTerm(coeff, prefix, t.atom))
     return _merge_terms(out)
 
 
-def d_shift(registry: RuleRegistry, a: int, m: int, v: State, k) -> State:
+def d_shift(registry: RuleRegistry, a: int, m: int, v: State) -> State:
     """a^def(m-1) v for m != 0, from the translation identity.
 
     a^def(m)(Dv) = D(a^def(m) v) + m a^def(m-1) v, so
@@ -354,8 +354,8 @@ def d_shift(registry: RuleRegistry, a: int, m: int, v: State, k) -> State:
         raise ValueError("the translation identity gives a^def(m-1) only for m != 0")
 
     def act(state):
-        terms = [DefTerm(coeff, (), Mode(a, m), word) for word, coeff in state.items()]
-        return evaluate(DefExpression(terms), registry, k)
+        terms = [DefTerm(coeff, (), DefAtom(a, m, word)) for word, coeff in state.items()]
+        return evaluate(DefExpression(terms), registry)
 
     return (act(d_operator(v)) - d_operator(act(v))).scale(Fraction(1, m))
 
@@ -366,12 +366,9 @@ def register_ansatz(registry: RuleRegistry, atom: DefAtom, symbol_prefix: str) -
     The value's weight and charge are forced by the rule laws; the basis order
     fixes which symbol lands on which monomial.
     """
-    g = registry.g
-    want_weight = word_weight(atom.word) - atom.depth
-    want_charge = g.charge(atom.gen) + word_charge(g, atom.word)
+    basis = basis_enum(registry.g, *atom_grading(registry.g, atom))
     # the basis words are distinct, so one dict keeps State.__add__ order
     value = {
-        word: LinForm.symbol(f"{symbol_prefix}{idx}")
-        for idx, word in enumerate(basis_enum(g, want_weight, want_charge), start=1)
+        word: LinForm.symbol(f"{symbol_prefix}{idx}") for idx, word in enumerate(basis, start=1)
     }
     return registry.register_value(atom, State(value), "ansatz")

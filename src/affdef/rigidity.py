@@ -168,7 +168,7 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     def e_word(n):
         return (Mode(e, -1),) * n
 
-    registry = RuleRegistry(g)
+    registry = RuleRegistry(g, k)
     check_power_rule_ingredients(g, k)
     for j in range(1, k + 1):
         registry.register_value(DefAtom(e, -1, e_word(j)), State.zero(), "derived:power-rule")
@@ -177,17 +177,18 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
         # each power takes one master-commute step over the previous,
         # registered power and the power rule
         for p in range(1, k + 1):
-            value = evaluate(DefExpression.atom(Mode(h, 0), e_word(p)), registry, k)
+            atom = DefAtom(h, 0, e_word(p))
+            value = evaluate(DefExpression.atom(atom), registry)
             if value:
                 raise SystemMismatch(
                     f"h^def(0)e(-1)^{p}|0> evaluated to {value.render(g)}, not 0"
                 )
-            registry.register_value(DefAtom(h, 0, e_word(p)), value, "derived:cartan-induction")
+            registry.register_value(atom, value, "derived:cartan-induction")
             transcript.add("cartan-rule", f"h^def(0)e(-1)^{p}|0> := 0", f"{p + 1}-step induction")
         registry.freeze()
 
         for i in range(1, k + 2):
-            got = evaluate(DefExpression.atom(Mode(f, 1), e_word(i)), registry, k)
+            got = evaluate(DefExpression.atom(DefAtom(f, 1, e_word(i))), registry)
             want = State.monomial(e_word(i - 1), LinForm.symbol("c", i))
             if got != want:
                 raise SystemMismatch(
@@ -280,13 +281,13 @@ def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
     e, h, f = g.theta
     w1, w2, w3, w4, w5 = WEIGHT3_WORDS
     c = LinForm.symbol("c")
-    registry = RuleRegistry(g)
+    registry = RuleRegistry(g, k)
 
     def expr(terms, tail=None):
         return DefExpression(terms, tail)
 
     def term(coeff, prefix, gen, depth, target):
-        return DefTerm(LinForm(coeff), prefix, Mode(gen, depth), tuple(target))
+        return DefTerm(LinForm(coeff), prefix, DefAtom(gen, depth, target))
 
     f1 = (Mode(f, 1),)
     h1 = (Mode(h, 1),)
@@ -295,34 +296,34 @@ def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
     ef = (Mode(e, -1), Mode(f, -1))
     he = (Mode(h, -1), Mode(e, -1))
     table = {
-        (f, 1, w1): expr([term(-1, f1, h, -1, e_m2)]),
-        (f, 1, w2): expr(
+        DefAtom(f, 1, w1): expr([term(-1, f1, h, -1, e_m2)]),
+        DefAtom(f, 1, w2): expr(
             [term(-1, f1, e, -1, ef)],
             State.monomial(ef, c.scale(2)),
         ),
-        (f, 1, w3): expr(
+        DefAtom(f, 1, w3): expr(
             [term(-1, f1, h, -2, e_m1)],
             State.monomial((Mode(h, -2),), c),
         ),
-        (f, 1, w4): expr(
+        DefAtom(f, 1, w4): expr(
             [term(-1, f1, h, -1, he)],
             State.monomial((Mode(h, -1), Mode(h, -1)), c),
         ),
-        (f, 1, w5): expr([]),
-        (h, 1, w1): expr(
+        DefAtom(f, 1, w5): expr([]),
+        DefAtom(h, 1, w1): expr(
             [term(-1, h1, h, -1, e_m2)],
             State.monomial(e_m2, c.scale(2)),
         ),
-        (h, 1, w2): expr([term(-1, h1, e, -1, ef)]),
-        (h, 1, w3): expr([term(-1, h1, h, -2, e_m1)]),
-        (h, 1, w4): expr(
+        DefAtom(h, 1, w2): expr([term(-1, h1, e, -1, ef)]),
+        DefAtom(h, 1, w3): expr([term(-1, h1, h, -2, e_m1)]),
+        DefAtom(h, 1, w4): expr(
             [term(-1, h1, h, -1, he)],
             normal_order(g, he, k).scale(c.scale(4)),
         ),
-        (h, 1, w5): expr([]),
+        DefAtom(h, 1, w5): expr([]),
     }
-    for (gen, depth, word), rhs in table.items():
-        registry.register_value(DefAtom(gen, depth, tuple(word)), rhs, "stated")
+    for atom, rhs in table.items():
+        registry.register_value(atom, rhs, "stated")
     return registry
 
 
@@ -352,7 +353,7 @@ def admissible_pipeline(combination=None) -> Verdict:
         transcript.add("ansatz", registry.render_atom(rule.atom), rule.value.render(g))
     # translation identity at m = -1 on e(-1)|0>, with h^def(-1)e(-1)|0> = 0:
     # h^def(-2)e(-1)|0> = -h^def(-1)e(-2)|0>
-    translation = d_shift(registry, h, -1, State.monomial((Mode(e, -1),)), k)
+    translation = d_shift(registry, h, -1, State.monomial((Mode(e, -1),)))
     registry.register_value(DefAtom(h, -2, (Mode(e, -1),)), translation, "derived:translation")
     transcript.add("translation", "h^def(-2)e(-1)|0> := -h^def(-1)e(-2)|0>")
     registry.freeze()
@@ -366,8 +367,8 @@ def admissible_pipeline(combination=None) -> Verdict:
 
     def image(gen):
         # a^def(1) on the relation, as one expression: evaluate is linear
-        terms = [DefTerm(LinForm(s), (), Mode(gen, 1), w) for s, w in zip(sigma, words)]
-        return evaluate(DefExpression(terms), registry, k)
+        terms = [DefTerm(LinForm(s), (), DefAtom(gen, 1, w)) for s, w in zip(sigma, words)]
+        return evaluate(DefExpression(terms), registry)
 
     try:
         f_image = image(f)
@@ -465,33 +466,25 @@ def cross_check() -> list:
     atoms whose vanishing would force a match.  Diagnostics only: never raises.
     """
     g = sl2()
-    k = ADMISSIBLE_LEVEL
     e, h, f = g.theta
     table = admissible_sl2_rule_table(g)
-    base = RuleRegistry(g)
+    base = RuleRegistry(g, ADMISSIBLE_LEVEL)
     base.register_value(DefAtom(h, -1, (Mode(e, -1),)), State.zero(), "stated")
     base.freeze()
     entries = []
     for gen in (f, h):
         for word in WEIGHT3_WORDS:
-            label = base.render_atom(DefAtom(gen, 1, word))
-            stated = table.lookup_value(Mode(gen, 1), word).value
+            atom = DefAtom(gen, 1, word)
+            label = base.render_atom(atom)
+            stated = table.lookup_value(atom).value
             # evaluate is linear, so one evaluation of derived - stated suffices
             tail_diff, term_diff = evaluate(
-                DefExpression.atom(Mode(gen, 1), word) + stated.scale(-1),
-                base,
-                k,
-                collect_residual=True,
+                DefExpression.atom(atom) + stated.scale(-1), base, collect_residual=True
             )
             if not tail_diff and not term_diff:
                 entries.append(CrossCheckEntry(label, "match", [], ""))
             elif not tail_diff:
-                atoms = sorted(
-                    {
-                        base.render_atom(DefAtom(*t.defmode, t.target))
-                        for t in term_diff
-                    }
-                )
+                atoms = sorted({base.render_atom(t.atom) for t in term_diff})
                 entries.append(
                     CrossCheckEntry(
                         label,

@@ -7,6 +7,7 @@ and vanish automatically, so the check is finite and complete.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +31,10 @@ WEIGHT3_WORDS = (
 # conditions, which also pin every other coefficient (the annihilator of the
 # five-dimensional stratum has a one-dimensional kernel; see the uniqueness test).
 SINGULAR_COEFFS = (Fraction(-48), Fraction(36), Fraction(-6), Fraction(9), Fraction(80))
+
+# The label integral:k=N, with N in ASCII digits: int() alone also takes "1_0",
+# "+2" and " 3".
+INTEGRAL_LABEL = re.compile(r"integral:k=(-?[0-9]+)")
 
 
 class NonPositiveLevel(Exception):
@@ -63,12 +68,11 @@ def catalog(label: str, g: LieAlgebra) -> SingularVector:
     """Look up a cataloged singular vector on ``g``: ``integral:k=N`` or ``sl2:-4/3``."""
     if label == "sl2:-4/3":
         return admissible_sl2(g)
+    m = INTEGRAL_LABEL.fullmatch(label)
+    if m:
+        return integral_relation(g, int(m.group(1)))
     if label.startswith("integral:k="):
-        try:
-            k = int(label.removeprefix("integral:k="))
-        except ValueError:
-            raise KeyError(f"bad catalog label {label!r}") from None
-        return integral_relation(g, k)
+        raise KeyError(f"bad catalog label {label!r}")
     raise KeyError(f"unknown catalog label {label!r}")
 
 

@@ -139,7 +139,7 @@ def test_criterion_7_property_suites():
     # pipeline registries rule by rule
     from affdef.deform import DefAtom, RuleRegistry, register_ansatz
 
-    registry = RuleRegistry(G)
+    registry = RuleRegistry(G, Fraction(-4, 3))
     register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a")
     register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b")
     register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from affdef.cli import (
     MAX_LEVEL,
@@ -223,6 +224,25 @@ def test_singular_check_unknown_label():
     assert result.output.splitlines()[-1] == "Error: bad catalog label 'integral:k=zebra'"
 
 
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        # int() alone would read the first three as 10, 2 and 3, and refuses the fourth
+        ("integral:k=1_0", "bad catalog label 'integral:k=1_0'"),
+        ("integral:k=+2", "bad catalog label 'integral:k=+2'"),
+        ("integral:k= 3", "bad catalog label 'integral:k= 3'"),
+        ("integral:k=" + "9" * 5000, "bad catalog label 'integral:k=" + "9" * 5000 + "'"),
+        ("integral:k=0", "integral level must be a positive integer, got 0"),
+        ("integral:k=-1", "integral level must be a positive integer, got -1"),
+    ],
+    ids=["underscore", "plus", "space", "5000-digits", "zero", "negative"],
+)
+def test_singular_check_label_errors_exit_2(label, message):
+    result = runner.invoke(main, ["singular-check", "--label", label])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"Error: {message}"
+
+
 def test_rigidity_integral_command():
     result = runner.invoke(main, ["rigidity", "integral", "--algebra", "sl2", "--k", "3"])
     assert result.exit_code == 0
@@ -400,4 +420,67 @@ def test_level_past_budget_exits_2(argv, k):
     assert_usage_error(result, f"level {k} is above the budget of {MAX_LEVEL}")
     assert result.output.splitlines()[-1] == (
         f"Error: level {k} is above the budget of {MAX_LEVEL}"
+    )
+
+
+# --- the exit-code contract on generated argv ---
+
+# Exponents stay <= 2 and weights <= 3 so that every example runs in
+# milliseconds and the test fits the tier-1 time budget: deep words such as
+# e(-1)^5000 and large weights are known slow inputs (ROADMAP item 7), not
+# contract breaks.
+GENERATORS = st.sampled_from(["e", "h", "f"])
+FACTORS = st.builds("{}({}){}".format, GENERATORS, st.integers(-3, -1), st.sampled_from(["", "^2"]))
+TERMS = st.builds(
+    "{}{}|0>".format,
+    st.sampled_from(["", "2*", "-1/2*"]),
+    st.lists(FACTORS, max_size=3).map("".join),
+)
+VALID_ARGVS = st.one_of(
+    st.builds(
+        lambda m, s, k: ["act", "--algebra", "sl2", "--mode", m, "--state", s, "--level", k],
+        st.builds("{}({})".format, GENERATORS, st.integers(-2, 3)),
+        st.lists(TERMS, min_size=1, max_size=2).map(" + ".join),
+        st.integers(-3, 4).map(str) | st.sampled_from(["-4/3", "7/2"]),
+    ),
+    st.builds(
+        lambda a, w, q: ["pbw-basis", "--algebra", a, "--weight", str(w), "--charge", str(q)],
+        st.sampled_from(["sl2", "sl3"]), st.integers(0, 3), st.integers(-4, 4),
+    ),
+    st.builds(
+        lambda label: ["singular-check", "--label", label],
+        st.integers(1, 6).map("integral:k={}".format) | st.just("sl2:-4/3"),
+    ),
+    st.builds(
+        lambda a, k: ["rigidity", "integral", "--algebra", a, "--k", str(k)],
+        st.sampled_from(["sl2", "sl3"]), st.integers(1, 4),
+    ),
+)
+# option -> values that must each end in exit 2 with a message
+BAD_VALUES = {
+    "--algebra": ["sl1", "sl0", "slx", "missing/x.txt"],
+    "--mode": ["q(1)", "f(1", "f(1)e(2)", "h(1/2)", ""],
+    "--state": ["", "e(-1)", "2/0*e(-1)|0>", "e(0)|0>", "q(-1)|0>", "e(-1)^0|0>"],
+    "--level": ["1/0", "abc", "1_0", ""],
+    "--weight": ["x", "-1"],
+    "--charge": ["x", ""],
+    "--k": ["abc", "1/0", "0", "-1", f"{MAX_LEVEL + 1}"],
+    "--label": ["integral:k=1_0", "integral:k=+2", "integral:k= 3", "integral:k=0",
+                "integral:k=-1", f"integral:k={MAX_LEVEL + 1}", "integral:k=zebra", "nonsense"],
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_exit_contract_on_generated_argv(data):
+    argv = data.draw(VALID_ARGVS)
+    if data.draw(st.booleans()):
+        at = data.draw(st.sampled_from([i for i, arg in enumerate(argv) if arg in BAD_VALUES]))
+        argv[at + 1] = data.draw(st.sampled_from(BAD_VALUES[argv[at]]))
+    argv += data.draw(st.sampled_from([[], ["--format", "json"], ["--transcript"]]))
+    result = runner.invoke(main, argv)
+    assert result.exit_code in (0, 1, 2), (argv, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        argv,
+        repr(result.exception),
     )

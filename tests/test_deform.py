@@ -36,18 +36,18 @@ C = LinForm.symbol("c")
 
 
 def atom_expr(gen, depth, word):
-    return DefExpression.atom(Mode(gen, depth), word)
+    return DefExpression.atom(DefAtom(gen, depth, word))
 
 
-def empty_registry():
-    return RuleRegistry(G)
+def empty_registry(k=K43):
+    return RuleRegistry(G, k)
 
 
 # --- terminal rules ---
 
 def test_vacuum_rule_everywhere():
     for gen, m in [(H, 0), (F, 1), (E, -5)]:
-        assert evaluate(atom_expr(gen, m, ()), empty_registry(), K43).is_zero
+        assert evaluate(atom_expr(gen, m, ()), empty_registry()).is_zero
 
 
 def test_generator_value_pairings():
@@ -82,9 +82,9 @@ def test_mode_identity_nilpotent_direction():
 def test_master_commute_structure():
     expr = master_commute(G, F, 1, E, -1, (), Fraction(2))
     # pushes past one mode: b(n) a^def(m) - a(m) b^def(n) (+ moved + bracket + central)
-    assert DefTerm(LinForm(1), (Mode(E, -1),), Mode(F, 1), ()) in expr.terms
-    assert DefTerm(LinForm(-1), (Mode(F, 1),), Mode(E, -1), ()) in expr.terms
-    assert DefTerm(LinForm(-1), (), Mode(H, 0), ()) in expr.terms
+    assert DefTerm(LinForm(1), (Mode(E, -1),), DefAtom(F, 1, ())) in expr.terms
+    assert DefTerm(LinForm(-1), (Mode(F, 1),), DefAtom(E, -1, ())) in expr.terms
+    assert DefTerm(LinForm(-1), (), DefAtom(H, 0, ())) in expr.terms
     assert expr.tail == State.vacuum(C)
 
 
@@ -95,17 +95,17 @@ def test_generator_value_agrees_with_master_route():
             for m in (0, 1, 2):
                 direct = generator_value(G, a, m, b)
                 expr = master_commute(G, a, m, b, -1, (), K43)
-                assert evaluate(expr, empty_registry(), K43) == direct
+                assert evaluate(expr, empty_registry()) == direct
 
 
 # --- translation identity ---
 
 def test_single_generator_deep_targets_vanish():
     # f^def(1) e(-2)|0> = D(c|0>) + f^def(0) e(-1)|0> = 0
-    assert evaluate(atom_expr(F, 1, (Mode(E, -2),)), empty_registry(), K43).is_zero
-    assert evaluate(atom_expr(F, 1, (Mode(E, -3),)), empty_registry(), K43).is_zero
-    assert evaluate(atom_expr(H, 0, (Mode(E, -2),)), empty_registry(), K43).is_zero
-    assert evaluate(atom_expr(F, 1, (Mode(E, -1),)), empty_registry(), K43) == State.vacuum(C)
+    assert evaluate(atom_expr(F, 1, (Mode(E, -2),)), empty_registry()).is_zero
+    assert evaluate(atom_expr(F, 1, (Mode(E, -3),)), empty_registry()).is_zero
+    assert evaluate(atom_expr(H, 0, (Mode(E, -2),)), empty_registry()).is_zero
+    assert evaluate(atom_expr(F, 1, (Mode(E, -1),)), empty_registry()) == State.vacuum(C)
 
 
 def test_d_shift_produces_depth_constraint():
@@ -114,23 +114,23 @@ def test_d_shift_produces_depth_constraint():
     registry = empty_registry()
     registry.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "test")
     registry.register_value(DefAtom(H, -1, (Mode(E, -2),)), placeholder, "test")
-    got = d_shift(registry, H, -1, State.monomial((Mode(E, -1),)), K43)
+    got = d_shift(registry, H, -1, State.monomial((Mode(E, -1),)))
     assert got == placeholder.scale(-1)
 
 
 def test_d_shift_on_vacuum():
     # a^def(m-1)|0> = 0, and D|0> = 0
-    got = d_shift(empty_registry(), E, 1, State.vacuum(), K43)
+    got = d_shift(empty_registry(), E, 1, State.vacuum())
     assert got.is_zero
     with pytest.raises(ValueError):
-        d_shift(empty_registry(), E, 0, State.vacuum(), K43)
+        d_shift(empty_registry(), E, 0, State.vacuum())
 
 
 # --- the integral lemmas, computed ---
 
 def power_rule_registry(k):
-    """The stated power rule e^def(-1)e(-1)^j|0> := 0 for 1 <= j <= k."""
-    registry = empty_registry()
+    """The stated power rule e^def(-1)e(-1)^j|0> := 0 for 1 <= j <= k, at level k."""
+    registry = empty_registry(k)
     for j in range(1, k + 1):
         registry.register_value(
             DefAtom(E, -1, (Mode(E, -1),) * j), State.zero(), "derived:power-rule"
@@ -147,18 +147,17 @@ def test_power_rule_ingredients_vanish(k):
 def test_cartan_value_computed(k):
     registry = power_rule_registry(k)
     for i in range(1, k + 2):
-        got = evaluate(atom_expr(H, 0, (Mode(E, -1),) * (i - 1)), registry, Fraction(k))
+        got = evaluate(atom_expr(H, 0, (Mode(E, -1),) * (i - 1)), registry)
         assert got.is_zero, (i, k)
 
 
 def test_cartan_value_blind_to_power_ansatz():
     # negative control: with e^def(-1)e(-1)|0> free, the Cartan value still
     # vanishes (by charge), but the f^def(1) reduction sees the free symbol
-    registry = empty_registry()
+    registry = empty_registry(2)
     register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1),)), "x")
-    k = Fraction(2)
-    assert evaluate(atom_expr(H, 0, (Mode(E, -1),) * 2), registry, k).is_zero
-    got = evaluate(atom_expr(F, 1, (Mode(E, -1),) * 2), registry, k)
+    assert evaluate(atom_expr(H, 0, (Mode(E, -1),) * 2), registry).is_zero
+    got = evaluate(atom_expr(F, 1, (Mode(E, -1),) * 2), registry)
     assert got != State.monomial((Mode(E, -1),), C.scale(2))
     assert got == State.monomial((Mode(E, -1),), C.scale(2) + LinForm.symbol("x1", -2))
 
@@ -170,11 +169,11 @@ def test_relation_blind_to_power_rule(g, k):
     # step's x term carries the factor (k+1-i), which vanishes at i = k+1: the
     # image of e(-1)^(k+1)|0> is (k+1)*c e(-1)^k|0> whatever the power rule says
     e, _, f = g.theta
-    registry = RuleRegistry(g)
+    registry = RuleRegistry(g, k)
     for j in range(1, k + 1):
         register_ansatz(registry, DefAtom(e, -1, (Mode(e, -1),) * j), f"x{j}_")
     for i in range(1, k + 2):
-        got = evaluate(DefExpression.atom(Mode(f, 1), (Mode(e, -1),) * i), registry, k)
+        got = evaluate(DefExpression.atom(DefAtom(f, 1, (Mode(e, -1),) * i)), registry)
         coeff = C.scale(i)
         if i > 1:
             coeff = coeff + LinForm.symbol(f"x{i - 1}_1", -i * (k + 1 - i))
@@ -247,7 +246,7 @@ def test_registry_dump():
 
 def rewrite_of_h_minus2_e():
     # -h(1)h^def(-2)e(-1)|0>: the stated rewrite of h^def(1)h(-2)e(-1)|0>
-    return DefExpression([DefTerm(LinForm(-1), (Mode(H, 1),), Mode(H, -2), (Mode(E, -1),))])
+    return DefExpression([DefTerm(LinForm(-1), (Mode(H, 1),), DefAtom(H, -2, (Mode(E, -1),)))])
 
 
 def test_value_and_rewrite_share_one_atom_table():
@@ -260,13 +259,13 @@ def test_value_and_rewrite_share_one_atom_table():
     registry.register_value(atom, rewrite_of_h_minus2_e(), "rewrite")
     with pytest.raises(DuplicateAtom):
         registry.register_value(atom, State.zero(), "value")
-    assert registry.lookup_value(Mode(H, 1), atom.word).provenance == "rewrite"
+    assert registry.lookup_value(atom).provenance == "rewrite"
 
 
 def test_rewrite_tail_is_graded():
     # h^def(1)h(-1)e(-2)|0> has weight 2 and charge 2
     atom = DefAtom(H, 1, (Mode(H, -1), Mode(E, -2)))
-    term = DefTerm(LinForm(-1), (Mode(H, 1),), Mode(H, -1), (Mode(E, -2),))
+    term = DefTerm(LinForm(-1), (Mode(H, 1),), DefAtom(H, -1, (Mode(E, -2),)))
     with pytest.raises(ValueError, match="weight"):
         empty_registry().register_value(
             atom, DefExpression([term], State.monomial((Mode(E, -3),), C)), "bad"
@@ -301,37 +300,33 @@ def test_registry_dump_lists_values_and_rewrites_in_atom_order():
 def test_rule_table_lookups():
     table = admissible_sl2_rule_table(G)
     w1, w2, w3, w4, w5 = WEIGHT3_WORDS
-    expr = table.lookup_value(Mode(F, 1), w5).value
+    expr = table.lookup_value(DefAtom(F, 1, w5)).value
     assert not expr.terms and expr.tail.is_zero  # f^def(1)e(-3)|0> = 0
-    expr = table.lookup_value(Mode(H, 1), w3).value
+    expr = table.lookup_value(DefAtom(H, 1, w3)).value
     assert expr.tail.is_zero
-    assert expr.terms == (
-        DefTerm(LinForm(-1), (Mode(H, 1),), Mode(H, -2), (Mode(E, -1),)),
-    )
-    expr = table.lookup_value(Mode(F, 1), w3).value
+    assert expr.terms == (DefTerm(LinForm(-1), (Mode(H, 1),), DefAtom(H, -2, (Mode(E, -1),))),)
+    expr = table.lookup_value(DefAtom(F, 1, w3)).value
     assert expr.tail == State.monomial((Mode(H, -2),), C)
-    assert expr.terms == (
-        DefTerm(LinForm(-1), (Mode(F, 1),), Mode(H, -2), (Mode(E, -1),)),
-    )
+    assert expr.terms == (DefTerm(LinForm(-1), (Mode(F, 1),), DefAtom(H, -2, (Mode(E, -1),))),)
 
 
 # --- the evaluator ---
 
 def test_evaluate_generator_pairing():
-    got = evaluate(atom_expr(F, 1, (Mode(E, -1),)), empty_registry(), Fraction(1))
+    got = evaluate(atom_expr(F, 1, (Mode(E, -1),)), empty_registry(1))
     assert got == State.vacuum(C)
 
 
 def test_evaluate_telescoped_power_at_k1():
     registry = power_rule_registry(1)
-    value = evaluate(atom_expr(H, 0, (Mode(E, -1),)), registry, Fraction(1))
+    value = evaluate(atom_expr(H, 0, (Mode(E, -1),)), registry)
     registry.register_value(DefAtom(H, 0, (Mode(E, -1),)), value, "derived:cartan-induction")
-    got = evaluate(atom_expr(F, 1, (Mode(E, -1), Mode(E, -1))), registry, Fraction(1))
+    got = evaluate(atom_expr(F, 1, (Mode(E, -1), Mode(E, -1))), registry)
     assert got == State.monomial((Mode(E, -1),), C.scale(2))
 
 
 def test_evaluate_is_linear():
-    registry = empty_registry()
+    registry = empty_registry(3)
     for j in range(1, 4):
         registry.register_value(
             DefAtom(E, -1, (Mode(E, -1),) * j), State.zero(), "derived:power-rule"
@@ -347,38 +342,36 @@ def test_evaluate_is_linear():
         x = atom_expr(F, 1, (Mode(E, -1),) * rng.randint(1, 4))
         y = atom_expr(F, 1, (Mode(E, -1),) * rng.randint(1, 4))
         combined = x.scale(alpha) + y.scale(beta)
-        k = Fraction(3)
-        lhs = evaluate(combined, registry, k)
-        rhs = evaluate(x, registry, k).scale(alpha) + evaluate(y, registry, k).scale(beta)
+        lhs = evaluate(combined, registry)
+        rhs = evaluate(x, registry).scale(alpha) + evaluate(y, registry).scale(beta)
         assert lhs == rhs
 
 
 def test_evaluate_unresolved_atom():
     with pytest.raises(UnresolvedAtom) as err:
-        evaluate(atom_expr(H, -1, (Mode(E, -2),)), empty_registry(), K43)
+        evaluate(atom_expr(H, -1, (Mode(E, -2),)), empty_registry())
     assert err.value.atom == DefAtom(H, -1, (Mode(E, -2),))
 
 
 def test_unresolved_atom_message_renders_the_atom():
     with pytest.raises(UnresolvedAtom) as err:
-        evaluate(atom_expr(H, -1, (Mode(E, -2),)), empty_registry(), K43)
+        evaluate(atom_expr(H, -1, (Mode(E, -2),)), empty_registry())
     assert str(err.value) == "no rule for def-atom h^def(-1) e(-2)|0>"
 
 
 def test_evaluate_nonlinear_guard_fires():
     registry = empty_registry()
     register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a")
-    expr = DefExpression.atom(Mode(H, -1), (Mode(E, -2),), coeff=C)
+    expr = DefExpression.atom(DefAtom(H, -1, (Mode(E, -2),)), coeff=C)
     with pytest.raises(NonlinearProduct):
-        evaluate(expr, registry, K43)
+        evaluate(expr, registry)
 
 
 def test_evaluate_collect_residual():
     tail, residual = evaluate(
-        atom_expr(F, 1, WEIGHT3_WORDS[0]), empty_registry(), K43, collect_residual=True
+        atom_expr(F, 1, WEIGHT3_WORDS[0]), empty_registry(), collect_residual=True
     )
-    atoms = {(t.defmode, t.target) for t in residual}
-    assert (Mode(H, -1), (Mode(E, -2),)) in atoms
+    assert DefAtom(H, -1, (Mode(E, -2),)) in {t.atom for t in residual}
 
 
 # --- reuse on a frozen registry ---
@@ -400,39 +393,43 @@ def test_integral_pipeline_commutes_each_power_once(monkeypatch, k):
 
 
 def test_unfrozen_registry_never_memoises():
-    registry = power_rule_registry(1)
+    registry = power_rule_registry(2)
     word = (Mode(E, -1),) * 2
-    assert evaluate(atom_expr(F, 1, word), registry, Fraction(2)) == State.monomial(
-        word[:1], C.scale(2)
-    )
+    before = registry.rules()
+    assert evaluate(atom_expr(F, 1, word), registry) == State.monomial(word[:1], C.scale(2))
+    assert registry.rules() == before
     # a rule for an atom the reduction reaches changes the value
     registry.register_value(DefAtom(H, 0, word[:1]), State.monomial(word[:1]), "late")
-    assert evaluate(atom_expr(F, 1, word), registry, Fraction(2)) == State.monomial(
+    assert evaluate(atom_expr(F, 1, word), registry) == State.monomial(
         word[:1], C.scale(2) - 1
     )
 
 
-def blind_power_registry(top):
-    # every power atom free, so each f^def(1) value depends on the level
-    registry = empty_registry()
-    for j in range(1, top + 1):
-        register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1),) * j), f"x{j}_")
+def test_frozen_registry_keeps_computed_values_as_rules():
+    registry = power_rule_registry(3)
+    registry.register_value(
+        DefAtom(H, 0, (Mode(E, -1),)), State.zero(), "derived:cartan-induction"
+    )
     registry.freeze()
-    return registry
-
-
-def test_frozen_registry_memo_is_per_level():
-    shared = blind_power_registry(3)
-    for k in (2, 3):
-        fresh = blind_power_registry(3)
-        for i in range(1, k + 2):
-            atom = atom_expr(F, 1, (Mode(E, -1),) * i)
-            got = evaluate(atom, shared, k)
-            assert got == evaluate(atom, fresh, k), (k, i, got.render(G))
-            coeff = C.scale(i)
-            if i > 1:
-                coeff = coeff + LinForm.symbol(f"x{i - 1}_1", -i * (k + 1 - i))
-            assert got == State.monomial((Mode(E, -1),) * (i - 1), coeff), (k, i)
+    before = {rule.atom: rule for rule in registry.rules()}
+    bare = [DefAtom(F, 1, (Mode(E, -1),) * i) for i in range(1, 5)]
+    values = {atom: evaluate(DefExpression.atom(atom), registry) for atom in bare}
+    # atoms with a rule, and terms that are not bare atoms, are not stored
+    for atom in before:
+        evaluate(DefExpression.atom(atom), registry)
+    evaluate(DefExpression.atom(DefAtom(H, 0, (Mode(E, -1),) * 2), 2), registry)
+    evaluate(atom_expr(H, 0, (Mode(E, -1),) * 3), registry, collect_residual=True)
+    after = {rule.atom: rule for rule in registry.rules()}
+    assert set(after) == set(before) | set(bare)
+    assert all(after[atom] is rule for atom, rule in before.items())
+    for atom in bare:
+        rule = after[atom]
+        assert rule.provenance == "computed" and not rule.value.terms
+        want = State.monomial(atom.word[1:], C.scale(len(atom.word)))
+        assert rule.value.tail == values[atom] == want
+        assert evaluate(DefExpression.atom(atom), registry) == want
+    with pytest.raises(RegistryFrozen):
+        registry.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "late")
 
 
 def test_integral_pipeline_deep_level():

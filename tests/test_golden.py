@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 from affdef.cli import main
-from affdef.deform import DefExpression, master_commute, mode_identity
+from affdef.deform import DefAtom, DefExpression, master_commute, mode_identity
 from affdef.liealg import sl2, sln
 from affdef.pbw import Mode
 from affdef.rigidity import (
@@ -90,9 +90,9 @@ def def_expressions() -> str:
         (e, 0, f, -1, (Mode(h, -1),)),
     ):
         lines.append(master_commute(g, a, m, b, n, w, k).render(g))
-    lines.append(DefExpression.atom(Mode(h, -1), (Mode(e, -2),), c).render(g))
-    lines.append(DefExpression.atom(Mode(f, 1), (Mode(e, -1),), c + 1).render(g))
-    lines.append(DefExpression.atom(Mode(e, -1), (), Fraction(-3, 2)).render(g))
+    lines.append(DefExpression.atom(DefAtom(h, -1, (Mode(e, -2),)), c).render(g))
+    lines.append(DefExpression.atom(DefAtom(f, 1, (Mode(e, -1),)), c + 1).render(g))
+    lines.append(DefExpression.atom(DefAtom(e, -1, ()), Fraction(-3, 2)).render(g))
     lines.append(DefExpression().render(g))
     return "\n".join(lines) + "\n"
 

@@ -182,9 +182,8 @@ def test_mode_action_leaves_the_algebra_untouched():
     v = normal_order(g, [Mode(F, -1), Mode(E, -1), Mode(H, -2), Mode(E, -1)], Fraction(3))
     apply_mode(g, F, 1, v, Fraction(3))
     evaluate(
-        DefExpression.atom(Mode(F, 1), (Mode(E, -1), Mode(H, -1))),
-        RuleRegistry(g),
-        Fraction(3),
+        DefExpression.atom(DefAtom(F, 1, (Mode(E, -1), Mode(H, -1)))),
+        RuleRegistry(g, 3),
         collect_residual=True,
     )
     integral_pipeline(g, 3)
@@ -211,14 +210,14 @@ def per_mode_apply_prefix(g, prefix, state, k):
 def per_mode_master_commute(g, a, m, b, n, w, k):
     w = tuple(w)
     terms = [
-        DefTerm(LinForm(1), (Mode(b, n),), Mode(a, m), w),
-        DefTerm(LinForm(-1), (Mode(a, m),), Mode(b, n), w),
+        DefTerm(LinForm(1), (Mode(b, n),), DefAtom(a, m, w)),
+        DefTerm(LinForm(-1), (Mode(a, m),), DefAtom(b, n, w)),
     ]
     spelled = per_mode_normal_order(g, w, k)
     for w2, coeff in apply_mode(g, a, m, spelled, k).items():
-        terms.append(DefTerm(coeff, (), Mode(b, n), w2))
+        terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
     for g2, coeff in g.bracket(a, b).items():
-        terms.append(DefTerm(LinForm(coeff), (), Mode(g2, m + n), w))
+        terms.append(DefTerm(LinForm(coeff), (), DefAtom(g2, m + n, w)))
     tail = State.zero()
     if m + n == 0:
         pairing = g.form(a, b)
@@ -227,44 +226,42 @@ def per_mode_master_commute(g, a, m, b, n, w, k):
     return DefExpression(terms, tail)
 
 
-def per_mode_evaluate(expr, registry, k, collect_residual=False):
+def per_mode_evaluate(expr, registry, collect_residual=False):
     """The evaluator with a per-mode prefix and a tail summed by State.__add__."""
     g = registry.g
-    k = Fraction(k)
+    k = registry.k
     terms = list(expr.terms)
     tail = expr.tail
     residual = []
     while terms:
         next_terms = []
         for t in terms:
-            if not t.coeff or not t.target:
+            atom = t.atom
+            if not t.coeff or not atom.word:
                 continue
             # a term-free value, then a rewrite, then the pairing
-            rule = registry.lookup_value(t.defmode, t.target)
+            rule = registry.lookup_value(atom)
             if rule is not None and not rule.value.terms:
                 tail = tail + per_mode_apply_prefix(g, t.prefix, rule.value.tail, k).scale(t.coeff)
                 continue
             if rule is not None:
                 sub = rule.value
-            elif t.defmode.depth >= 0:
-                if len(t.target) == 1 and t.target[0].depth == -1:
-                    value = generator_value(g, t.defmode.gen, t.defmode.depth, t.target[0].gen)
+            elif atom.depth >= 0:
+                if len(atom.word) == 1 and atom.word[0].depth == -1:
+                    value = generator_value(g, atom.gen, atom.depth, atom.word[0].gen)
                     tail = tail + per_mode_apply_prefix(g, t.prefix, value, k).scale(t.coeff)
                     continue
-                head = t.target[0]
+                head = atom.word[0]
                 sub = per_mode_master_commute(
-                    g, t.defmode.gen, t.defmode.depth, head.gen, head.depth, t.target[1:], k
+                    g, atom.gen, atom.depth, head.gen, head.depth, atom.word[1:], k
                 )
             elif collect_residual:
                 residual.append(t)
                 continue
             else:
-                atom = DefAtom(*t.defmode, t.target)
                 raise UnresolvedAtom(atom, registry.render_atom(atom))
             for s in sub.terms:
-                next_terms.append(
-                    DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.defmode, s.target)
-                )
+                next_terms.append(DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.atom))
             tail = tail + per_mode_apply_prefix(g, t.prefix, sub.tail, k).scale(t.coeff)
         terms = _merge_terms(next_terms)
     if not collect_residual:
@@ -277,15 +274,15 @@ def assert_same_state(got, want, context):
     assert got == want and list(got.items()) == list(want.items()), context
 
 
-def assert_same_evaluation(expr, registry, k, collect_residual):
+def assert_same_evaluation(expr, registry, collect_residual):
     try:
-        want = per_mode_evaluate(expr, registry, k, collect_residual)
+        want = per_mode_evaluate(expr, registry, collect_residual)
     except UnresolvedAtom as exc:
         with pytest.raises(UnresolvedAtom) as got:
-            evaluate(expr, registry, k, collect_residual)
+            evaluate(expr, registry, collect_residual)
         assert got.value.atom == exc.atom
         return
-    got = evaluate(expr, registry, k, collect_residual)
+    got = evaluate(expr, registry, collect_residual)
     if collect_residual:
         (got, got_residual), (want, want_residual) = got, want
         assert got_residual == want_residual
@@ -320,7 +317,7 @@ def test_chain_matches_per_mode_steps(rank, max_modes, k):
 
 
 def test_chain_matches_per_mode_prefixes_on_ansatz_values():
-    registry = RuleRegistry(G)
+    registry = RuleRegistry(G, ADMISSIBLE_LEVEL)
     rules = [
         register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a"),
         register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b"),
@@ -340,7 +337,6 @@ def test_chain_matches_per_mode_prefixes_on_ansatz_values():
 
 @pytest.mark.parametrize("collect_residual", [False, True])
 def test_evaluate_matches_per_mode_evaluator(collect_residual):
-    k = ADMISSIBLE_LEVEL
     table = admissible_sl2_rule_table(G)
     # the admissible pipeline's registry: the stated table, the input rule,
     # the three ansatz values and the translation constraint
@@ -351,15 +347,15 @@ def test_evaluate_matches_per_mode_evaluator(collect_residual):
     register_ansatz(full, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c")
     full.register_value(DefAtom(H, -2, (Mode(E, -1),)), a_rule.value.tail.scale(-1), "translation")
     # the cross-check's base registry
-    base = RuleRegistry(G)
+    base = RuleRegistry(G, ADMISSIBLE_LEVEL)
     base.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "stated")
     for gen in (F, H):
         for word in WEIGHT3_WORDS:
-            atom = DefExpression.atom(Mode(gen, 1), word)
-            assert_same_evaluation(atom, full, k, collect_residual)
-            assert_same_evaluation(atom, base, k, collect_residual)
-            expected = table.lookup_value(Mode(gen, 1), word).value
-            assert_same_evaluation(expected, base, k, collect_residual)
+            atom = DefAtom(gen, 1, word)
+            assert_same_evaluation(DefExpression.atom(atom), full, collect_residual)
+            assert_same_evaluation(DefExpression.atom(atom), base, collect_residual)
+            expected = table.lookup_value(atom).value
+            assert_same_evaluation(expected, base, collect_residual)
 
 
 # --- normal ordering ---

@@ -111,3 +111,10 @@ def test_catalog_lookup():
         catalog("integral:k=x", G)
     with pytest.raises(KeyError):
         catalog("nonsense", G)
+
+
+@pytest.mark.parametrize("label", ["integral:k=1_0", "integral:k=+2", "integral:k= 3"])
+def test_catalog_level_is_ascii_digits(label):
+    # int() alone would read these as 10, 2 and 3
+    with pytest.raises(KeyError, match="bad catalog label"):
+        catalog(label, G)
