@@ -34,6 +34,8 @@ from .scalar import add_scaled, format_rational, parse_rational, signed_sum, sig
 MAX_WORD_LENGTH = 5_000
 # Highest level k the integral commands accept, checked before any computation.
 MAX_LEVEL = 100
+# Highest n of --algebra slN (past it the labels collide), checked on its digits.
+MAX_RANK = 10
 
 
 class StateSyntaxError(Exception):
@@ -231,8 +233,11 @@ def resolve_algebra(name: str) -> LieAlgebra:
         return sl2()
     m = re.fullmatch(r"sl(\d+)", name)
     if m:
+        rank = m.group(1).lstrip("0") or "0"  # read off its digits: no rank is too long
+        if len(rank) > len(str(MAX_RANK)) or int(rank) > MAX_RANK:
+            raise click.UsageError(f"rank {rank} is above the budget of {MAX_RANK}")
         try:
-            return sln(int(m.group(1)))
+            return sln(int(rank))
         except InvalidRank as exc:
             raise click.UsageError(str(exc)) from None
     path = Path(name)

@@ -8,6 +8,7 @@ of the highest root, satisfying [h,e] = 2e, [h,f] = -2f, [e,f] = h, <e,f> = 1,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -39,8 +40,7 @@ class LieAlgebra:
         for (i, j), q in form.items():
             q = Fraction(q)
             if q:
-                self._form[(i, j)] = q
-                self._form[(j, i)] = q
+                self._form[(i, j)] = self._form[(j, i)] = q
         self.theta = tuple(theta_triple)
         self.charges = self._compute_charges()
         self.report = None  # the ValidationReport, once validate has run
@@ -77,14 +77,11 @@ class LieAlgebra:
         charges = []
         for i in range(self.dim):
             img = self.bracket(h, i)
-            if not img:
-                charges.append(0)
-                continue
-            if set(img) != {i}:
+            if set(img) - {i}:
                 raise ValueError(
                     f"ad(h_theta) is not diagonal on basis vector {self.basis[i]!r}"
                 )
-            lam = img[i]
+            lam = img.get(i, Fraction(0))
             if lam.denominator != 1:
                 raise ValueError(f"non-integral charge {lam} on {self.basis[i]!r}")
             charges.append(int(lam))
@@ -124,21 +121,15 @@ def sln(n: int) -> LieAlgebra:
     """
     if n < 2:
         raise InvalidRank(f"sln needs n >= 2, got {n}")
-    labels = []
-    mats = []  # sparse matrices: (row, column) -> entry
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                labels.append(f"E{i + 1}{j + 1}")
-                mats.append({(i, j): 1})
-    for i in range(n - 1):
-        labels.append(f"D{i + 1}")
-        mats.append({(i, i): 1, (n - 1, n - 1): -1})
-    for i in range(n):
-        for j in range(n):
-            if i > j:
-                labels.append(f"E{i + 1}{j + 1}")
-                mats.append({(i, j): 1})
+    if n > 10:
+        raise InvalidRank(f"sln needs n <= 10 for distinct basis labels, got {n}")
+    # matrix units above the diagonal row by row, then the D_i, then those below
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lower = [(i, j) for i in range(n) for j in range(i)]
+    labels = [f"E{i + 1}{j + 1}" for i, j in upper] + [f"D{i + 1}" for i in range(n - 1)]
+    labels += [f"E{i + 1}{j + 1}" for i, j in lower]
+    mats = [{ij: 1} for ij in upper] + [{(i, i): 1, (n - 1, n - 1): -1} for i in range(n - 1)]
+    mats += [{ij: 1} for ij in lower]  # sparse matrices: (row, column) -> entry
     index = {label: a for a, label in enumerate(labels)}
 
     def matmul(x, y):
@@ -187,9 +178,7 @@ def validate(g: LieAlgebra) -> ValidationReport:
 def _check(g: LieAlgebra) -> ValidationReport:
     failures = []
     dim = g.dim
-
-    def name(i):
-        return g.basis[i]
+    name = g.basis.__getitem__
 
     # the checks read the tables directly: index -> nonzero coefficient dicts
     table, form = g._bracket, g._form
@@ -205,28 +194,45 @@ def _check(g: LieAlgebra) -> ValidationReport:
             if g.form(i, j) != g.form(j, i):
                 failures.append(f"<{name(i)},{name(j)}> not symmetric")
 
-    def add_bracket(acc, x, elt):
-        """acc += [b_x, elt]."""
-        for y, c in elt.items():
-            add_scaled(acc, table.get((x, y), {}), c)
-
+    # Jacobi (degree 2 in the bracket) and invariance (bilinear in bracket x form)
+    # run on each table times the lcm of its denominators, as ints; for each (i, j)
+    # they visit in ascending order only the l where a term can be nonzero:
+    # [b_j,b_l], [b_l,b_i], [b_l,y] or <y,b_l> != 0 for some y in [b_i,b_j].
+    scale = math.lcm(*(c.denominator for row in table.values() for c in row.values()))
+    fscale = math.lcm(*(q.denominator for q in form.values()))
+    # a -> b -> [b_a,b_b] and <b_a,b_b> as ints; y -> the l with [b_l,y] or <y,b_l> != 0
+    rows, frows, reach = {}, {}, {}
+    for (a, b), row in table.items():
+        if row:
+            rows.setdefault(a, {})[b] = {x: int(c * scale) for x, c in row.items()}
+            reach.setdefault(b, set()).add(a)
+    for (a, b), q in form.items():
+        frows.setdefault(a, {})[b] = int(q * fscale)
+        reach.setdefault(a, set()).add(b)
+    none, basis = {}, set(range(dim))
     for i in range(dim):
+        ri, fi = rows.get(i, none), frows.get(i, none)
         for j in range(dim):
-            ij = table.get((i, j), {})
-            for l in range(dim):
-                jl = table.get((j, l), {})
-                jac = {}
-                add_bracket(jac, i, jl)
-                add_bracket(jac, j, table.get((l, i), {}))
-                add_bracket(jac, l, ij)
-                if jac:
+            rj, ij = rows.get(j, none), ri.get(j, none)
+            inv = {}  # l -> <[b_i,b_j],b_l> - <b_i,[b_j,b_l]>
+            for y, c in ij.items():
+                for l, q in frows.get(y, none).items():
+                    inv[l] = inv.get(l, 0) + c * q
+            for l, row in rj.items():
+                for x, c in row.items():
+                    inv[l] = inv.get(l, 0) - fi.get(x, 0) * c
+            visit = reach.get(i, set()).union(rj, *(reach.get(y, ()) for y in ij))
+            for l in sorted(visit & basis):
+                rl, jl = rows.get(l, none), rj.get(l, none)
+                jac = {}  # [b_i,[b_j,b_l]] + [b_j,[b_l,b_i]] + [b_l,[b_i,b_j]]
+                for r, elt in ((ri, jl), (rj, rl.get(i, none)), (rl, ij)):
+                    for y, c in elt.items():
+                        for a, d in r.get(y, none).items():
+                            jac[a] = jac.get(a, 0) + c * d
+                if any(jac.values()):
                     failures.append(f"Jacobi fails on ({name(i)},{name(j)},{name(l)})")
-                lhs = sum(c * form.get((x, l), 0) for x, c in ij.items())
-                rhs = sum(form.get((i, x), 0) * c for x, c in jl.items())
-                if lhs != rhs:
-                    failures.append(
-                        f"form not invariant on ({name(i)},{name(j)},{name(l)})"
-                    )
+                if inv.get(l):
+                    failures.append(f"form not invariant on ({name(i)},{name(j)},{name(l)})")
     e, h, f = g.theta
     triple_checks = [
         (g.bracket(h, e), {e: 2}, "[h,e] = 2e"),
@@ -314,12 +320,9 @@ def load_structure_file(text: str) -> LieAlgebra:
                 if not m:
                     raise ValueError(f"line {lineno}: bad term {piece!r}")
                 coeff_text = m.group(1)
-                if coeff_text in ("", "+"):
-                    coeff = Fraction(1)
-                elif coeff_text == "-":
-                    coeff = Fraction(-1)
-                else:
-                    coeff = parse_fraction(coeff_text, lineno)
+                if coeff_text in ("", "+", "-"):
+                    coeff_text += "1"
+                coeff = parse_fraction(coeff_text, lineno)
                 vec[idx(m.group(2), lineno)] = vec.get(idx(m.group(2), lineno), Fraction(0)) + coeff
         key = (idx(x, lineno), idx(y, lineno))
         if key in bracket and bracket[key] != vec:

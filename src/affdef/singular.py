@@ -7,6 +7,7 @@ and vanish automatically, so the check is finite and complete.
 
 from __future__ import annotations
 
+import contextlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,7 +71,8 @@ def catalog(label: str, g: LieAlgebra) -> SingularVector:
         return admissible_sl2(g)
     m = INTEGRAL_LABEL.fullmatch(label)
     if m:
-        return integral_relation(g, int(m.group(1)))
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            return integral_relation(g, int(m.group(1)))
     if label.startswith("integral:k="):
         raise KeyError(f"bad catalog label {label!r}")
     raise KeyError(f"unknown catalog label {label!r}")

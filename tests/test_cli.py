@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from affdef.cli import (
     MAX_LEVEL,
+    MAX_RANK,
     MAX_WORD_LENGTH,
     ExprAST,
     StateSyntaxError,
@@ -423,6 +424,26 @@ def test_level_past_budget_exits_2(argv, k):
     )
 
 
+# --- the rank budget of --algebra slN ---
+
+def test_rigidity_integral_at_rank_budget():
+    result = runner.invoke(main, ["rigidity", "integral", "--algebra", f"sl{MAX_RANK}", "--k", "1"])
+    assert result.exit_code == 0, result.output
+    assert "final relation: 2*c = 0" in result.output
+
+
+@pytest.mark.parametrize(
+    "rank", [f"{MAX_RANK + 1}", "50", "9" * 5000, f"00{MAX_RANK + 1}"], ids=["11", "50", "5000-digits", "011"]
+)
+def test_rank_past_budget_exits_2(rank):
+    # refused on the digits, before int() or sln run: past 10 the labels collide
+    result = runner.invoke(main, ["pbw-basis", "--algebra", f"sl{rank}", "--weight", "1"])
+    assert_usage_error(result, f"rank {rank.lstrip('0')} is above the budget of {MAX_RANK}")
+    assert result.output.splitlines()[-1] == (
+        f"Error: rank {rank.lstrip('0')} is above the budget of {MAX_RANK}"
+    )
+
+
 # --- the exit-code contract on generated argv ---
 
 # Exponents stay <= 2 and weights <= 3 so that every example runs in
@@ -458,7 +479,7 @@ VALID_ARGVS = st.one_of(
 )
 # option -> values that must each end in exit 2 with a message
 BAD_VALUES = {
-    "--algebra": ["sl1", "sl0", "slx", "missing/x.txt"],
+    "--algebra": ["sl1", "sl0", "slx", "missing/x.txt", "sl11", "sl50", "sl" + "9" * 5000],
     "--mode": ["q(1)", "f(1", "f(1)e(2)", "h(1/2)", ""],
     "--state": ["", "e(-1)", "2/0*e(-1)|0>", "e(0)|0>", "q(-1)|0>", "e(-1)^0|0>"],
     "--level": ["1/0", "abc", "1_0", ""],

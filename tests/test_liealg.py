@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,13 @@ import pytest
 from affdef.liealg import (
     InvalidRank,
     LieAlgebra,
+    _check,
     load_structure_file,
     sl2,
     sln,
     validate,
 )
+from affdef.scalar import add_scaled
 
 
 def test_sl2_triple_relations():
@@ -75,8 +78,9 @@ def test_sln2_matches_sl2_tables():
             assert a.form(i, j) == b.form(i, j)
 
 
-def test_sln3_validates():
-    report = validate(sln(3))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sln_validates(n):
+    report = validate(sln(n))
     assert report.ok, report.failures[:3]
 
 
@@ -87,13 +91,12 @@ def test_sln3_theta_form():
     assert g.form(h, h) == 2
 
 
-def test_sln4_validates():
-    assert validate(sln(4)).ok
-
-
 def test_sln_rank_guard():
     with pytest.raises(InvalidRank):
         sln(1)
+    # past rank 10 the matrix-unit labels collide: E(1,11) and E(11,1) are both E111
+    with pytest.raises(InvalidRank, match="n <= 10"):
+        sln(11)
 
 
 def _explicit_matrices(labels, n):
@@ -289,3 +292,179 @@ def test_validate_failures_on_corrupted_sl3():
     report = validate(_corrupted_sl3())
     assert not report.ok
     assert report.failures == CORRUPTED_SL3_FAILURES
+
+
+# --- the exhaustive check against the Fraction reference it replaced ---
+
+def _reference_check(g):
+    """The failure list of the one-pass-per-triple Fraction check, kept as an oracle."""
+    failures = []
+    dim = g.dim
+
+    def name(i):
+        return g.basis[i]
+
+    table, form = g._bracket, g._form
+    for i in range(dim):
+        if table.get((i, i)):
+            failures.append(f"[{name(i)},{name(i)}] != 0")
+    for i in range(dim):
+        for j in range(dim):
+            both = dict(table.get((i, j), {}))
+            add_scaled(both, table.get((j, i), {}), 1)
+            if both:
+                failures.append(f"[{name(i)},{name(j)}] not antisymmetric")
+            if g.form(i, j) != g.form(j, i):
+                failures.append(f"<{name(i)},{name(j)}> not symmetric")
+
+    def add_bracket(acc, x, elt):
+        for y, c in elt.items():
+            add_scaled(acc, table.get((x, y), {}), c)
+
+    for i in range(dim):
+        for j in range(dim):
+            ij = table.get((i, j), {})
+            for l in range(dim):
+                jl = table.get((j, l), {})
+                jac = {}
+                add_bracket(jac, i, jl)
+                add_bracket(jac, j, table.get((l, i), {}))
+                add_bracket(jac, l, ij)
+                if jac:
+                    failures.append(f"Jacobi fails on ({name(i)},{name(j)},{name(l)})")
+                lhs = sum(c * form.get((x, l), 0) for x, c in ij.items())
+                rhs = sum(form.get((i, x), 0) * c for x, c in jl.items())
+                if lhs != rhs:
+                    failures.append(
+                        f"form not invariant on ({name(i)},{name(j)},{name(l)})"
+                    )
+    e, h, f = g.theta
+    triple_checks = [
+        (g.bracket(h, e), {e: 2}, "[h,e] = 2e"),
+        (g.bracket(h, f), {f: -2}, "[h,f] = -2f"),
+        (g.bracket(e, f), {h: 1}, "[e,f] = h"),
+    ]
+    for got, want, what in triple_checks:
+        if got != want:
+            failures.append(f"triple relation {what} fails")
+    form_checks = [
+        (g.form(e, f), Fraction(1), "<e,f> = 1"),
+        (g.form(h, h), Fraction(2), "<h,h> = 2"),
+        (g.form(e, e), Fraction(0), "<e,e> = 0"),
+        (g.form(f, f), Fraction(0), "<f,f> = 0"),
+        (g.form(h, e), Fraction(0), "<h,e> = 0"),
+        (g.form(h, f), Fraction(0), "<h,f> = 0"),
+    ]
+    for got, want, what in form_checks:
+        if got != want:
+            failures.append(f"triple form normalization {what} fails (got {got})")
+    try:
+        g._compute_charges()
+    except ValueError as exc:
+        failures.append(str(exc))
+    return failures
+
+
+def _tables(g):
+    """Editable copies of the bracket table (mirrors included) and the form."""
+    return {key: dict(vec) for key, vec in g._bracket.items()}, dict(g._form)
+
+
+def _corrupted(n, kind, seed):
+    """sl_n with a seeded edit, none of which touches ad(h_theta) (the charges)."""
+    rng = random.Random(seed)
+    g = sl2() if n == 2 else sln(n)
+    bracket, form = _tables(g)
+    h = g.theta[1]
+    others = [i for i in range(g.dim) if i != h]
+
+    def coeff():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 4]))
+
+    if kind == "bracket":
+        # one or two entries replaced, each mirror left stale
+        for _ in range(rng.choice([1, 2])):
+            i, j = rng.choice(others), rng.randrange(g.dim)
+            bracket[(i, j)] = {a: coeff() for a in rng.sample(range(g.dim), rng.choice([1, 2]))}
+    elif kind == "form":
+        i, j = rng.randrange(g.dim), rng.randrange(g.dim)
+        form[(i, j)] = form[(j, i)] = form.get((i, j), Fraction(0)) + coeff()
+    else:
+        # ad(b_i) scaled, the column [b_j, b_i] left as it was
+        i, factor = rng.choice(others), coeff()
+        while factor == 1:
+            factor = coeff()
+        for j in range(g.dim):
+            if bracket.get((i, j)):
+                bracket[(i, j)] = {a: c * factor for a, c in bracket[(i, j)].items()}
+    return LieAlgebra(g.basis, bracket, form, g.theta)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("kind", ["bracket", "form", "row"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_check_matches_fraction_reference_on_corruptions(n, kind, seed):
+    g = _corrupted(n, kind, 1000 * n + seed)
+    want = _reference_check(g)
+    assert want and _check(g).failures == want
+
+
+def test_reference_check_reproduces_corrupted_sl3_failures():
+    # the oracle is a faithful copy: it gives the pinned report of the check it replaced
+    assert _reference_check(_corrupted_sl3()) == CORRUPTED_SL3_FAILURES
+
+
+def _rescaled_sl3(label="E12", factor=Fraction(1, 3)):
+    """sl3 on the basis with b -> factor*b for one b, so both tables carry denominators."""
+    g = sln(3)
+    s = [Fraction(1)] * g.dim
+    s[g.index(label)] = factor
+    bracket = {
+        (i, j): {a: c * s[i] * s[j] / s[a] for a, c in vec.items()}
+        for (i, j), vec in g._bracket.items()
+    }
+    form = {(i, j): q * s[i] * s[j] for (i, j), q in g._form.items()}
+    return LieAlgebra(g.basis, bracket, form, g.theta)
+
+
+def _structure_text(g):
+    def term(a, c):
+        return f"{'+' if c > 0 else '-'}{abs(c)}*{g.basis[a]}"
+
+    lines = ["basis " + " ".join(g.basis), "triple " + " ".join(g.basis[t] for t in g.theta)]
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
+            vec = g.bracket(i, j)
+            rhs = "".join(term(a, c) for a, c in vec.items()) if vec else "0"
+            lines.append(f"[{g.basis[i]},{g.basis[j]}] = {rhs}")
+            if g.form(i, j):
+                lines.append(f"<{g.basis[i]},{g.basis[j]}> = {g.form(i, j)}")
+        if g.form(i, i):
+            lines.append(f"<{g.basis[i]},{g.basis[i]}> = {g.form(i, i)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_rescaled_sl3_with_denominators_validates():
+    g = _rescaled_sl3()
+    e12, e21, e13, e23 = (g.index(x) for x in ("E12", "E21", "E13", "E23"))
+    assert g.bracket(e12, e23) == {e13: Fraction(1, 3)}
+    assert g.form(e12, e21) == Fraction(1, 3)
+    assert _reference_check(g) == []
+    assert validate(g).ok, g.report.failures[:3]
+    text = _structure_text(g)
+    assert "1/3*E13" in text and "<E12,E21> = 1/3" in text
+    loaded = load_structure_file(text)
+    assert loaded.report.ok
+    assert loaded.bracket(e12, e23) == {e13: Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_matches_fraction_reference_on_corrupted_rescaled_sl3(seed):
+    rng = random.Random(seed)
+    g = _rescaled_sl3()
+    bracket, form = _tables(g)
+    i, j = rng.choice([g.index("E12"), g.index("E21")]), rng.randrange(g.dim)
+    bracket[(i, j)] = {rng.randrange(g.dim): Fraction(rng.choice([1, 2, 5]), 3)}
+    g = LieAlgebra(g.basis, bracket, form, g.theta)
+    want = _reference_check(g)
+    assert want and _check(g).failures == want

@@ -118,3 +118,9 @@ def test_catalog_level_is_ascii_digits(label):
     # int() alone would read these as 10, 2 and 3
     with pytest.raises(KeyError, match="bad catalog label"):
         catalog(label, G)
+
+
+def test_catalog_level_past_int_digit_limit():
+    # more digits than int() converts: still a malformed label, not a ValueError
+    with pytest.raises(KeyError, match="bad catalog label"):
+        catalog("integral:k=" + "9" * 5000, G)
