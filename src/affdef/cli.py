@@ -36,6 +36,9 @@ MAX_WORD_LENGTH = 5_000
 MAX_LEVEL = 100
 # Highest n of --algebra slN (past it the labels collide), checked on its digits.
 MAX_RANK = 10
+# Most digits of the numbers in one --level, --state or --mode value, all counted
+# before any conversion, so that no result passes Python's 4300-digit int-to-str limit.
+MAX_LITERAL_DIGITS = 1_000
 
 
 class StateSyntaxError(Exception):
@@ -45,7 +48,7 @@ class StateSyntaxError(Exception):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<vac>\|0>)|(?P<number>\d+(?:/\d+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"\s*(?:(?P<vac>\|0>)|(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*^()]))"
 )
 
@@ -74,7 +77,7 @@ class ExprAST:
 
     def render(self) -> str:
         return signed_sum(
-            signed_term(coeff, render_modes(word), True) for coeff, word in self.terms
+            signed_term(coeff, render_modes(word)) for coeff, word in self.terms
         )
 
     def to_state(self, g: LieAlgebra, k) -> State:
@@ -198,7 +201,7 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
 _MODE_PIECES = tuple(
     re.compile(piece)
     for piece in (
-        r"\s*", r"[A-Za-z_][A-Za-z0-9_]*", r"\(", r"\s*", r"[+-]?", r"\d+", r"\s*", r"\)", r"\s*"
+        r"\s*", r"[A-Za-z_][A-Za-z0-9_]*", r"\(", r"\s*", r"[+-]?", r"[0-9]+", r"\s*", r"\)", r"\s*"
     )
 )
 
@@ -222,6 +225,17 @@ def parse_mode(text: str, g: LieAlgebra):
     return Mode(gen, int(parts[4] + parts[5]))
 
 
+# a number: a run of digits that is neither part of a label such as E13 nor the 0 of |0>
+_NUMBER = re.compile(r"(?<![A-Za-z0-9_|])[0-9]+")
+
+
+def check_literals(option: str, text: str):
+    """Refuse a value whose numbers have more than ``MAX_LITERAL_DIGITS`` digits in all."""
+    n = sum(map(len, _NUMBER.findall(text)))
+    if n > MAX_LITERAL_DIGITS:
+        raise click.UsageError(f"{option} has {n} digits, above the budget of {MAX_LITERAL_DIGITS}")
+
+
 def check_level(k: int):
     """Refuse a level above ``MAX_LEVEL`` as a usage error."""
     if k > MAX_LEVEL:
@@ -231,7 +245,7 @@ def check_level(k: int):
 def resolve_algebra(name: str) -> LieAlgebra:
     if name == "sl2":
         return sl2()
-    m = re.fullmatch(r"sl(\d+)", name)
+    m = re.fullmatch(r"sl([0-9]+)", name)
     if m:
         rank = m.group(1).lstrip("0") or "0"  # read off its digits: no rank is too long
         if len(rank) > len(str(MAX_RANK)) or int(rank) > MAX_RANK:
@@ -303,6 +317,8 @@ def pbw_basis_cmd(algebra, weight, charge, fmt, transcript):
 def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
     """Apply a single mode to a state at the given level."""
     g = resolve_algebra(algebra)
+    for option, text in (("--level", level), ("--mode", mode_text), ("--state", state_text)):
+        check_literals(option, text)
     try:
         k = parse_rational(level)
         mode = parse_mode(mode_text, g)

@@ -29,13 +29,12 @@ from .pbw import (
     charge,
     d_operator,
     normal_order,
-    plain,
     render_word,
     weight,
     word_charge,
     word_weight,
 )
-from .scalar import LinForm, add_scaled, signed_sum, signed_term
+from .scalar import LinForm, add_scaled, exact, signed_sum, signed_term
 
 
 class DefAtom(NamedTuple):
@@ -80,7 +79,7 @@ class Rule:
 
 
 class DefTerm(NamedTuple):
-    coeff: LinForm
+    coeff: object  # under scalar.exact: a LinForm only when it carries an unknown
     prefix: tuple  # ordinary modes applied after the def-mode, leftmost outermost
     atom: DefAtom  # the def-mode and the word it acts on (need not be canonical)
 
@@ -96,14 +95,13 @@ class DefExpression:
 
     @classmethod
     def atom(cls, atom: DefAtom, coeff=1) -> "DefExpression":
-        coeff = coeff if isinstance(coeff, LinForm) else LinForm(coeff)
         return cls([DefTerm(coeff, (), atom)])
 
     def __add__(self, other: "DefExpression") -> "DefExpression":
         return DefExpression(list(self.terms) + list(other.terms), self.tail + other.tail)
 
     def scale(self, factor) -> "DefExpression":
-        factor = factor if isinstance(factor, LinForm) else LinForm(factor)
+        factor = exact(factor)
         return DefExpression(
             [DefTerm(t.coeff * factor, t.prefix, t.atom) for t in self.terms],
             self.tail.scale(factor),
@@ -116,7 +114,6 @@ class DefExpression:
                 "".join(f"{g.label(m.gen)}({m.depth})" for m in t.prefix)
                 + def_label(g, t.atom.gen, t.atom.depth)
                 + render_word(g, t.atom.word).replace("*", ""),
-                t.coeff.is_constant,
             )
             for t in self.terms
         ]
@@ -140,9 +137,7 @@ def _merge_terms(terms):
         else:
             merged[key] = t.coeff
             order.append(key)
-    return tuple(
-        DefTerm(merged[key], *key) for key in order if merged[key]
-    )
+    return tuple(DefTerm(exact(merged[key]), *key) for key in order if merged[key])
 
 
 class RuleRegistry:
@@ -234,7 +229,7 @@ class ModeIdentity:
 
     def render(self, g: LieAlgebra) -> str:
         return signed_sum(
-            str(coeff) if dm is None else signed_term(coeff, def_label(g, *dm), True)
+            str(coeff) if dm is None else signed_term(coeff, def_label(g, *dm))
             for coeff, dm in self.terms
         )
 
@@ -246,7 +241,7 @@ def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity
     """
     terms = []
     for g2, coeff in g.bracket(a, b).items():
-        terms.append((LinForm(coeff), Mode(g2, m + n)))
+        terms.append((exact(coeff), Mode(g2, m + n)))
     if m + n == 0:
         pairing = g.form(a, b)
         if m and pairing:
@@ -258,14 +253,14 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
     """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward."""
     w = tuple(w)
     terms = [
-        DefTerm(LinForm(1), (Mode(b, n),), DefAtom(a, m, w)),
-        DefTerm(LinForm(-1), (Mode(a, m),), DefAtom(b, n, w)),
+        DefTerm(1, (Mode(b, n),), DefAtom(a, m, w)),
+        DefTerm(-1, (Mode(a, m),), DefAtom(b, n, w)),
     ]
     # the target word need not be canonical: the moved-past action and the
     # central term both apply to the vector the word spells
     spelled = normal_order(g, w, k)
     for w2, coeff in apply_chain(g, ((a, m),), spelled, k).items():
-        terms.append(DefTerm(LinForm(coeff), (), DefAtom(b, n, w2)))
+        terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
     tail = State.zero()
     for coeff, dm in mode_identity(g, a, m, b, n).terms:
         if dm is None:
@@ -317,7 +312,7 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
                 raise UnresolvedAtom(atom, registry.render_atom(atom))
             for s in sub.terms:
                 next_terms.append(DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.atom))
-            add_scaled(tail, apply_chain(g, t.prefix, sub.tail, k), plain(t.coeff))
+            add_scaled(tail, apply_chain(g, t.prefix, sub.tail, k), t.coeff)
         terms = _merge_terms(next_terms)
     tail = State(tail)
     if not collect_residual:
@@ -336,7 +331,7 @@ def _normalize_residual(g: LieAlgebra, terms):
         coeff, prefix = t.coeff, t.prefix
         # a Cartan zero-mode adjacent to the atom acts by the atom's charge
         while prefix and prefix[-1] == Mode(h, 0):
-            coeff = coeff.scale(atom_grading(g, t.atom)[1])
+            coeff = coeff * atom_grading(g, t.atom)[1]
             prefix = prefix[:-1]
         if coeff:
             out.append(DefTerm(coeff, prefix, t.atom))

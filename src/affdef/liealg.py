@@ -36,11 +36,11 @@ class LieAlgebra:
             if (j, i) not in table:
                 table[(j, i)] = {a: -c for a, c in table[(i, j)].items()}
         self._bracket = table
-        self._form = {}
-        for (i, j), q in form.items():
-            q = Fraction(q)
-            if q:
-                self._form[(i, j)] = self._form[(j, i)] = q
+        # complete the form's missing mirrors; a given entry, zero included, stays
+        full = {key: Fraction(q) for key, q in form.items()}
+        for (i, j) in list(full):
+            full.setdefault((j, i), full[(i, j)])
+        self._form = {key: q for key, q in full.items() if q}
         self.theta = tuple(theta_triple)
         self.charges = self._compute_charges()
         self.report = None  # the ValidationReport, once validate has run
@@ -253,10 +253,6 @@ def _check(g: LieAlgebra) -> ValidationReport:
     for got, want, what in form_checks:
         if got != want:
             failures.append(f"triple form normalization {what} fails (got {got})")
-    try:
-        g._compute_charges()
-    except ValueError as exc:
-        failures.append(str(exc))
     return ValidationReport(not failures, failures)
 
 

@@ -11,12 +11,11 @@ from the commutation relation
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import groupby
 from typing import NamedTuple
 
 from .liealg import LieAlgebra
-from .scalar import LinForm, add_scaled, signed_sum, signed_term
+from .scalar import LinForm, add_scaled, as_linform, exact, signed_sum, signed_term
 
 
 class Mode(NamedTuple):
@@ -27,9 +26,6 @@ class Mode(NamedTuple):
 Word = tuple  # tuple[Mode, ...]
 
 VACUUM_WORD: Word = ()
-
-# the factor of a plain State sum: a LinForm, so that every coefficient stays one
-_UNIT = LinForm(1)
 
 
 class NotHomogeneous(Exception):
@@ -50,7 +46,7 @@ def word_charge(g: LieAlgebra, word: Word) -> int:
 
 
 class State:
-    """Finite LinForm-weighted sum of canonical PBW monomials."""
+    """Finite sum of canonical PBW monomials with exact coefficients (``scalar.exact``)."""
 
     __slots__ = ("_terms",)
 
@@ -63,8 +59,7 @@ class State:
                     raise ValueError(f"monomial word has a non-creation mode: {word}")
                 if not is_canonical(word):
                     raise ValueError(f"monomial word is not canonical: {word}")
-                if not isinstance(coeff, LinForm):
-                    coeff = LinForm(coeff)
+                coeff = exact(coeff)
                 if coeff:
                     data[word] = coeff
         self._terms = data
@@ -92,28 +87,22 @@ class State:
         return self._terms.keys()
 
     def coefficient(self, word: Word) -> LinForm:
-        return self._terms.get(tuple(word), LinForm(0))
+        return as_linform(self._terms.get(tuple(word), 0))
 
     def __add__(self, other: "State") -> "State":
         out = dict(self._terms)
-        add_scaled(out, other._terms, _UNIT)
-        st = State.__new__(State)
-        st._terms = out
-        return st
+        add_scaled(out, other._terms, 1)
+        return State(out)
 
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "State":
         """Scale by a rational or a LinForm (guarded: no nonlinear products)."""
-        if isinstance(factor, LinForm):
-            if not factor:
-                return State.zero()
-            return State({w: coeff * factor for w, coeff in self._terms.items()})
-        factor = Fraction(factor)
+        factor = exact(factor)
         if not factor:
             return State.zero()
-        return State({w: coeff.scale(factor) for w, coeff in self._terms.items()})
+        return State({w: coeff * factor for w, coeff in self._terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, State) and self._terms == other._terms
@@ -127,7 +116,7 @@ class State:
     def render(self, g: LieAlgebra) -> str:
         items = sorted(self._terms.items(), key=lambda t: (word_weight(t[0]), t[0]))
         return signed_sum(
-            signed_term(coeff, render_word(g, word), coeff.is_constant or _is_single_symbol(coeff))
+            signed_term(coeff, render_word(g, word), _is_single_symbol(coeff))
             for word, coeff in items
         )
 
@@ -135,8 +124,8 @@ class State:
         return f"State({dict(self._terms)!r})"
 
 
-def _is_single_symbol(coeff: LinForm) -> bool:
-    if coeff.constant or len(coeff.terms) != 1:
+def _is_single_symbol(coeff) -> bool:
+    if not isinstance(coeff, LinForm) or coeff.constant or len(coeff.terms) != 1:
         return False
     value = next(iter(coeff.terms.values()))
     return value in (1, -1)
@@ -177,18 +166,18 @@ def apply_chain(g: LieAlgebra, modes, terms, k):
     """The modes applied to ``terms``, rightmost first, as a ``word -> coefficient`` dict.
 
     ``modes`` holds ``(gen, depth)`` pairs, leftmost outermost; ``terms`` maps
-    canonical words to rationals or LinForms (a ``State`` will do).  Each step
-    adds the kernel's results into one dict in the order that repeated
-    ``apply_mode`` would give; coefficients are LinForms only where symbolic.
+    canonical words to coefficients under ``scalar.exact`` (a ``State`` will
+    do).  Each step adds the kernel's results into one dict in the order that
+    repeated ``apply_mode`` would give.
     The kernel's memo and the bracket table it reads live for this one call.
     With no modes, ``terms`` itself comes back: the caller must not mutate it.
     """
-    k = _exact(Fraction(k))
+    k = exact(k)
     memo, brackets = {}, {}
     for gen, m in reversed(modes):
         out = {}
         for word, coeff in terms.items():
-            add_scaled(out, _act(g, gen, m, word, k, memo, brackets), plain(coeff))
+            add_scaled(out, _act(g, gen, m, word, k, memo, brackets), coeff)
         terms = out
     return terms
 
@@ -224,8 +213,8 @@ def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict, brackets: d
                 continue
             table = brackets.get((gen, bg))
             if table is None:
-                pairs = tuple((g2, _exact(c)) for g2, c in g.bracket(gen, bg).items())
-                table = brackets[(gen, bg)] = (pairs, _exact(g.form(gen, bg)))
+                pairs = tuple((g2, exact(c)) for g2, c in g.bracket(gen, bg).items())
+                table = brackets[(gen, bg)] = (pairs, exact(g.form(gen, bg)))
             pairs, pairing = table
             depth = m + bd
             waiting = len(stack)
@@ -244,22 +233,10 @@ def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict, brackets: d
                 add_scaled(out, memo[(g2, depth, rest)], c)
             central = m * k * pairing if not depth else 0
             if central:
-                add_scaled(out, {rest: 1}, _exact(central))
+                add_scaled(out, {rest: 1}, exact(central))
             memo[key] = out
         stack.pop()
     return memo[root]
-
-
-def _exact(q: Fraction):
-    """q as an int when it is integral, so that the kernel's arithmetic stays on ints."""
-    return q.numerator if q.denominator == 1 else q
-
-
-def plain(coeff):
-    """A constant LinForm as its rational; any other coefficient as it is."""
-    if isinstance(coeff, LinForm) and not coeff.terms:
-        return _exact(coeff.constant)
-    return coeff
 
 
 def weight(v: State) -> int:

@@ -287,7 +287,7 @@ def admissible_sl2_rule_table(g: LieAlgebra) -> RuleRegistry:
         return DefExpression(terms, tail)
 
     def term(coeff, prefix, gen, depth, target):
-        return DefTerm(LinForm(coeff), prefix, DefAtom(gen, depth, target))
+        return DefTerm(coeff, prefix, DefAtom(gen, depth, target))
 
     f1 = (Mode(f, 1),)
     h1 = (Mode(h, 1),)
@@ -367,7 +367,7 @@ def admissible_pipeline(combination=None) -> Verdict:
 
     def image(gen):
         # a^def(1) on the relation, as one expression: evaluate is linear
-        terms = [DefTerm(LinForm(s), (), DefAtom(gen, 1, w)) for s, w in zip(sigma, words)]
+        terms = [DefTerm(s, (), DefAtom(gen, 1, w)) for s, w in zip(sigma, words)]
         return evaluate(DefExpression(terms), registry)
 
     try:

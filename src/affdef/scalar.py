@@ -1,14 +1,20 @@
 """Exact scalars: arbitrary-precision rationals and affine-linear forms over named unknowns.
 
-Every coefficient in the engine is a ``LinForm``: an exact rational constant plus a
-sparse rational combination of unknown symbols (``c``, ``a1`` .. ``a5``, ...).  The
+A coefficient in the engine is exact, by the one rule of ``exact``: an ``int``
+when it is integral, otherwise a ``Fraction``, and a ``LinForm`` only when it
+carries an unknown.  A ``LinForm`` is an exact rational constant plus a sparse
+rational combination of unknown symbols (``c``, ``a1`` .. ``a5``, ...).  The
 unknowns only ever occur linearly, so the product of two non-constant forms is a
 pipeline bug and raises ``NonlinearProduct`` instead of silently extending the ring.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+# p/q with q nonzero, or an integer, with an optional sign, in ASCII digits
+RATIONAL_LITERAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 class NonlinearProduct(Exception):
@@ -16,24 +22,41 @@ class NonlinearProduct(Exception):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``p/q`` or an integer literal, with optional sign."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+    """Parse ``p/q`` or an integer literal, with optional sign, in ASCII digits."""
+    if not RATIONAL_LITERAL.fullmatch(text):
+        raise ValueError(f"not a rational literal: {text!r}")
+    return Fraction(text)
 
 
 def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-def signed_term(coeff, body: str, bare: bool) -> str:
-    """``coeff*body``, with a unit coefficient dropped; ``bare=False`` writes ``(coeff)*body``."""
+def exact(value):
+    """The one coefficient rule: an int when integral, otherwise a Fraction, and a
+    LinForm only when it carries an unknown.  Other inputs go through ``Fraction()``."""
+    if isinstance(value, LinForm):
+        if value.terms:
+            return value
+        value = value.constant
+    elif not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def is_constant(coeff) -> bool:
+    """Whether a coefficient carries no unknown: the one question rendering asks."""
+    return not isinstance(coeff, LinForm) or not coeff.terms
+
+
+def signed_term(coeff, body: str, bare: bool = False) -> str:
+    """``coeff*body``, with a unit coefficient dropped; a coefficient with an
+    unknown is written ``(coeff)*body`` unless ``bare``."""
     if coeff == 1:
         return body
     if coeff == -1:
         return "-" + body
-    return f"{coeff}*{body}" if bare else f"({coeff})*{body}"
+    return f"{coeff}*{body}" if bare or is_constant(coeff) else f"({coeff})*{body}"
 
 
 def signed_sum(pieces) -> str:
@@ -57,7 +80,7 @@ def add_scaled(out: dict, terms, factor) -> None:
 
     The one rule for sparse sums: a key is dropped as soon as its coefficient
     cancels, so a key that comes back is placed last.  A unit coefficient in
-    ``terms`` stores ``factor`` itself, so a LinForm sum needs a LinForm factor.
+    ``terms`` stores ``factor`` itself; a sum that is kept goes through ``exact``.
     """
     for key, c in terms.items():
         term = factor if c == 1 else c * factor
@@ -106,16 +129,8 @@ class LinForm:
     def symbols(self):
         return sorted(self.terms, key=symbol_sort_key)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.constant and not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return not self.terms
-
     def __add__(self, other) -> "LinForm":
-        other = _coerce(other)
+        other = as_linform(other)
         merged = dict(self.terms)
         add_scaled(merged, other.terms, 1)
         return LinForm(self.constant + other.constant, merged)
@@ -123,10 +138,10 @@ class LinForm:
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-_coerce(other))
+        return self + (-as_linform(other))
 
     def __rsub__(self, other):
-        return _coerce(other) + (-self)
+        return as_linform(other) + (-self)
 
     def __neg__(self) -> "LinForm":
         return self.scale(-1)
@@ -140,10 +155,10 @@ class LinForm:
     def __mul__(self, other) -> "LinForm":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        other = _coerce(other)
-        if self.is_constant:
+        other = as_linform(other)
+        if not self.terms:
             return other.scale(self.constant)
-        if other.is_constant:
+        if not other.terms:
             return self.scale(other.constant)
         raise NonlinearProduct(f"({self}) * ({other})")
 
@@ -163,18 +178,19 @@ class LinForm:
         return hash((self.constant, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.constant or self.terms)
 
     def __str__(self):
         pieces = [format_rational(self.constant)] if self.constant else []
-        pieces += [signed_term(self.terms[name], name, True) for name in self.symbols()]
+        pieces += [signed_term(self.terms[name], name) for name in self.symbols()]
         return signed_sum(pieces)
 
     def __repr__(self):
         return f"LinForm({self})"
 
 
-def _coerce(value) -> LinForm:
+def as_linform(value) -> LinForm:
+    """A coefficient as a LinForm: the form itself, or a constant form of a rational."""
     if isinstance(value, LinForm):
         return value
     if isinstance(value, (int, Fraction)):

@@ -84,7 +84,6 @@ def is_singular(v: State, k, g: LieAlgebra) -> tuple:
     Returns ``(ok, witness)``; the witness names the first nonvanishing
     application and carries the offending state.
     """
-    k = Fraction(k)
     w = weight(v)
     checks = [(g.theta[0], 0)]
     checks += [(a, m) for m in range(1, w + 1) for a in range(g.dim)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from affdef.cli import (
     MAX_LEVEL,
+    MAX_LITERAL_DIGITS,
     MAX_RANK,
     MAX_WORD_LENGTH,
     ExprAST,
@@ -444,6 +445,55 @@ def test_rank_past_budget_exits_2(rank):
     )
 
 
+# --- numbers: ASCII digits, and a digit budget per option value ---
+
+NINES = "9" * 4300
+PAST_LITERAL_BUDGET = [
+    # each of these once reached int-to-str conversion past its 4300-digit limit
+    (["--mode", "f(1)", "--state", "e(-1)|0>", "--level", "1e5000"], "not a rational literal"),
+    (["--mode", "f(1)", "--state", f"{NINES}*e(-1)^3|0>", "--level", "5"],
+     f"--state has 4302 digits, above the budget of {MAX_LITERAL_DIGITS}"),
+    (["--mode", f"f({NINES})", "--state", f"e(-{NINES})|0>", "--level", "5"],
+     f"--mode has 4300 digits, above the budget of {MAX_LITERAL_DIGITS}"),
+    # terms on one word add up, so the budget counts every number of the value
+    (["--mode", "h(-1)", "--state", " + ".join(f"1/{10**999 + i}*|0>" for i in range(7)),
+      "--level", "1"], "--state has 7007 digits, above the budget"),
+]
+
+
+@pytest.mark.parametrize("argv,message", PAST_LITERAL_BUDGET, ids=range(len(PAST_LITERAL_BUDGET)))
+def test_act_numbers_past_budget_exit_2(argv, message):
+    assert_usage_error(runner.invoke(main, ["act", *argv]), message)
+
+
+def test_act_at_literal_budget():
+    # a depth and a level at the budget: the central term m*k*<h,h> has 2000 digits
+    n = "9" * MAX_LITERAL_DIGITS
+    result = runner.invoke(
+        main, ["act", "--mode", f"h({n})", "--state", f"h(-{n})|0>", "--level", f"-{n[1:]}/7"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == f"{Fraction(-2 * int(n) * int(n[1:]), 7)}*|0>\n"
+
+
+@pytest.mark.parametrize("level", ["1e3", "1.5", "1_0", "\u0663/\u0664", " 2", "2/0"])
+def test_level_takes_only_ascii_p_over_q(level):
+    result = runner.invoke(main, ["act", "--mode", "f(1)", "--state", "e(-1)|0>", "--level", level])
+    assert_usage_error(result, "not a rational literal")
+
+
+@pytest.mark.parametrize("argv", [
+    ["pbw-basis", "--algebra", "sl\u0663", "--weight", "1"],
+    ["act", "--mode", "f(\u0661)", "--state", "e(-1)|0>", "--level", "2"],
+    ["act", "--mode", "f(1)", "--state", "e(-1)^\u0663|0>", "--level", "2"],
+    ["act", "--mode", "f(1)", "--state", "\u0663*e(-1)|0>", "--level", "2"],
+])
+def test_non_ascii_digits_exit_2(argv):
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+
+
 # --- the exit-code contract on generated argv ---
 
 # Exponents stay <= 2 and weights <= 3 so that every example runs in
@@ -479,10 +529,12 @@ VALID_ARGVS = st.one_of(
 )
 # option -> values that must each end in exit 2 with a message
 BAD_VALUES = {
-    "--algebra": ["sl1", "sl0", "slx", "missing/x.txt", "sl11", "sl50", "sl" + "9" * 5000],
-    "--mode": ["q(1)", "f(1", "f(1)e(2)", "h(1/2)", ""],
-    "--state": ["", "e(-1)", "2/0*e(-1)|0>", "e(0)|0>", "q(-1)|0>", "e(-1)^0|0>"],
-    "--level": ["1/0", "abc", "1_0", ""],
+    "--algebra": ["sl1", "sl0", "slx", "missing/x.txt", "sl11", "sl50", "sl" + "9" * 5000,
+                  "sl\u0663"],
+    "--mode": ["q(1)", "f(1", "f(1)e(2)", "h(1/2)", "", f"f({NINES})", "f(\u0661)"],
+    "--state": ["", "e(-1)", "2/0*e(-1)|0>", "e(0)|0>", "q(-1)|0>", "e(-1)^0|0>",
+                f"{NINES}*e(-1)^3|0>", f"e(-{NINES})|0>", "e(-1)^\u0663|0>"],
+    "--level": ["1/0", "abc", "1_0", "", "1e5000", "1.5", "\u0663/\u0664"],
     "--weight": ["x", "-1"],
     "--charge": ["x", ""],
     "--k": ["abc", "1/0", "0", "-1", f"{MAX_LEVEL + 1}"],

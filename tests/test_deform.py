@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from affdef import deform
 from affdef.deform import (
@@ -26,7 +27,7 @@ from affdef.rigidity import (
     check_power_rule_ingredients,
     integral_pipeline,
 )
-from affdef.scalar import LinForm, NonlinearProduct
+from affdef.scalar import LinForm, NonlinearProduct, is_constant, signed_term
 from affdef.singular import WEIGHT3_WORDS
 
 G = sl2()
@@ -323,6 +324,38 @@ def test_evaluate_telescoped_power_at_k1():
     registry.register_value(DefAtom(H, 0, (Mode(E, -1),)), value, "derived:cartan-induction")
     got = evaluate(atom_expr(F, 1, (Mode(E, -1), Mode(E, -1))), registry)
     assert got == State.monomial((Mode(E, -1),), C.scale(2))
+
+
+def test_evaluate_tail_is_linform_exactly_where_an_unknown_is():
+    registry = empty_registry()
+    atom = DefAtom(H, -1, (Mode(E, -2),))
+    ansatz = list(register_ansatz(registry, atom, "a").value.tail.words())
+    outside = (Mode(H, -3),)
+    # on the first ansatz word the tail cancels a1, leaving the constant 3
+    tail = State({ansatz[0]: LinForm(3, {"a1": -1}), ansatz[1]: 5, outside: 7})
+    expr = DefExpression.atom(atom) + DefExpression((), tail) + atom_expr(F, 1, (Mode(E, -1),))
+    got = evaluate(expr, registry)
+    symbolic = set(ansatz[1:]) | {()}  # the rest of the ansatz, and c*|0>
+    assert set(got.words()) == set(ansatz) | {outside, ()}
+    for word, coeff in got.items():
+        assert isinstance(coeff, LinForm) == (word in symbolic), (word, coeff)
+    assert got.coefficient(ansatz[0]) == 3 and got.coefficient(outside) == 7
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+@given(rationals, rationals)
+def test_render_is_blind_to_the_linform_spelling(q, r):
+    word = (Mode(E, -1), Mode(H, -2))
+    renders = set()
+    for coeff in (q, LinForm(q)):
+        tail = State({word: coeff, (Mode(F, -3),): r + coeff * C})
+        expr = DefExpression([DefTerm(coeff, (Mode(H, -1),), DefAtom(F, 1, word))], tail)
+        renders.add((tail.render(G), expr.render(G)))
+        # the one question the renderers ask of a coefficient
+        assert is_constant(coeff) and signed_term(coeff, "x") == signed_term(q, "x")
+    assert len(renders) == 1
 
 
 def test_evaluate_is_linear():

@@ -161,6 +161,19 @@ def test_validate_catches_form_defect():
     assert any("<e,f>" in msg for msg in report.failures)
 
 
+@pytest.mark.parametrize(
+    "form",
+    [{(2, 0): 5, (0, 2): 1, (1, 1): 2}, {(0, 2): 1, (2, 0): 5, (1, 1): 2},
+     {(0, 2): 1, (2, 0): 0, (1, 1): 2}],
+    ids=["f-e-first", "e-f-first", "explicit-zero"],
+)
+def test_validate_sees_an_asymmetric_form(form):
+    # a given entry is never overwritten by its mirror, zero included
+    g = sl2()
+    report = validate(LieAlgebra(g.basis, g._bracket, form, g.theta))
+    assert "<e,f> not symmetric" in report.failures
+
+
 def test_validate_catches_bracket_defect():
     def edit(bracket, form):
         bracket[(0, 2)] = {1: Fraction(2)}  # [e,f] = 2h

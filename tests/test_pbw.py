@@ -501,7 +501,7 @@ def per_position_d(v):
     for word, coeff in v.items():
         for i, mode in enumerate(word):
             shifted = word[:i] + (Mode(mode.gen, mode.depth - 1),) + word[i + 1 :]
-            out = out + State.monomial(tuple(sorted(shifted))).scale(coeff.scale(-mode.depth))
+            out = out + State.monomial(tuple(sorted(shifted))).scale(coeff * -mode.depth)
     return out
 
 
@@ -604,13 +604,67 @@ def test_state_rejects_annihilation_modes():
         State.monomial((Mode(F, 2), Mode(E, -1)))
 
 
-# --- the sparse-sum rule: LinForm coefficients, cancelled words dropped ---
+# --- the sparse-sum rule: exact coefficients, cancelled words dropped ---
 
-def test_state_sum_keeps_linform_coefficients():
+def is_plain_exact(coeff) -> bool:
+    """An int, or a Fraction that is not integral: scalar.exact's form of a rational."""
+    return type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+
+
+def test_state_sum_keeps_exact_coefficients():
     x, y = mono((E, -1)), mono((F, -1))
-    for s in (x + y, x - x + x, (x + y) + (x + y)):
-        assert all(type(coeff) is LinForm for _, coeff in s.items())
+    half = x.scale(Fraction(1, 2))
+    for s in (x + y, x - x + x, (x + y) + (x + y), half + half, x.scale(LinForm(2))):
+        assert all(type(coeff) is int for _, coeff in s.items())
         assert s.scale(LinForm.symbol("a")).scale(2) == s.scale(LinForm.symbol("a", 2))
+    assert [type(coeff) for _, coeff in half.items()] == [Fraction]
+    symbolic = (x + y).scale(LinForm.symbol("a"))
+    assert all(type(coeff) is LinForm for _, coeff in symbolic.items())
+    assert all(type(coeff) is int for _, coeff in (symbolic - symbolic + x).items())
+
+
+@pytest.mark.parametrize("k", [2, Fraction(-4, 3)], ids=["k=2", "k=-4/3"])
+@pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
+def test_kernel_coefficients_are_plain_rationals(g, k):
+    rng = random.Random(f"plain:{g.dim}:{k}")
+    for _ in range(10):
+        v = normal_order(g, [Mode(rng.randrange(g.dim), -rng.randint(1, 2)) for _ in range(4)], k)
+        images = [apply_mode(g, a, m, v, k) for a in range(g.dim) for m in (0, 1, 2)]
+        for state in [v] + images:
+            assert all(is_plain_exact(coeff) for _, coeff in state.items()), state
+
+
+def test_constant_kernel_builds_no_linform(monkeypatch):
+    made = []
+    init = LinForm.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinForm, "__init__", counted)
+    for g, k in ((G, 2), (G, Fraction(-4, 3)), (sln(3), Fraction(-3, 2))):
+        word = [Mode(a, -1) for a in reversed(range(g.dim))] + [Mode(0, -2)]
+        v = normal_order(g, word, k)
+        for a in range(g.dim):
+            apply_mode(g, a, 1, v, k)
+    assert made == []
+    LinForm.symbol("c")
+    assert len(made) == 1  # the count sees a construction
+
+
+def test_other_coefficient_inputs_go_through_fraction():
+    w = (Mode(E, -1),)
+    assert State({w: 0.5}) == State({w: Fraction(1, 2)})
+    assert State({w: 0.1}).coefficient(w) == Fraction(0.1)
+    assert State({w: "1/3"}).coefficient(w) == LinForm(Fraction(1, 3))
+    assert State.monomial(w).scale(0.5) == State.monomial(w, Fraction(1, 2))
+    assert [type(c) for _, c in State({w: "4/2"}).items()] == [int]
+    # coefficient() keeps answering with a LinForm, for eliminate and the JSON
+    assert type(State({w: 3}).coefficient(w)) is LinForm
+    assert type(State.zero().coefficient(w)) is LinForm
+    with pytest.raises(ValueError):
+        State({w: "x"})
 
 
 def test_cancelled_word_comes_back_last():
