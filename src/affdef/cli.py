@@ -236,6 +236,14 @@ def check_literals(option: str, text: str):
         raise click.UsageError(f"{option} has {n} digits, above the budget of {MAX_LITERAL_DIGITS}")
 
 
+def integer(text: str) -> int:
+    """An integer option: an optional sign and at most ``MAX_LITERAL_DIGITS`` ASCII
+    digits, checked before conversion (``int()`` takes any Unicode digit and ``_``)."""
+    if not re.fullmatch(f"[+-]?[0-9]{{1,{MAX_LITERAL_DIGITS}}}", text):
+        raise click.BadParameter(f"not an integer of at most {MAX_LITERAL_DIGITS} ASCII digits")
+    return int(text)
+
+
 def check_level(k: int):
     """Refuse a level above ``MAX_LEVEL`` as a usage error."""
     if k > MAX_LEVEL:
@@ -289,8 +297,8 @@ def main():
 
 @main.command("pbw-basis")
 @click.option("--algebra", default="sl2", show_default=True)
-@click.option("--weight", type=int, required=True)
-@click.option("--charge", type=int, default=None)
+@click.option("--weight", type=integer, required=True)
+@click.option("--charge", type=integer, default=None)
 @format_options
 def pbw_basis_cmd(algebra, weight, charge, fmt, transcript):
     """List the canonical monomials of a graded stratum."""
@@ -391,7 +399,7 @@ def _emit_verdict(verdict, fmt, transcript):
 
 @rigidity_group.command("integral")
 @click.option("--algebra", default="sl2", show_default=True)
-@click.option("--k", type=int, required=True)
+@click.option("--k", type=integer, required=True)
 @format_options
 def rigidity_integral_cmd(algebra, k, fmt, transcript):
     """Positive integral level: conclude (k+1)*c = 0."""

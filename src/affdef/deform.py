@@ -143,20 +143,18 @@ def _merge_terms(terms):
 class RuleRegistry:
     """One rule per atom at level ``k``, values and rewrites alike; frozen after setup.
 
-    A frozen registry also keeps, as a ``computed`` rule, the value of every
-    bare atom without a rule that a strict evaluation reduced against it: the
-    rules no longer change, so neither do those values.
+    Once frozen, ``memo`` keeps the value ``evaluate`` computes for each atom.
     """
 
     def __init__(self, g: LieAlgebra, k):
         self.g = g
         self.k = Fraction(k)
         self._rules = {}
-        self._frozen = False
+        self.memo = None  # evaluate's atom values, kept once frozen
 
     def register_value(self, atom: DefAtom, value, provenance: str) -> Rule:
         """Register a ``State`` value or a ``DefExpression`` rewrite for the atom."""
-        if self._frozen:
+        if self.memo is not None:
             raise RegistryFrozen("registry is frozen")
         if atom in self._rules:
             raise DuplicateAtom(f"atom already registered: {self.render_atom(atom)}")
@@ -185,16 +183,11 @@ class RuleRegistry:
     def lookup_value(self, atom: DefAtom) -> Optional[Rule]:
         return self._rules.get(atom)
 
-    def remember(self, atom: DefAtom, value: State):
-        """Keep a computed value of an atom without a rule, once frozen."""
-        if self._frozen and atom not in self._rules:
-            self._rules[atom] = Rule(atom, DefExpression((), value), "computed")
-
     def rules(self):
         return list(self._rules.values())
 
     def freeze(self):
-        self._frozen = True
+        self.memo = {}
 
     def render_atom(self, atom: DefAtom) -> str:
         return f"{def_label(self.g, atom.gen, atom.depth)} {render_word(self.g, atom.word)}"
@@ -273,55 +266,54 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
 def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool = False):
     """Reduce a def-expression to a pure state at the registry's level.
 
-    Strict mode raises ``UnresolvedAtom`` on any unregistered negative-depth
-    atom.  With ``collect_residual`` the unresolved terms are returned alongside
-    the state instead (used by the cross-check diagnostic); trailing Cartan
-    zero-modes in front of a residual atom are resolved by charge diagonality.
-
-    A strict evaluation of a bare atom (unit coefficient, no prefix, no tail)
-    is offered to ``registry.remember``, so on a frozen registry a later
-    reduction that reaches the atom takes its value as a ``computed`` rule.
+    Each atom is reduced once, on an explicit stack, by the first of: the vacuum
+    rule, its rule, ``generator_value``, one ``master_commute`` step, or else it
+    is unresolved.  Its value, a state plus the unresolved terms it reaches, is
+    kept for the call, or in ``registry.memo`` once frozen.  The net residual
+    comes back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
     """
     g, k = registry.g, registry.k
-    terms = list(expr.terms)
-    tail = dict(expr.tail.items())  # the tail's sum, in State.__add__ order
-    residual = []
-    rounds = 0
-    while terms:
-        rounds += 1
-        if rounds > 10_000:
-            raise RuntimeError("def-mode reduction failed to terminate")
-        next_terms = []
-        for t in terms:
-            atom = t.atom
-            if not atom.word:
-                continue  # vacuum rule
-            rule = registry.lookup_value(atom)
-            if rule is not None:
-                sub = rule.value
-            elif atom.depth >= 0 and len(atom.word) == 1 and atom.word[0].depth == -1:
-                value = generator_value(g, atom.gen, atom.depth, atom.word[0].gen)
-                sub = DefExpression((), value)
-            elif atom.depth >= 0:
-                (b, n), rest = atom.word[0], atom.word[1:]
-                sub = master_commute(g, atom.gen, atom.depth, b, n, rest, k)
-            elif collect_residual:
-                residual.append(t)
-                continue
-            else:
-                raise UnresolvedAtom(atom, registry.render_atom(atom))
-            for s in sub.terms:
-                next_terms.append(DefTerm(t.coeff * s.coeff, t.prefix + s.prefix, s.atom))
-            add_scaled(tail, apply_chain(g, t.prefix, sub.tail, k), t.coeff)
-        terms = _merge_terms(next_terms)
-    tail = State(tail)
-    if not collect_residual:
-        if not expr.tail and len(expr.terms) == 1:
-            (t,) = expr.terms
-            if not t.prefix and t.coeff == 1:
-                registry.remember(t.atom, tail)
-        return tail
-    return tail, _normalize_residual(g, residual)
+    memo = {} if registry.memo is None else registry.memo
+    stack, waiting = [t.atom for t in expr.terms], {}  # waiting: atom -> its rewrite
+    while stack:
+        atom = stack.pop()
+        if atom in waiting:  # every atom of its rewrite has a value now
+            memo[atom] = _combine(g, k, waiting.pop(atom), memo)
+        if atom in memo:
+            continue
+        rule = registry.lookup_value(atom)
+        if not atom.word:
+            sub = DefExpression()  # vacuum rule
+        elif rule is not None:
+            sub = rule.value
+        elif atom.depth < 0:
+            memo[atom] = ({}, (DefTerm(1, (), atom),))  # unresolved
+            continue
+        elif len(atom.word) == 1 and atom.word[0].depth == -1:
+            sub = DefExpression((), generator_value(g, atom.gen, atom.depth, atom.word[0].gen))
+        else:
+            sub = master_commute(g, atom.gen, atom.depth, *atom.word[0], atom.word[1:], k)
+        waiting[atom] = sub
+        stack += [atom] + [t.atom for t in sub.terms]
+        for t in sub.terms:
+            if t.atom in waiting:
+                raise RuntimeError(f"def-mode reduction cycles at {registry.render_atom(t.atom)}")
+    tail, residual = _combine(g, k, expr, memo)
+    residual = _normalize_residual(g, residual)
+    if residual and not collect_residual:
+        raise UnresolvedAtom(residual[0].atom, registry.render_atom(residual[0].atom))
+    return (State(tail), residual) if collect_residual else State(tail)
+
+
+def _combine(g: LieAlgebra, k, expr: DefExpression, memo: dict):
+    """The expression's state and net unresolved terms, from its atoms' values."""
+    tail, residual = dict(expr.tail.items()), []
+    for t in expr.terms:
+        state, unresolved = memo[t.atom]
+        if state:
+            add_scaled(tail, apply_chain(g, t.prefix, state, k), t.coeff)
+        residual += [DefTerm(t.coeff * r.coeff, t.prefix + r.prefix, r.atom) for r in unresolved]
+    return tail, _merge_terms(residual) if residual else ()
 
 
 def _normalize_residual(g: LieAlgebra, terms):
@@ -335,7 +327,7 @@ def _normalize_residual(g: LieAlgebra, terms):
             prefix = prefix[:-1]
         if coeff:
             out.append(DefTerm(coeff, prefix, t.atom))
-    return _merge_terms(out)
+    return tuple(sorted(_merge_terms(out), key=lambda t: (t.atom, t.prefix)))
 
 
 def d_shift(registry: RuleRegistry, a: int, m: int, v: State) -> State:

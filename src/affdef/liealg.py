@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import add_scaled
+from .scalar import add_scaled, parse_rational
 
 
 class InvalidRank(Exception):
@@ -312,7 +312,7 @@ def load_structure_file(text: str) -> LieAlgebra:
             for piece in re.split(r"(?=[+-])", rhs.replace(" ", "")):
                 if not piece:
                     continue
-                m = re.match(r"([+-]?[\d/]*)\*?(\w+)$", piece)
+                m = re.match(r"([+-]?[0-9/]*)\*?(\w+)$", piece)
                 if not m:
                     raise ValueError(f"line {lineno}: bad term {piece!r}")
                 coeff_text = m.group(1)
@@ -346,6 +346,6 @@ def load_structure_file(text: str) -> LieAlgebra:
 
 def parse_fraction(text: str, lineno: int) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(text)
+    except ValueError:
         raise ValueError(f"line {lineno}: bad rational {text!r}") from None

@@ -310,6 +310,23 @@ def assert_usage_error(result, message):
     assert message in result.output
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rigidity", "integral", "--k", v] for v in ("\u0663", "1_0", " 3", "9" * 1001)]
+    + [["pbw-basis", "--weight", v] for v in ("\u0661", "1_0", "9" * 1001)]
+    + [["pbw-basis", "--weight", "1", "--charge", v] for v in ("\u0662", "1_0", "9" * 1001)],
+)
+def test_integer_options_take_ascii_digits_only(argv):
+    result = runner.invoke(main, argv)
+    assert_usage_error(result, f"Invalid value for '{argv[-2]}'")
+
+
+def test_integer_options_take_a_sign():
+    result = runner.invoke(main, ["pbw-basis", "--weight", "+1", "--charge", "-2"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "f(-1)|0>\n"
+
+
 def test_parse_zero_denominator():
     with pytest.raises(StateSyntaxError):
         parse_state("2/0*e(-1)|0>", G)
@@ -535,9 +552,9 @@ BAD_VALUES = {
     "--state": ["", "e(-1)", "2/0*e(-1)|0>", "e(0)|0>", "q(-1)|0>", "e(-1)^0|0>",
                 f"{NINES}*e(-1)^3|0>", f"e(-{NINES})|0>", "e(-1)^\u0663|0>"],
     "--level": ["1/0", "abc", "1_0", "", "1e5000", "1.5", "\u0663/\u0664"],
-    "--weight": ["x", "-1"],
-    "--charge": ["x", ""],
-    "--k": ["abc", "1/0", "0", "-1", f"{MAX_LEVEL + 1}"],
+    "--weight": ["x", "-1", "\u0661", "1_0", " 2", NINES],
+    "--charge": ["x", "", "\u0662", "1_0", NINES],
+    "--k": ["abc", "1/0", "0", "-1", f"{MAX_LEVEL + 1}", "\u0663", "1_0", " 3", NINES],
     "--label": ["integral:k=1_0", "integral:k=+2", "integral:k= 3", "integral:k=0",
                 "integral:k=-1", f"integral:k={MAX_LEVEL + 1}", "integral:k=zebra", "nonsense"],
 }

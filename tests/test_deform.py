@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -409,20 +411,25 @@ def test_evaluate_collect_residual():
 
 # --- reuse on a frozen registry ---
 
+def count_master_commute(monkeypatch) -> list:
+    """Route ``deform.master_commute`` through a wrapper; the list grows by one per call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return master_commute(*args)
+
+    monkeypatch.setattr(deform, "master_commute", counted)
+    return calls
+
+
 @pytest.mark.parametrize("k", [4, 8, 16, 32])
 def test_integral_pipeline_commutes_each_power_once(monkeypatch, k):
     # each Cartan power past the first and each f^def(1) power past the first
     # takes one master-commute step; every earlier power comes from the memo
-    calls = 0
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return master_commute(*args)
-
-    monkeypatch.setattr(deform, "master_commute", counted)
+    calls = count_master_commute(monkeypatch)
     assert integral_pipeline(sl2(), k).final_relation == C.scale(k + 1)
-    assert calls <= 2 * k - 1
+    assert len(calls) <= 2 * k - 1
 
 
 def test_unfrozen_registry_never_memoises():
@@ -438,31 +445,91 @@ def test_unfrozen_registry_never_memoises():
     )
 
 
-def test_frozen_registry_keeps_computed_values_as_rules():
+def test_frozen_registry_reuses_values_without_adding_rules(monkeypatch):
     registry = power_rule_registry(3)
     registry.register_value(
         DefAtom(H, 0, (Mode(E, -1),)), State.zero(), "derived:cartan-induction"
     )
     registry.freeze()
-    before = {rule.atom: rule for rule in registry.rules()}
-    bare = [DefAtom(F, 1, (Mode(E, -1),) * i) for i in range(1, 5)]
-    values = {atom: evaluate(DefExpression.atom(atom), registry) for atom in bare}
-    # atoms with a rule, and terms that are not bare atoms, are not stored
-    for atom in before:
-        evaluate(DefExpression.atom(atom), registry)
-    evaluate(DefExpression.atom(DefAtom(H, 0, (Mode(E, -1),) * 2), 2), registry)
+    rules, dump = registry.rules(), registry.dump()
+    # f^def(1)e(-1)^3 reaches f^def(1)e(-1)^2 only under the prefix e(-1)
+    top = DefAtom(F, 1, (Mode(E, -1),) * 3)
+    assert evaluate(DefExpression.atom(top), registry) == State.monomial(
+        top.word[1:], C.scale(3)
+    )
     evaluate(atom_expr(H, 0, (Mode(E, -1),) * 3), registry, collect_residual=True)
-    after = {rule.atom: rule for rule in registry.rules()}
-    assert set(after) == set(before) | set(bare)
-    assert all(after[atom] is rule for atom, rule in before.items())
-    for atom in bare:
-        rule = after[atom]
-        assert rule.provenance == "computed" and not rule.value.terms
-        want = State.monomial(atom.word[1:], C.scale(len(atom.word)))
-        assert rule.value.tail == values[atom] == want
-        assert evaluate(DefExpression.atom(atom), registry) == want
+    assert registry.rules() == rules and registry.dump() == dump
+    calls = count_master_commute(monkeypatch)
+    inner = DefAtom(F, 1, (Mode(E, -1),) * 2)
+    assert evaluate(DefExpression.atom(inner), registry) == State.monomial(
+        inner.word[1:], C.scale(2)
+    )
+    assert not calls
+    assert registry.rules() == rules and registry.dump() == dump
     with pytest.raises(RegistryFrozen):
         registry.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "late")
+
+
+# --- strictness is the net residual ---
+
+def test_strict_evaluation_takes_the_net_residual():
+    # e^def(-1)e(-1)|0> is reached twice, with coefficients that cancel
+    got = evaluate(atom_expr(H, 0, (Mode(E, -1),) * 2), empty_registry(Fraction(-1, 2)))
+    assert got.is_zero
+
+
+@pytest.mark.parametrize("k", [Fraction(-1, 2), K43, Fraction(2)])
+def test_strict_raises_exactly_when_a_residual_is_left(k):
+    registry = empty_registry(k)
+    for weight in range(1, 4):
+        for word in basis_enum(G, weight):
+            for m in range(weight + 1):
+                for gen in (E, H, F):
+                    expr = atom_expr(gen, m, word)
+                    tail, residual = evaluate(expr, registry, collect_residual=True)
+                    if residual:
+                        with pytest.raises(UnresolvedAtom) as err:
+                            evaluate(expr, registry)
+                        assert err.value.atom == residual[0].atom
+                    else:
+                        got = evaluate(expr, registry)
+                        assert got == tail and list(got.items()) == list(tail.items())
+
+
+# --- the explicit stack ---
+
+def frame_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_evaluate_deep_word_needs_no_recursion():
+    # a cold h^def(0)e(-1)^120|0> reaches a chain of 120 atoms
+    n = 120
+    registry = power_rule_registry(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frame_depth() + 50)
+    try:
+        got = evaluate(atom_expr(H, 0, (Mode(E, -1),) * n), registry)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got.is_zero
+
+
+def test_evaluate_names_the_atom_a_cycle_returns_to():
+    registry = empty_registry()
+    x = DefAtom(H, -1, (Mode(E, -2),))
+    registry.register_value(x, DefExpression.atom(x), "loop")
+    with pytest.raises(RuntimeError, match=re.escape(registry.render_atom(x))):
+        evaluate(DefExpression.atom(x).scale(2), registry)
+    # through a second atom and a prefix
+    y, z = DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), DefAtom(E, -1, (Mode(E, -1), Mode(F, -1)))
+    registry.register_value(y, DefExpression([DefTerm(1, (Mode(H, 0),), z)]), "loop")
+    registry.register_value(z, DefExpression.atom(y, coeff=3), "loop")
+    with pytest.raises(RuntimeError, match=re.escape(registry.render_atom(y))):
+        evaluate(DefExpression.atom(y), registry)
 
 
 def test_integral_pipeline_deep_level():

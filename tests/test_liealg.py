@@ -217,6 +217,21 @@ def test_structure_file_rejects_garbage():
         load_structure_file("what is this")
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[h,e] = 2*e", "[h,e] = \u0662*e", "line 4: bad term"),
+        ("[e,f] = h", "[e,f] = 1_0*h", "line 6: bad term"),
+        ("<h,h> = 2", "<h,h> = \u0662", "line 8: bad rational"),
+        ("<h,h> = 2", "<h,h> = 2.0", "line 8: bad rational"),
+        ("<e,f> = 1", "<e,f> = 1_0", "line 7: bad rational"),
+    ],
+)
+def test_structure_file_numbers_take_ascii_digits_only(old, new, message):
+    with pytest.raises(ValueError, match=message):
+        load_structure_file(SL2_FILE.replace(old, new))
+
+
 def test_structure_file_rejects_inconsistent_antisymmetry():
     bad = SL2_FILE + "[e,h] = 2*e\n"
     with pytest.raises(ValueError, match="conflicting bracket|antisymmetry"):

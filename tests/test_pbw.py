@@ -275,17 +275,18 @@ def assert_same_state(got, want, context):
 
 
 def assert_same_evaluation(expr, registry, collect_residual):
-    try:
-        want = per_mode_evaluate(expr, registry, collect_residual)
-    except UnresolvedAtom as exc:
-        with pytest.raises(UnresolvedAtom) as got:
-            evaluate(expr, registry, collect_residual)
-        assert got.value.atom == exc.atom
-        return
-    got = evaluate(expr, registry, collect_residual)
+    want, want_residual = per_mode_evaluate(expr, registry, collect_residual=True)
     if collect_residual:
-        (got, got_residual), (want, want_residual) = got, want
+        got, got_residual = evaluate(expr, registry, collect_residual=True)
         assert got_residual == want_residual
+    elif want_residual:
+        # strict raises exactly when the net residual is nonempty, on its first atom
+        with pytest.raises(UnresolvedAtom) as err:
+            evaluate(expr, registry)
+        assert err.value.atom == want_residual[0].atom
+        return
+    else:
+        got = evaluate(expr, registry)
     assert_same_state(got, want, expr.render(registry.g))
 
 
