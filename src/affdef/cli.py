@@ -22,9 +22,13 @@ from .pbw import (
     State,
     apply_mode,
     basis_enum,
+    is_canonical,
     normal_order,
     render_modes,
     render_word,
+    stratum_size,
+    word_charge,
+    word_weight,
 )
 from .scalar import add_scaled, format_rational, parse_rational, signed_sum, signed_term
 
@@ -36,6 +40,11 @@ MAX_WORD_LENGTH = 5_000
 MAX_LEVEL = 100
 # Highest n of --algebra slN (past it the labels collide), checked on its digits.
 MAX_RANK = 10
+# Most canonical words in the PBW stratum that one expansion may reach, counted by
+# pbw.stratum_size before anything is expanded: the (weight, charge) stratum of
+# each --state word that is not canonical (a canonical word is its own normal
+# form), and the whole weight stratum that pbw-basis walks before its --charge filter.
+MAX_STRATUM = 10_000
 # Most digits of the numbers in one --level, --state or --mode value, all counted
 # before any conversion, so that no result passes Python's 4300-digit int-to-str limit.
 MAX_LITERAL_DIGITS = 1_000
@@ -250,6 +259,12 @@ def check_level(k: int):
         raise click.UsageError(f"level {k} is above the budget of {MAX_LEVEL}")
 
 
+def check_stratum(what: str, g: LieAlgebra, weight: int, charge):
+    """Refuse an expansion whose stratum holds more than ``MAX_STRATUM`` words."""
+    if stratum_size(g, weight, charge, MAX_STRATUM) > MAX_STRATUM:
+        raise click.UsageError(f"{what}: its stratum holds more than {MAX_STRATUM} words")
+
+
 def resolve_algebra(name: str) -> LieAlgebra:
     if name == "sl2":
         return sl2()
@@ -303,6 +318,8 @@ def main():
 def pbw_basis_cmd(algebra, weight, charge, fmt, transcript):
     """List the canonical monomials of a graded stratum."""
     g = resolve_algebra(algebra)
+    if weight >= 0:
+        check_stratum(f"weight {weight}", g, weight, None)
     try:
         words = basis_enum(g, weight, charge)
     except ValueError as exc:
@@ -333,6 +350,11 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
         ast = parse_state(state_text, g)
     except (ValueError, StateSyntaxError) as exc:
         raise click.UsageError(str(exc))
+    for i, (_, spelled) in enumerate(ast.terms, 1):
+        word = tuple(Mode(g.index(label), depth) for label, depth in spelled)
+        if not is_canonical(word):
+            w, q = word_weight(word), word_charge(g, word)
+            check_stratum(f"--state word {i} has weight {w} and charge {q}", g, w, q)
     result = apply_mode(g, mode.gen, mode.depth, ast.to_state(g, k), k)
     text = result.render(g)
     emit(

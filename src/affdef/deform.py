@@ -22,9 +22,9 @@ from typing import NamedTuple, Optional
 
 from .liealg import LieAlgebra
 from .pbw import (
+    Kernel,
     Mode,
     State,
-    apply_chain,
     basis_enum,
     charge,
     d_operator,
@@ -242,8 +242,14 @@ def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity
     return ModeIdentity(tuple(terms))
 
 
-def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefExpression:
-    """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward."""
+def master_commute(
+    g: LieAlgebra, a: int, m: int, b: int, n: int, w, k, kernel: Optional[Kernel] = None
+) -> DefExpression:
+    """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward.
+
+    ``kernel`` is the ``pbw.Kernel`` at level k to act with, or a fresh one.
+    """
+    kernel = Kernel(g, k) if kernel is None else kernel
     w = tuple(w)
     terms = [
         DefTerm(1, (Mode(b, n),), DefAtom(a, m, w)),
@@ -252,7 +258,7 @@ def master_commute(g: LieAlgebra, a: int, m: int, b: int, n: int, w, k) -> DefEx
     # the target word need not be canonical: the moved-past action and the
     # central term both apply to the vector the word spells
     spelled = normal_order(g, w, k)
-    for w2, coeff in apply_chain(g, ((a, m),), spelled, k).items():
+    for w2, coeff in kernel.chain(((a, m),), spelled).items():
         terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
     tail = State.zero()
     for coeff, dm in mode_identity(g, a, m, b, n).terms:
@@ -273,12 +279,13 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
     comes back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
     """
     g, k = registry.g, registry.k
+    kernel = Kernel(g, k)  # one word table and mode-action memo for the call
     memo = {} if registry.memo is None else registry.memo
     stack, waiting = [t.atom for t in expr.terms], {}  # waiting: atom -> its rewrite
     while stack:
         atom = stack.pop()
         if atom in waiting:  # every atom of its rewrite has a value now
-            memo[atom] = _combine(g, k, waiting.pop(atom), memo)
+            memo[atom] = _combine(kernel, waiting.pop(atom), memo)
         if atom in memo:
             continue
         rule = registry.lookup_value(atom)
@@ -292,26 +299,26 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
         elif len(atom.word) == 1 and atom.word[0].depth == -1:
             sub = DefExpression((), generator_value(g, atom.gen, atom.depth, atom.word[0].gen))
         else:
-            sub = master_commute(g, atom.gen, atom.depth, *atom.word[0], atom.word[1:], k)
+            sub = master_commute(g, atom.gen, atom.depth, *atom.word[0], atom.word[1:], k, kernel)
         waiting[atom] = sub
         stack += [atom] + [t.atom for t in sub.terms]
         for t in sub.terms:
             if t.atom in waiting:
                 raise RuntimeError(f"def-mode reduction cycles at {registry.render_atom(t.atom)}")
-    tail, residual = _combine(g, k, expr, memo)
+    tail, residual = _combine(kernel, expr, memo)
     residual = _normalize_residual(g, residual)
     if residual and not collect_residual:
         raise UnresolvedAtom(residual[0].atom, registry.render_atom(residual[0].atom))
     return (State(tail), residual) if collect_residual else State(tail)
 
 
-def _combine(g: LieAlgebra, k, expr: DefExpression, memo: dict):
+def _combine(kernel: Kernel, expr: DefExpression, memo: dict):
     """The expression's state and net unresolved terms, from its atoms' values."""
     tail, residual = dict(expr.tail.items()), []
     for t in expr.terms:
         state, unresolved = memo[t.atom]
         if state:
-            add_scaled(tail, apply_chain(g, t.prefix, state, k), t.coeff)
+            add_scaled(tail, kernel.chain(t.prefix, state), t.coeff)
         residual += [DefTerm(t.coeff * r.coeff, t.prefix + r.prefix, r.atom) for r in unresolved]
     return tail, _merge_terms(residual) if residual else ()
 

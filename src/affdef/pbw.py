@@ -11,7 +11,9 @@ from the commutation relation
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import groupby
+from math import gcd
 from typing import NamedTuple
 
 from .liealg import LieAlgebra
@@ -169,74 +171,129 @@ def apply_chain(g: LieAlgebra, modes, terms, k):
     canonical words to coefficients under ``scalar.exact`` (a ``State`` will
     do).  Each step adds the kernel's results into one dict in the order that
     repeated ``apply_mode`` would give.
-    The kernel's memo and the bracket table it reads live for this one call.
+    The kernel's word table, memo and bracket table live for this one call.
     With no modes, ``terms`` itself comes back: the caller must not mutate it.
     """
-    k = exact(k)
-    memo, brackets = {}, {}
-    for gen, m in reversed(modes):
-        out = {}
-        for word, coeff in terms.items():
-            add_scaled(out, _act(g, gen, m, word, k, memo, brackets), coeff)
-        terms = out
-    return terms
+    return Kernel(g, k).chain(modes, terms)
 
 
-def _act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict, brackets: dict) -> dict:
-    """gen(m) applied to a canonical word, as a ``word -> rational`` dict.
+class Kernel:
+    """The mode action at one level, on hash-consed words.
 
-    The relation ``a(m) b(n) w = b(n) a(m) w + [a,b](m+n) w + m*k*<a,b>*[m+n=0] w``
-    is unfolded with an explicit stack: a key ``(gen, m, word)`` is resolved
-    once every key its value is built from is in ``memo``, and its terms are
-    added in the same order as the recursive definition would add them.
+    A word is an int id: 0 is the vacuum, and id ``i > 0`` is the mode
+    ``heads[i]`` in front of the word ``tails[i]``.  ``ids`` maps
+    ``(gen, depth, rest_id)`` to its id, so each word has exactly one id and a
+    memo key ``(gen, m, word_id)`` hashes three ints, however deep the word.
     ``brackets`` holds each pair's exact ``(index, coeff)`` pairs and form value.
+    A kernel lives for one call, or for one ``deform.evaluate``; nothing is
+    kept on the algebra.
     """
-    root = (gen, m, word)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        gen, m, word = key
-        # a Mode compares as the pair (gen, depth)
-        if m <= -1 and (not word or (gen, m) <= word[0]):
-            # creation mode already in canonical position: prepend
-            memo[key] = {(Mode(gen, m),) + word: 1}
-        elif not word:
-            memo[key] = {}  # m >= 0 annihilates the vacuum
-        else:
-            (bg, bd), rest = word[0], word[1:]
-            inner = memo.get((gen, m, rest))
-            if inner is None:
-                stack.append((gen, m, rest))
-                continue
-            table = brackets.get((gen, bg))
-            if table is None:
-                pairs = tuple((g2, exact(c)) for g2, c in g.bracket(gen, bg).items())
-                table = brackets[(gen, bg)] = (pairs, exact(g.form(gen, bg)))
-            pairs, pairing = table
-            depth = m + bd
-            waiting = len(stack)
-            for w2 in inner:
-                if (bg, bd, w2) not in memo:
-                    stack.append((bg, bd, w2))
-            for g2, _ in pairs:
-                if (g2, depth, rest) not in memo:
-                    stack.append((g2, depth, rest))
-            if len(stack) > waiting:
-                continue
+
+    __slots__ = ("g", "k", "ids", "heads", "tails", "memo", "brackets")
+
+    def __init__(self, g: LieAlgebra, k):
+        self.g, self.k = g, exact(k)
+        self.ids, self.heads, self.tails = {}, [None], [0]
+        self.memo, self.brackets = {}, {}
+
+    def cons(self, key) -> int:
+        """The id of the word ``Mode(gen, depth)`` followed by ``rest_id``, for
+        ``key = (gen, depth, rest_id)``; ``_act`` prepends through it too."""
+        wid = self.ids.get(key)
+        if wid is None:
+            wid = self.ids[key] = len(self.heads)
+            self.heads.append(Mode(key[0], key[1]))
+            self.tails.append(key[2])
+        return wid
+
+    def intern(self, word: Word) -> int:
+        """The id of a canonical word."""
+        wid = 0
+        for gen, depth in reversed(word):
+            wid = self.cons((gen, depth, wid))
+        return wid
+
+    def spell(self, wid: int) -> Word:
+        """The word of an id, walked along ``tails``; spelled words are not kept,
+        since keeping every suffix of a deep word would be quadratic again."""
+        heads, tails = self.heads, self.tails
+        word = []
+        while wid:
+            word.append(heads[wid])
+            wid = tails[wid]
+        return tuple(word)
+
+    def chain(self, modes, terms):
+        """``apply_chain`` on this kernel: words are interned once and spelled once."""
+        if not modes:
+            return terms
+        intern, act = self.intern, self._act
+        ids = {intern(word): coeff for word, coeff in terms.items()}
+        for gen, m in reversed(modes):
             out = {}
-            for w2, c2 in inner.items():
-                add_scaled(out, memo[(bg, bd, w2)], c2)
-            for g2, c in pairs:
-                add_scaled(out, memo[(g2, depth, rest)], c)
-            central = m * k * pairing if not depth else 0
-            if central:
-                add_scaled(out, {rest: 1}, exact(central))
-            memo[key] = out
-        stack.pop()
-    return memo[root]
+            for wid, coeff in ids.items():
+                add_scaled(out, act(gen, m, wid), coeff)
+            ids = out
+        spell = self.spell
+        return {spell(wid): coeff for wid, coeff in ids.items()}
+
+    def _act(self, gen: int, m: int, wid: int) -> dict:
+        """gen(m) applied to the canonical word ``wid``, as an ``id -> rational`` dict.
+
+        The relation ``a(m) b(n) w = b(n) a(m) w + [a,b](m+n) w + m*k*<a,b>*[m+n=0] w``
+        is unfolded with an explicit stack: a key ``(gen, m, wid)`` is resolved
+        once every key its value is built from is in the memo, and its terms
+        are added in the same order as the recursive definition would add them.
+        """
+        g, k, memo, brackets = self.g, self.k, self.memo, self.brackets
+        heads, tails, cons = self.heads, self.tails, self.cons
+        root = (gen, m, wid)
+        stack = [root]
+        while stack:
+            key = stack[-1]
+            if key in memo:
+                stack.pop()
+                continue
+            gen, m, wid = key
+            # a Mode compares as the pair (gen, depth)
+            if m <= -1 and (not wid or (gen, m) <= heads[wid]):
+                # creation mode already in canonical position: prepend; the
+                # memo key is also the word's cons key
+                memo[key] = {cons(key): 1}
+            elif not wid:
+                memo[key] = {}  # m >= 0 annihilates the vacuum
+            else:
+                (bg, bd), rest = heads[wid], tails[wid]
+                inner = memo.get((gen, m, rest))
+                if inner is None:
+                    stack.append((gen, m, rest))
+                    continue
+                table = brackets.get((gen, bg))
+                if table is None:
+                    pairs = tuple((g2, exact(c)) for g2, c in g.bracket(gen, bg).items())
+                    table = brackets[(gen, bg)] = (pairs, exact(g.form(gen, bg)))
+                pairs, pairing = table
+                depth = m + bd
+                waiting = len(stack)
+                for w2 in inner:
+                    if (bg, bd, w2) not in memo:
+                        stack.append((bg, bd, w2))
+                for g2, _ in pairs:
+                    if (g2, depth, rest) not in memo:
+                        stack.append((g2, depth, rest))
+                if len(stack) > waiting:
+                    continue
+                out = {}
+                for w2, c2 in inner.items():
+                    add_scaled(out, memo[(bg, bd, w2)], c2)
+                for g2, c in pairs:
+                    add_scaled(out, memo[(g2, depth, rest)], c)
+                central = m * k * pairing if not depth else 0
+                if central:
+                    add_scaled(out, {rest: 1}, exact(central))
+                memo[key] = out
+            stack.pop()
+        return memo[root]
 
 
 def weight(v: State) -> int:
@@ -287,6 +344,65 @@ def basis_enum(g: LieAlgebra, w: int, q=None) -> list:
         words = [wd for wd in words if word_charge(g, wd) == q]
     words.sort(key=lambda wd: (len(wd), tuple((m.gen, -m.depth) for m in reversed(wd))))
     return words
+
+
+def stratum_size(g: LieAlgebra, w: int, q, limit: int) -> int:
+    """The number of canonical words of weight w (and charge q unless None), or
+    ``limit + 1`` once it is known to be larger.  Nothing is enumerated.
+
+    ``A_w``, the words of weight w by charge, follow from the generating function
+    ``prod over basis x, d >= 1 of 1/(1 - t^d y^charge(x))`` through its logarithmic
+    derivative: ``w A_w = sum_k B_k A_(w-k)``, where ``B_k`` holds ``d`` at charge
+    ``charge(x) * k/d`` for each basis x and divisor d of k.  Only charges from
+    which q is still reachable are kept.  Adding a mode to a word is injective,
+    so the count at any ``(v, x)`` from which ``e(-1)``, ``h(-1)`` and ``f(-1)``
+    modes of the theta triple reach ``(w, q)`` bounds the answer from below: the
+    count stops at the first such one past ``limit``.  A unique top (or bottom)
+    charge ``c`` makes the count stable in w: a word of slack
+    ``s = |c| w - sign(c) q`` is ``x(-1)^j`` for that x times modes of total
+    slack s and weight at most ``s + s // |c|``, so w is first lowered to that
+    weight, with q along.
+    """
+    if q is None:
+        charges, q = [0] * g.dim, 0
+    else:
+        charges = [g.charge(x) for x in range(g.dim)]
+    if w < 0 or q % (gcd(*charges) or 1):
+        return 0
+    top, bottom = max(charges), min(charges)
+    for c in (top, bottom):
+        if c and charges.count(c) == 1:
+            slack = abs(c) * w - (q if c > 0 else -q)
+            if slack < 0:
+                return 0
+            stable = slack + slack // abs(c)
+            if w > stable:
+                w, q = stable, q - c * (w - stable)
+    e, _, f = g.theta
+    step = charges[e] if charges[e] == -charges[f] else 0
+    mult = Counter(charges)
+    rows, b = [{0: 1}], [None]
+    for v in range(1, w + 1):
+        bk = {}
+        for d in range(1, v + 1):
+            if v % d == 0:
+                for c, n in mult.items():
+                    bk[c * (v // d)] = bk.get(c * (v // d), 0) + n * d
+        b.append(bk)
+        lo, hi = max(bottom * v, q - top * (w - v)), min(top * v, q - bottom * (w - v))
+        row = {}
+        for k in range(1, v + 1):
+            for c, n in b[k].items():
+                for q0, a in rows[v - k].items():
+                    if lo <= q0 + c <= hi:
+                        row[q0 + c] = row.get(q0 + c, 0) + n * a
+        rows.append({x: a // v for x, a in row.items() if a})
+        for x, a in rows[v].items():
+            if a > limit and (
+                x == q if not step else (q - x) % step == 0 and abs(q - x) <= step * (w - v)
+            ):
+                return limit + 1
+    return min(rows[w].get(q, 0), limit + 1)
 
 
 def d_operator(v: State) -> State:

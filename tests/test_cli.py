@@ -10,6 +10,7 @@ from affdef.cli import (
     MAX_LEVEL,
     MAX_LITERAL_DIGITS,
     MAX_RANK,
+    MAX_STRATUM,
     MAX_WORD_LENGTH,
     ExprAST,
     StateSyntaxError,
@@ -367,6 +368,58 @@ def test_act_on_deep_word():
     )
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["result"] == "-1436400*e(-1)^1199|0>"
+
+
+def test_act_on_deep_word_at_word_budget():
+    # n(k-n+1) with n = 5000 and k = 2; a memo keyed on suffix tuples made this
+    # word quadratic in time and memory
+    result = runner.invoke(
+        main, ["act", "--mode", "f(1)", "--state", f"e(-1)^{MAX_WORD_LENGTH}|0>", "--level", "2"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == "-24985000*e(-1)^4999|0>\n"
+
+
+# --- the stratum budget: counted before anything is expanded ---
+
+@pytest.mark.parametrize("state, weight, charge", [
+    ("f(-1)^20*e(-1)^20|0>", 40, 0),
+    ("f(-1)^9*e(-1)^9|0>", 18, 0),
+    # the second word is past the budget, the first is canonical
+    ("h(-1)^30|0> + h(-1)*e(-99999)|0>", 100000, 2),
+])
+def test_act_past_stratum_budget_exits_2(state, weight, charge):
+    result = runner.invoke(main, ["act", "--mode", "f(1)", "--state", state, "--level", "2"])
+    word = state.count("+") + 1
+    assert_usage_error(
+        result,
+        f"--state word {word} has weight {weight} and charge {charge}: "
+        f"its stratum holds more than {MAX_STRATUM} words",
+    )
+
+
+def test_act_at_stratum_budget():
+    # the (16, 0) stratum holds 7634 words, within the budget; h(0) acts by the charge 0
+    result = runner.invoke(
+        main, ["act", "--mode", "h(0)", "--state", "f(-1)^8*e(-1)^8|0>", "--level", "2"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == "0\n"
+
+
+@pytest.mark.parametrize("algebra, weight", [("sl2", 30), ("sl2", 13), ("sl3", 7)])
+def test_pbw_basis_past_stratum_budget_exits_2(algebra, weight):
+    result = runner.invoke(
+        main, ["pbw-basis", "--algebra", algebra, "--weight", str(weight), "--charge", "0"]
+    )
+    assert_usage_error(result, f"weight {weight}: its stratum holds more than {MAX_STRATUM} words")
+
+
+def test_pbw_basis_at_stratum_budget():
+    # the whole weight-12 stratum, which pbw-basis walks before its --charge filter
+    result = runner.invoke(main, ["pbw-basis", "--weight", "12", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["count"] == 7868 <= MAX_STRATUM
 
 
 # --- the word-length budget: no test here lets the parser expand past it ---

@@ -17,11 +17,13 @@ from affdef.deform import (
     generator_value,
     register_ansatz,
 )
-from affdef.liealg import sl2, sln, validate
+from affdef.liealg import LieAlgebra, sl2, sln, validate
 from affdef.pbw import (
+    Kernel,
     Mode,
     NotHomogeneous,
     State,
+    Word,
     apply_chain,
     apply_mode,
     basis_enum,
@@ -30,10 +32,12 @@ from affdef.pbw import (
     is_canonical,
     normal_order,
     render_word,
+    stratum_size,
     weight,
+    word_charge,
 )
 from affdef.rigidity import admissible_sl2_rule_table, integral_pipeline
-from affdef.scalar import LinForm
+from affdef.scalar import LinForm, add_scaled, exact
 from affdef.singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
 G = sl2()
@@ -190,6 +194,148 @@ def test_mode_action_leaves_the_algebra_untouched():
     assert vars(g).keys() == before.keys()
     assert all(vars(g)[name] is value for name, value in before.items())
     assert {name: repr(value) for name, value in vars(g).items()} == snapshot
+
+
+# --- the suffix-tuple kernel the hash-consed one replaced, kept as an oracle ---
+# Verbatim but for its two names: words are Mode tuples and the memo is keyed
+# on (gen, depth, suffix tuple).
+
+def suffix_apply_chain(g: LieAlgebra, modes, terms, k):
+    """The modes applied to ``terms``, rightmost first, as a ``word -> coefficient`` dict.
+
+    ``modes`` holds ``(gen, depth)`` pairs, leftmost outermost; ``terms`` maps
+    canonical words to coefficients under ``scalar.exact`` (a ``State`` will
+    do).  Each step adds the kernel's results into one dict in the order that
+    repeated ``apply_mode`` would give.
+    The kernel's memo and the bracket table it reads live for this one call.
+    With no modes, ``terms`` itself comes back: the caller must not mutate it.
+    """
+    k = exact(k)
+    memo, brackets = {}, {}
+    for gen, m in reversed(modes):
+        out = {}
+        for word, coeff in terms.items():
+            add_scaled(out, suffix_act(g, gen, m, word, k, memo, brackets), coeff)
+        terms = out
+    return terms
+
+
+def suffix_act(g: LieAlgebra, gen: int, m: int, word: Word, k, memo: dict, brackets: dict) -> dict:
+    """gen(m) applied to a canonical word, as a ``word -> rational`` dict.
+
+    The relation ``a(m) b(n) w = b(n) a(m) w + [a,b](m+n) w + m*k*<a,b>*[m+n=0] w``
+    is unfolded with an explicit stack: a key ``(gen, m, word)`` is resolved
+    once every key its value is built from is in ``memo``, and its terms are
+    added in the same order as the recursive definition would add them.
+    ``brackets`` holds each pair's exact ``(index, coeff)`` pairs and form value.
+    """
+    root = (gen, m, word)
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        gen, m, word = key
+        # a Mode compares as the pair (gen, depth)
+        if m <= -1 and (not word or (gen, m) <= word[0]):
+            # creation mode already in canonical position: prepend
+            memo[key] = {(Mode(gen, m),) + word: 1}
+        elif not word:
+            memo[key] = {}  # m >= 0 annihilates the vacuum
+        else:
+            (bg, bd), rest = word[0], word[1:]
+            inner = memo.get((gen, m, rest))
+            if inner is None:
+                stack.append((gen, m, rest))
+                continue
+            table = brackets.get((gen, bg))
+            if table is None:
+                pairs = tuple((g2, exact(c)) for g2, c in g.bracket(gen, bg).items())
+                table = brackets[(gen, bg)] = (pairs, exact(g.form(gen, bg)))
+            pairs, pairing = table
+            depth = m + bd
+            waiting = len(stack)
+            for w2 in inner:
+                if (bg, bd, w2) not in memo:
+                    stack.append((bg, bd, w2))
+            for g2, _ in pairs:
+                if (g2, depth, rest) not in memo:
+                    stack.append((g2, depth, rest))
+            if len(stack) > waiting:
+                continue
+            out = {}
+            for w2, c2 in inner.items():
+                add_scaled(out, memo[(bg, bd, w2)], c2)
+            for g2, c in pairs:
+                add_scaled(out, memo[(g2, depth, rest)], c)
+            central = m * k * pairing if not depth else 0
+            if central:
+                add_scaled(out, {rest: 1}, exact(central))
+            memo[key] = out
+        stack.pop()
+    return memo[root]
+
+
+def random_terms(rng, g, k, max_modes, symbolic):
+    """A multi-term input: normal-ordered random words with rational coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(0, max_modes)
+        word = [Mode(rng.randrange(g.dim), -rng.randint(1, 2)) for _ in range(n)]
+        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3)) or 1
+        if symbolic:
+            coeff = LinForm(coeff, {"c": rng.randint(1, 3)})
+        add_scaled(terms, normal_order(g, word, k), coeff)
+    return terms
+
+
+def random_chain(rng, g):
+    """One to three modes, zero and positive depths included."""
+    return tuple(Mode(rng.randrange(g.dim), rng.randint(-2, 2)) for _ in range(rng.randint(1, 3)))
+
+
+def typed_items(terms):
+    # equal values are not enough: the order reaches rendered expressions, and
+    # the type is scalar.exact's
+    return [(word, type(coeff), coeff) for word, coeff in terms.items()]
+
+
+@pytest.mark.parametrize("k", [2, Fraction(-4, 3), Fraction(-1, 2)], ids=str)
+@pytest.mark.parametrize("g, max_modes", [(G, 6), (sln(3), 5)], ids=["sl2", "sl3"])
+def test_kernel_matches_suffix_tuple_oracle(g, max_modes, k):
+    rng = random.Random(f"oracle:{g.dim}:{k}")
+    for trial in range(40):
+        terms = random_terms(rng, g, k, max_modes, symbolic=trial % 4 == 0)
+        chain = random_chain(rng, g)
+        got, want = apply_chain(g, chain, terms, k), suffix_apply_chain(g, chain, terms, k)
+        assert typed_items(got) == typed_items(want), (chain, terms)
+
+
+@pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
+def test_shared_kernel_matches_suffix_tuple_oracle(g):
+    # evaluate keeps one kernel for the call: its memo and word table carry over
+    k = Fraction(-4, 3)
+    kernel = Kernel(g, k)
+    rng = random.Random(f"shared:{g.dim}")
+    for trial in range(60):
+        word = [Mode(rng.randrange(g.dim), -rng.randint(1, 2)) for _ in range(rng.randint(0, 5))]
+        want = suffix_apply_chain(g, word, {(): 1}, k)
+        assert typed_items(kernel.chain(word, {(): 1})) == typed_items(want), word
+        terms = random_terms(rng, g, k, 4, symbolic=trial % 3 == 0)
+        chain = random_chain(rng, g)
+        got, want = kernel.chain(chain, terms), suffix_apply_chain(g, chain, terms, k)
+        assert typed_items(got) == typed_items(want), (chain, terms)
+
+
+def test_kernel_spells_deep_words_back():
+    # a word is its id in the table; the id spells it back, however deep
+    kernel = Kernel(G, 2)
+    word = (Mode(E, -2),) + (Mode(E, -1),) * 3000 + (Mode(F, -1),)
+    wid = kernel.intern(word)
+    assert kernel.spell(wid) == word
+    assert kernel.intern(word) == wid and kernel.intern(word[1:]) == kernel.tails[wid]
+    assert kernel.heads[wid] == Mode(E, -2) and kernel.spell(0) == ()
 
 
 # --- the per-mode chains that apply_chain replaced, kept as references ---
@@ -468,6 +614,42 @@ def test_basis_words_canonical_and_unique():
         words = basis_enum(G, w)
         assert len(set(words)) == len(words)
         assert all(is_canonical(word) for word in words)
+
+
+@pytest.mark.parametrize("g, max_weight", [(G, 8), (sln(3), 4)], ids=["sl2", "sl3"])
+def test_stratum_size_counts_basis_enum(g, max_weight):
+    for w in range(max_weight + 1):
+        words = basis_enum(g, w)
+        assert stratum_size(g, w, None, 10**9) == len(words)
+        by_charge = {}
+        for word in words:
+            q = word_charge(g, word)
+            by_charge[q] = by_charge.get(q, 0) + 1
+        for q in range(-2 * w - 3, 2 * w + 4):
+            assert stratum_size(g, w, q, 10**9) == by_charge.get(q, 0), (w, q)
+
+
+def test_stratum_size_stops_past_its_limit():
+    assert stratum_size(G, 8, 0, limit=150) == 150
+    assert stratum_size(G, 8, 0, limit=149) == 150
+    assert stratum_size(G, 30, 0, limit=10**4) == 10**4 + 1
+    assert stratum_size(G, 30, None, limit=10**4) == 10**4 + 1
+    # a weight past any table: low points of its cone pass the limit first
+    assert stratum_size(G, 10**1000, 2, limit=10**4) == 10**4 + 1
+
+
+def test_stratum_size_near_the_top_charge():
+    # e(-1)^5000 alone; then e(-2)e(-1)^4999 and e(-1)^5000 h(-1)
+    big = 10**9
+    assert stratum_size(G, 5000, 10000, big) == 1
+    assert stratum_size(G, 5001, 10000, big) == 2
+    assert stratum_size(G, 5001, -10000, big) == 2
+    assert stratum_size(G, 5000, 10002, big) == 0
+    assert stratum_size(G, 5000, 9999, big) == 0  # sl2 charges are even
+    # the count is the same at every weight past the stable one
+    g = sln(3)
+    assert stratum_size(g, 6, 8, big) == len(basis_enum(g, 6, 8))
+    assert stratum_size(g, 600, 1196, big) == len(basis_enum(g, 6, 8))
 
 
 # --- translation operator ---
