@@ -3,7 +3,10 @@
 An algebra is a basis with exact structure-constant tables: the bracket, a
 normalized symmetric invariant form, and the distinguished sl2-triple (e, h, f)
 of the highest root, satisfying [h,e] = 2e, [h,f] = -2f, [e,f] = h, <e,f> = 1,
-<h,h> = 2.  Validation is exhaustive over basis triples, never sampled.
+<h,h> = 2.  Validation is exhaustive over basis triples, never sampled: once
+the bracket is antisymmetric the Jacobiator is alternating, so the triples
+i < j < l decide Jacobi, and a table that fails is rescanned over every ordered
+triple to report each failure.
 """
 
 from __future__ import annotations
@@ -194,45 +197,13 @@ def _check(g: LieAlgebra) -> ValidationReport:
             if g.form(i, j) != g.form(j, i):
                 failures.append(f"<{name(i)},{name(j)}> not symmetric")
 
-    # Jacobi (degree 2 in the bracket) and invariance (bilinear in bracket x form)
-    # run on each table times the lcm of its denominators, as ints; for each (i, j)
-    # they visit in ascending order only the l where a term can be nonzero:
-    # [b_j,b_l], [b_l,b_i], [b_l,y] or <y,b_l> != 0 for some y in [b_i,b_j].
-    scale = math.lcm(*(c.denominator for row in table.values() for c in row.values()))
-    fscale = math.lcm(*(q.denominator for q in form.values()))
-    # a -> b -> [b_a,b_b] and <b_a,b_b> as ints; y -> the l with [b_l,y] or <y,b_l> != 0
-    rows, frows, reach = {}, {}, {}
-    for (a, b), row in table.items():
-        if row:
-            rows.setdefault(a, {})[b] = {x: int(c * scale) for x, c in row.items()}
-            reach.setdefault(b, set()).add(a)
-    for (a, b), q in form.items():
-        frows.setdefault(a, {})[b] = int(q * fscale)
-        reach.setdefault(a, set()).add(b)
-    none, basis = {}, set(range(dim))
-    for i in range(dim):
-        ri, fi = rows.get(i, none), frows.get(i, none)
-        for j in range(dim):
-            rj, ij = rows.get(j, none), ri.get(j, none)
-            inv = {}  # l -> <[b_i,b_j],b_l> - <b_i,[b_j,b_l]>
-            for y, c in ij.items():
-                for l, q in frows.get(y, none).items():
-                    inv[l] = inv.get(l, 0) + c * q
-            for l, row in rj.items():
-                for x, c in row.items():
-                    inv[l] = inv.get(l, 0) - fi.get(x, 0) * c
-            visit = reach.get(i, set()).union(rj, *(reach.get(y, ()) for y in ij))
-            for l in sorted(visit & basis):
-                rl, jl = rows.get(l, none), rj.get(l, none)
-                jac = {}  # [b_i,[b_j,b_l]] + [b_j,[b_l,b_i]] + [b_l,[b_i,b_j]]
-                for r, elt in ((ri, jl), (rj, rl.get(i, none)), (rl, ij)):
-                    for y, c in elt.items():
-                        for a, d in r.get(y, none).items():
-                            jac[a] = jac.get(a, 0) + c * d
-                if any(jac.values()):
-                    failures.append(f"Jacobi fails on ({name(i)},{name(j)},{name(l)})")
-                if inv.get(l):
-                    failures.append(f"form not invariant on ({name(i)},{name(j)},{name(l)})")
+    # once the first pass is clean the Jacobiator is alternating, so the triples
+    # i < j < l decide it; a failure there is reported by the ordered scan
+    alternating = not failures
+    found = _scan(g, alternating)
+    if found and alternating:
+        found = _scan(g, False)
+    failures += found
     e, h, f = g.theta
     triple_checks = [
         (g.bracket(h, e), {e: 2}, "[h,e] = 2e"),
@@ -254,6 +225,67 @@ def _check(g: LieAlgebra) -> ValidationReport:
         if got != want:
             failures.append(f"triple form normalization {what} fails (got {got})")
     return ValidationReport(not failures, failures)
+
+
+def _scan(g: LieAlgebra, alternating: bool) -> list:
+    """Jacobi (degree 2 in the bracket) and invariance (bilinear in bracket x form)
+    failures, in ``(i, j, l)`` order, on each table times the lcm of its
+    denominators, as ints.
+
+    Invariance runs on every ordered pair ``(i, j)``.  Jacobi runs on every
+    ordered triple, or with ``alternating`` only on ``i < j < l``.  The latter
+    is exact when ``[b_i,b_i] = 0`` and the table is antisymmetric: the
+    Jacobiator ``[x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` is trilinear and cyclic, and
+    antisymmetry makes it change sign under a swap, so it is alternating and
+    vanishes on all basis triples once it does on the increasing ones.  For each
+    pair the Jacobi step visits, ascending, only the ``l`` where a term can be
+    nonzero: ``[b_j,b_l]``, ``[b_l,b_i]``, ``[b_l,y]`` or ``<y,b_l> != 0`` for some
+    ``y`` in ``[b_i,b_j]``.
+    """
+    table, form = g._bracket, g._form
+    scale = math.lcm(*(c.denominator for row in table.values() for c in row.values()))
+    fscale = math.lcm(*(q.denominator for q in form.values()))
+    # a -> b -> [b_a,b_b] and <b_a,b_b> as ints; y -> the l with [b_l,y] or <y,b_l> != 0
+    rows, frows, reach = {}, {}, {}
+    for (a, b), row in table.items():
+        if row:
+            rows.setdefault(a, {})[b] = {x: int(c * scale) for x, c in row.items()}
+            reach.setdefault(b, set()).add(a)
+    for (a, b), q in form.items():
+        frows.setdefault(a, {})[b] = int(q * fscale)
+        reach.setdefault(a, set()).add(b)
+    failures = []
+    dim, name = g.dim, g.basis.__getitem__
+    none, basis = {}, set(range(dim))
+    # j -> the l the Jacobi step may visit after (i, j)
+    later = [set(range(j + 1, dim)) if alternating else basis for j in range(dim)]
+    for i in range(dim):
+        ri, fi = rows.get(i, none), frows.get(i, none)
+        for j in range(dim):
+            rj, ij = rows.get(j, none), ri.get(j, none)
+            inv = {}  # l -> <[b_i,b_j],b_l> - <b_i,[b_j,b_l]>
+            for y, c in ij.items():
+                for l, q in frows.get(y, none).items():
+                    inv[l] = inv.get(l, 0) + c * q
+            for l, row in rj.items():
+                for x, c in row.items():
+                    inv[l] = inv.get(l, 0) - fi.get(x, 0) * c
+            bad = [(l, 1) for l, d in inv.items() if d and l in basis]
+            if not alternating or i < j:
+                visit = reach.get(i, set()).union(rj, *(reach.get(y, ()) for y in ij))
+                for l in sorted(visit & later[j]):
+                    rl, jl = rows.get(l, none), rj.get(l, none)
+                    jac = {}  # [b_i,[b_j,b_l]] + [b_j,[b_l,b_i]] + [b_l,[b_i,b_j]]
+                    for r, elt in ((ri, jl), (rj, rl.get(i, none)), (rl, ij)):
+                        for y, c in elt.items():
+                            for a, d in r.get(y, none).items():
+                                jac[a] = jac.get(a, 0) + c * d
+                    if any(jac.values()):
+                        bad.append((l, 0))
+            for l, kind in sorted(bad):
+                what = "form not invariant" if kind else "Jacobi fails"
+                failures.append(f"{what} on ({name(i)},{name(j)},{name(l)})")
+    return failures
 
 
 def load_structure_file(text: str) -> LieAlgebra:

@@ -80,7 +80,10 @@ def add_scaled(out: dict, terms, factor) -> None:
 
     The one rule for sparse sums: a key is dropped as soon as its coefficient
     cancels, so a key that comes back is placed last.  A unit coefficient in
-    ``terms`` stores ``factor`` itself; a sum that is kept goes through ``exact``.
+    ``terms`` stores ``factor`` itself, and a sum that is kept is stored as the
+    ``+`` gave it, not through ``exact``: ``Fraction(1, 2) + Fraction(1, 2)``
+    stays ``Fraction(1, 1)`` until a caller such as the ``State`` constructor
+    normalises it.
     """
     for key, c in terms.items():
         term = factor if c == 1 else c * factor

@@ -7,6 +7,7 @@ from affdef.liealg import (
     InvalidRank,
     LieAlgebra,
     _check,
+    _scan,
     load_structure_file,
     sl2,
     sln,
@@ -417,7 +418,7 @@ def _corrupted(n, kind, seed):
     elif kind == "form":
         i, j = rng.randrange(g.dim), rng.randrange(g.dim)
         form[(i, j)] = form[(j, i)] = form.get((i, j), Fraction(0)) + coeff()
-    else:
+    elif kind == "row":
         # ad(b_i) scaled, the column [b_j, b_i] left as it was
         i, factor = rng.choice(others), coeff()
         while factor == 1:
@@ -425,11 +426,20 @@ def _corrupted(n, kind, seed):
         for j in range(g.dim):
             if bracket.get((i, j)):
                 bracket[(i, j)] = {a: c * factor for a, c in bracket[(i, j)].items()}
+    else:
+        # one nonzero [b_i, b_j] and its mirror scaled alike: still antisymmetric,
+        # so the check takes its i < j < l scan and hands the failure to the ordered one
+        i, j = rng.choice([key for key, vec in bracket.items() if vec and h not in key])
+        factor = coeff()
+        while factor == 1:
+            factor = coeff()
+        for key in ((i, j), (j, i)):
+            bracket[key] = {a: c * factor for a, c in bracket[key].items()}
     return LieAlgebra(g.basis, bracket, form, g.theta)
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("kind", ["bracket", "form", "row"])
+@pytest.mark.parametrize("kind", ["bracket", "form", "row", "pair"])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_check_matches_fraction_reference_on_corruptions(n, kind, seed):
     g = _corrupted(n, kind, 1000 * n + seed)
@@ -496,3 +506,20 @@ def test_check_matches_fraction_reference_on_corrupted_rescaled_sl3(seed):
     g = LieAlgebra(g.basis, bracket, form, g.theta)
     want = _reference_check(g)
     assert want and _check(g).failures == want
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [3, 4])
+def test_unordered_scan_sees_every_increasing_jacobi_failure(n, seed):
+    # on an antisymmetric table the i < j < l scan is a proof, not a sample: it
+    # reports the ordered scan's Jacobi failures on increasing triples, and every
+    # invariance failure
+    g = _corrupted(n, "pair", 1000 * n + seed)
+
+    def kept(failure):
+        i, j, l = (g.index(x) for x in failure[failure.index("(") + 1:-1].split(","))
+        return not failure.startswith("Jacobi") or i < j < l
+
+    fast = _scan(g, True)
+    assert any(f.startswith("Jacobi") for f in fast)
+    assert fast == [f for f in _scan(g, False) if kept(f)]
