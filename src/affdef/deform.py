@@ -28,7 +28,6 @@ from .pbw import (
     basis_enum,
     charge,
     d_operator,
-    normal_order,
     render_word,
     weight,
     word_charge,
@@ -143,12 +142,15 @@ def _merge_terms(terms):
 class RuleRegistry:
     """One rule per atom at level ``k``, values and rewrites alike; frozen after setup.
 
-    Once frozen, ``memo`` keeps the value ``evaluate`` computes for each atom.
+    ``kernel`` is the mode action at level ``k`` that every evaluation against
+    the registry acts with; it holds no rule, so sharing it is exact before
+    ``freeze`` too.  Once frozen, ``memo`` keeps the value ``evaluate``
+    computes for each atom.
     """
 
     def __init__(self, g: LieAlgebra, k):
         self.g = g
-        self.k = Fraction(k)
+        self.kernel = Kernel(g, k)
         self._rules = {}
         self.memo = None  # evaluate's atom values, kept once frozen
 
@@ -182,9 +184,6 @@ class RuleRegistry:
 
     def lookup_value(self, atom: DefAtom) -> Optional[Rule]:
         return self._rules.get(atom)
-
-    def rules(self):
-        return list(self._rules.values())
 
     def freeze(self):
         self.memo = {}
@@ -242,14 +241,12 @@ def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity
     return ModeIdentity(tuple(terms))
 
 
-def master_commute(
-    g: LieAlgebra, a: int, m: int, b: int, n: int, w, k, kernel: Optional[Kernel] = None
-) -> DefExpression:
+def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w) -> DefExpression:
     """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward.
 
-    ``kernel`` is the ``pbw.Kernel`` at level k to act with, or a fresh one.
+    ``kernel`` is the ``pbw.Kernel`` at the level to act with.
     """
-    kernel = Kernel(g, k) if kernel is None else kernel
+    g = kernel.g
     w = tuple(w)
     terms = [
         DefTerm(1, (Mode(b, n),), DefAtom(a, m, w)),
@@ -257,7 +254,7 @@ def master_commute(
     ]
     # the target word need not be canonical: the moved-past action and the
     # central term both apply to the vector the word spells
-    spelled = normal_order(g, w, k)
+    spelled = State(kernel.chain(w, {(): 1}))
     for w2, coeff in kernel.chain(((a, m),), spelled).items():
         terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
     tail = State.zero()
@@ -278,8 +275,7 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
     kept for the call, or in ``registry.memo`` once frozen.  The net residual
     comes back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
     """
-    g, k = registry.g, registry.k
-    kernel = Kernel(g, k)  # one word table and mode-action memo for the call
+    g, kernel = registry.g, registry.kernel
     memo = {} if registry.memo is None else registry.memo
     stack, waiting = [t.atom for t in expr.terms], {}  # waiting: atom -> its rewrite
     while stack:
@@ -299,7 +295,7 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
         elif len(atom.word) == 1 and atom.word[0].depth == -1:
             sub = DefExpression((), generator_value(g, atom.gen, atom.depth, atom.word[0].gen))
         else:
-            sub = master_commute(g, atom.gen, atom.depth, *atom.word[0], atom.word[1:], k, kernel)
+            sub = master_commute(kernel, atom.gen, atom.depth, *atom.word[0], atom.word[1:])
         waiting[atom] = sub
         stack += [atom] + [t.atom for t in sub.terms]
         for t in sub.terms:

@@ -152,7 +152,7 @@ def render_word(g: LieAlgebra, word: Word) -> str:
 
 def apply_mode(g: LieAlgebra, a: int, m: int, v: State, k) -> State:
     """a(m) . v in canonical form, for the basis index a."""
-    return State(apply_chain(g, ((a, m),), v, k))
+    return State(Kernel(g, k).chain(((a, m),), v))
 
 
 def normal_order(g: LieAlgebra, word, k) -> State:
@@ -161,20 +161,7 @@ def normal_order(g: LieAlgebra, word, k) -> State:
     for mode in word:
         if mode.depth >= 0:
             raise ValueError(f"normal_order expects creation modes, got depth {mode.depth}")
-    return State(apply_chain(g, word, {VACUUM_WORD: 1}, k))
-
-
-def apply_chain(g: LieAlgebra, modes, terms, k):
-    """The modes applied to ``terms``, rightmost first, as a ``word -> coefficient`` dict.
-
-    ``modes`` holds ``(gen, depth)`` pairs, leftmost outermost; ``terms`` maps
-    canonical words to coefficients under ``scalar.exact`` (a ``State`` will
-    do).  Each step adds the kernel's results into one dict in the order that
-    repeated ``apply_mode`` would give.
-    The kernel's word table, memo and bracket table live for this one call.
-    With no modes, ``terms`` itself comes back: the caller must not mutate it.
-    """
-    return Kernel(g, k).chain(modes, terms)
+    return State(Kernel(g, k).chain(word, {VACUUM_WORD: 1}))
 
 
 class Kernel:
@@ -185,8 +172,9 @@ class Kernel:
     ``(gen, depth, rest_id)`` to its id, so each word has exactly one id and a
     memo key ``(gen, m, word_id)`` hashes three ints, however deep the word.
     ``brackets`` holds each pair's exact ``(index, coeff)`` pairs and form value.
-    A kernel lives for one call, or for one ``deform.evaluate``; nothing is
-    kept on the algebra.
+    A kernel lives for one ``apply_mode`` or ``normal_order`` call, or for one
+    ``deform.RuleRegistry``, whose evaluations share it; nothing is kept on
+    the algebra.
     """
 
     __slots__ = ("g", "k", "ids", "heads", "tails", "memo", "brackets")
@@ -224,7 +212,15 @@ class Kernel:
         return tuple(word)
 
     def chain(self, modes, terms):
-        """``apply_chain`` on this kernel: words are interned once and spelled once."""
+        """The modes applied to ``terms``, rightmost first, as a ``word -> coefficient`` dict.
+
+        ``modes`` holds ``(gen, depth)`` pairs, leftmost outermost; ``terms``
+        maps canonical words to coefficients under ``scalar.exact`` (a
+        ``State`` will do).  Words are interned once and spelled once, and each
+        step adds the kernel's results into one dict in the order that
+        repeated ``apply_mode`` would give.  With no modes, ``terms`` itself
+        comes back: the caller must not mutate it.
+        """
         if not modes:
             return terms
         intern, act = self.intern, self._act

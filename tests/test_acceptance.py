@@ -140,10 +140,12 @@ def test_criterion_7_property_suites():
     from affdef.deform import DefAtom, RuleRegistry, register_ansatz
 
     registry = RuleRegistry(G, Fraction(-4, 3))
-    register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a")
-    register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b")
-    register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c")
-    for rule in registry.rules():
+    rules = [
+        register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a"),
+        register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b"),
+        register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c"),
+    ]
+    for rule in rules:
         registry._check_grading(rule.atom, rule.value.tail)
     report(7, "representation sweep, PBW character, rule grading, ring laws, elimination soundness, parser round-trip")
 

@@ -23,7 +23,7 @@ from affdef.deform import (
     register_ansatz,
 )
 from affdef.liealg import sl2, sln
-from affdef.pbw import Mode, State, basis_enum
+from affdef.pbw import Kernel, Mode, State, basis_enum
 from affdef.rigidity import (
     admissible_sl2_rule_table,
     check_power_rule_ingredients,
@@ -83,7 +83,7 @@ def test_mode_identity_nilpotent_direction():
 
 
 def test_master_commute_structure():
-    expr = master_commute(G, F, 1, E, -1, (), Fraction(2))
+    expr = master_commute(Kernel(G, 2), F, 1, E, -1, ())
     # pushes past one mode: b(n) a^def(m) - a(m) b^def(n) (+ moved + bracket + central)
     assert DefTerm(LinForm(1), (Mode(E, -1),), DefAtom(F, 1, ())) in expr.terms
     assert DefTerm(LinForm(-1), (Mode(F, 1),), DefAtom(E, -1, ())) in expr.terms
@@ -97,7 +97,7 @@ def test_generator_value_agrees_with_master_route():
         for b in (E, H, F):
             for m in (0, 1, 2):
                 direct = generator_value(G, a, m, b)
-                expr = master_commute(G, a, m, b, -1, (), K43)
+                expr = master_commute(Kernel(G, K43), a, m, b, -1, ())
                 assert evaluate(expr, empty_registry()) == direct
 
 
@@ -232,10 +232,12 @@ def test_registry_freeze():
 
 def test_registry_rule_grading_holds_for_pipeline_rules():
     registry = empty_registry()
-    register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a")
-    register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b")
-    register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c")
-    for rule in registry.rules():
+    rules = [
+        register_ansatz(registry, DefAtom(H, -1, (Mode(E, -2),)), "a"),
+        register_ansatz(registry, DefAtom(H, -1, (Mode(H, -1), Mode(E, -1))), "b"),
+        register_ansatz(registry, DefAtom(E, -1, (Mode(E, -1), Mode(F, -1))), "c"),
+    ]
+    for rule in rules:
         registry._check_grading(rule.atom, rule.value.tail)  # re-check, exact
 
 
@@ -435,14 +437,35 @@ def test_integral_pipeline_commutes_each_power_once(monkeypatch, k):
 def test_unfrozen_registry_never_memoises():
     registry = power_rule_registry(2)
     word = (Mode(E, -1),) * 2
-    before = registry.rules()
+    before = registry.dump()
     assert evaluate(atom_expr(F, 1, word), registry) == State.monomial(word[:1], C.scale(2))
-    assert registry.rules() == before
+    assert registry.dump() == before
     # a rule for an atom the reduction reaches changes the value
     registry.register_value(DefAtom(H, 0, word[:1]), State.monomial(word[:1]), "late")
     assert evaluate(atom_expr(F, 1, word), registry) == State.monomial(
         word[:1], C.scale(2) - 1
     )
+
+
+def test_evaluations_share_the_registry_kernel(monkeypatch):
+    # the registry builds the one mode action at its level; evaluate, its
+    # master-commute steps and d_shift act with it and build none of their own
+    built = []
+    init = Kernel.__init__
+
+    def counted(self, g, k):
+        built.append(self)
+        init(self, g, k)
+
+    monkeypatch.setattr(Kernel, "__init__", counted)
+    registry = power_rule_registry(2)
+    own = list(built)
+    word = (Mode(E, -1),) * 2
+    assert evaluate(atom_expr(F, 1, word), registry) == State.monomial(word[:1], C.scale(2))
+    assert evaluate(atom_expr(H, 0, word), registry).is_zero
+    evaluate(atom_expr(F, 1, WEIGHT3_WORDS[0]), registry, collect_residual=True)
+    assert d_shift(registry, F, 1, State.monomial(word[:1])).is_zero
+    assert built == own == [registry.kernel]
 
 
 def test_frozen_registry_reuses_values_without_adding_rules(monkeypatch):
@@ -451,21 +474,21 @@ def test_frozen_registry_reuses_values_without_adding_rules(monkeypatch):
         DefAtom(H, 0, (Mode(E, -1),)), State.zero(), "derived:cartan-induction"
     )
     registry.freeze()
-    rules, dump = registry.rules(), registry.dump()
+    dump = registry.dump()
     # f^def(1)e(-1)^3 reaches f^def(1)e(-1)^2 only under the prefix e(-1)
     top = DefAtom(F, 1, (Mode(E, -1),) * 3)
     assert evaluate(DefExpression.atom(top), registry) == State.monomial(
         top.word[1:], C.scale(3)
     )
     evaluate(atom_expr(H, 0, (Mode(E, -1),) * 3), registry, collect_residual=True)
-    assert registry.rules() == rules and registry.dump() == dump
+    assert registry.dump() == dump
     calls = count_master_commute(monkeypatch)
     inner = DefAtom(F, 1, (Mode(E, -1),) * 2)
     assert evaluate(DefExpression.atom(inner), registry) == State.monomial(
         inner.word[1:], C.scale(2)
     )
     assert not calls
-    assert registry.rules() == rules and registry.dump() == dump
+    assert registry.dump() == dump
     with pytest.raises(RegistryFrozen):
         registry.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "late")
 

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from affdef.cli import main
 from affdef.deform import DefAtom, DefExpression, master_commute, mode_identity
 from affdef.liealg import sl2, sln
-from affdef.pbw import Mode
+from affdef.pbw import Kernel, Mode
 from affdef.rigidity import (
     admissible_pipeline,
     admissible_sl2_rule_table,
@@ -79,7 +79,7 @@ def mode_identities() -> str:
 def def_expressions() -> str:
     g = sl2()
     e, h, f = g.theta
-    k = Fraction(-4, 3)
+    kernel = Kernel(g, Fraction(-4, 3))
     c = LinForm.symbol("c")
     lines = []
     for a, m, b, n, w in (
@@ -89,7 +89,7 @@ def def_expressions() -> str:
         (h, 2, f, -2, (Mode(e, -1), Mode(e, -1))),
         (e, 0, f, -1, (Mode(h, -1),)),
     ):
-        lines.append(master_commute(g, a, m, b, n, w, k).render(g))
+        lines.append(master_commute(kernel, a, m, b, n, w).render(g))
     lines.append(DefExpression.atom(DefAtom(h, -1, (Mode(e, -2),)), c).render(g))
     lines.append(DefExpression.atom(DefAtom(f, 1, (Mode(e, -1),)), c + 1).render(g))
     lines.append(DefExpression.atom(DefAtom(e, -1, ()), Fraction(-3, 2)).render(g))

@@ -24,7 +24,6 @@ from affdef.pbw import (
     NotHomogeneous,
     State,
     Word,
-    apply_chain,
     apply_mode,
     basis_enum,
     charge,
@@ -308,7 +307,7 @@ def test_kernel_matches_suffix_tuple_oracle(g, max_modes, k):
     for trial in range(40):
         terms = random_terms(rng, g, k, max_modes, symbolic=trial % 4 == 0)
         chain = random_chain(rng, g)
-        got, want = apply_chain(g, chain, terms, k), suffix_apply_chain(g, chain, terms, k)
+        got, want = Kernel(g, k).chain(chain, terms), suffix_apply_chain(g, chain, terms, k)
         assert typed_items(got) == typed_items(want), (chain, terms)
 
 
@@ -338,7 +337,7 @@ def test_kernel_spells_deep_words_back():
     assert kernel.heads[wid] == Mode(E, -2) and kernel.spell(0) == ()
 
 
-# --- the per-mode chains that apply_chain replaced, kept as references ---
+# --- the per-mode chains that Kernel.chain replaced, kept as references ---
 
 def per_mode_normal_order(g, word, k):
     state = State.vacuum()
@@ -375,7 +374,7 @@ def per_mode_master_commute(g, a, m, b, n, w, k):
 def per_mode_evaluate(expr, registry, collect_residual=False):
     """The evaluator with a per-mode prefix and a tail summed by State.__add__."""
     g = registry.g
-    k = registry.k
+    k = registry.kernel.k
     terms = list(expr.terms)
     tail = expr.tail
     residual = []
@@ -451,7 +450,7 @@ def test_chain_matches_per_mode_steps(rank, max_modes, k):
         v = per_mode_normal_order(g, word, k).scale(LinForm(1, {"c": 2}))
         prefix = random_word(-2, 2, rng.randint(0, 3))
         assert_same_state(
-            State(apply_chain(g, prefix, v, k)), per_mode_apply_prefix(g, prefix, v, k), prefix
+            State(Kernel(g, k).chain(prefix, v)), per_mode_apply_prefix(g, prefix, v, k), prefix
         )
         # the parser's terms, summed the way State.__add__ sums them
         terms = [(Fraction(rng.randint(-3, 3), 2), random_word(1, 2, rng.randint(0, 4)))
@@ -478,7 +477,7 @@ def test_chain_matches_per_mode_prefixes_on_ansatz_values():
                     Mode(rng.randrange(3), rng.randint(-2, 2)) for _ in range(rng.randint(0, 4))
                 )
                 value = rule.value.tail
-                got = State(apply_chain(G, prefix, value, k))
+                got = State(Kernel(G, k).chain(prefix, value))
                 assert_same_state(got, per_mode_apply_prefix(G, prefix, value, k), prefix)
 
 
@@ -861,7 +860,7 @@ def test_cancelled_word_comes_back_last():
         (Mode(H, -2), Mode(F, -1)): -1,
         (Mode(H, -1), Mode(F, -2)): 1,
     }
-    got = apply_chain(G, ((E, 1),), terms, k)
+    got = Kernel(G, k).chain(((E, 1),), terms)
     assert list(got) == [(Mode(E, -1), Mode(F, -1)), (Mode(H, -1),) * 2, (Mode(H, -2),)]
     summed = State.zero()
     for word, coeff in terms.items():
