@@ -19,6 +19,7 @@ from .deform import (
     RuleRegistry,
     UnresolvedAtom,
     d_shift,
+    def_label,
     evaluate,
     generator_value,
     register_ansatz,
@@ -168,11 +169,17 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     def e_word(n):
         return (Mode(e, -1),) * n
 
+    # the step texts spell a power as e(-1)^n|0>, n = 1 included
+    e1 = f"{g.label(e)}(-1)"
+
+    def atom_text(gen, depth, n):
+        return f"{def_label(g, gen, depth)}{e1}^{n}|0>"
+
     registry = RuleRegistry(g, k)
     check_power_rule_ingredients(g, k)
     for j in range(1, k + 1):
         registry.register_value(DefAtom(e, -1, e_word(j)), State.zero(), "derived:power-rule")
-        transcript.add("power-rule", f"e^def(-1)e(-1)^{j}|0> := 0", "all ingredients vanish")
+        transcript.add("power-rule", f"{atom_text(e, -1, j)} := 0", "all ingredients vanish")
     try:
         # each power takes one master-commute step over the previous,
         # registered power and the power rule
@@ -181,10 +188,10 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
             value = evaluate(DefExpression.atom(atom), registry)
             if value:
                 raise SystemMismatch(
-                    f"h^def(0)e(-1)^{p}|0> evaluated to {value.render(g)}, not 0"
+                    f"{atom_text(h, 0, p)} evaluated to {value.render(g)}, not 0"
                 )
             registry.register_value(atom, value, "derived:cartan-induction")
-            transcript.add("cartan-rule", f"h^def(0)e(-1)^{p}|0> := 0", f"{p + 1}-step induction")
+            transcript.add("cartan-rule", f"{atom_text(h, 0, p)} := 0", f"{p + 1}-step induction")
         registry.freeze()
 
         for i in range(1, k + 2):
@@ -192,11 +199,11 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
             want = State.monomial(e_word(i - 1), LinForm.symbol("c", i))
             if got != want:
                 raise SystemMismatch(
-                    f"reduction of f^def(1)e(-1)^{i}|0> gave {got.render(g)}"
+                    f"reduction of {atom_text(f, 1, i)} gave {got.render(g)}"
                 )
             transcript.add(
                 "reduce",
-                f"f^def(1)e(-1)^{i}|0>",
+                atom_text(f, 1, i),
                 f"{i}*c*{render_word(g, e_word(i - 1))}",
             )
     except UnresolvedAtom as exc:
@@ -204,14 +211,14 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
 
     transcript.add(
         "telescope",
-        f"0 = f^def(1)e(-1)^{k + 1}|0> (the power generates the ideal)",
+        f"0 = {atom_text(f, 1, k + 1)} (the power generates the ideal)",
     )
     for i in range(k, 0, -1):
         done = k + 1 - i
-        prefix = "e(-1)*" if done == 1 else f"e(-1)^{done}*"
+        prefix = f"{e1}*" if done == 1 else f"{e1}^{done}*"
         transcript.add(
             "telescope",
-            f"0 = {prefix}f^def(1)e(-1)^{i}|0> + {done}*c*e(-1)^{k}|0>",
+            f"0 = {prefix}{atom_text(f, 1, i)} + {done}*c*{e1}^{k}|0>",
         )
     # the image of the ideal's generator, read off below the ideal's weight
     relation = got.coefficient(e_word(k))
@@ -414,7 +421,7 @@ def admissible_pipeline(combination=None) -> Verdict:
         transcript.add(
             "golden-check",
             "all five equations match the expected rows",
-            f"c-coefficients normalize to {tuple(row['c'] for row in ADMISSIBLE_EQUATIONS)}",
+            f"c-coefficients are {tuple(row['c'] for row in ADMISSIBLE_EQUATIONS)}",
         )
         # the frozen rows fix both combinations, so these ratios are constants
         r4 = _proportionality(row4, ELIMINATED_ROW_4)
