@@ -142,10 +142,9 @@ def _merge_terms(terms):
 class RuleRegistry:
     """One rule per atom at level ``k``, values and rewrites alike; frozen after setup.
 
-    ``kernel`` is the mode action at level ``k`` that every evaluation against
-    the registry acts with; it holds no rule, so sharing it is exact before
-    ``freeze`` too.  Once frozen, ``memo`` keeps the value ``evaluate``
-    computes for each atom.
+    ``kernel`` is the mode action at level ``k`` that evaluations share; it
+    holds no rule, so sharing it is exact before ``freeze`` too.  Once frozen,
+    ``memo`` keeps the value ``evaluate`` computes for each atom.
     """
 
     def __init__(self, g: LieAlgebra, k):

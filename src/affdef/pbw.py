@@ -212,14 +212,12 @@ class Kernel:
         return tuple(word)
 
     def chain(self, modes, terms):
-        """The modes applied to ``terms``, rightmost first, as a ``word -> coefficient`` dict.
+        """The ``(gen, depth)`` modes, rightmost first, applied to ``terms``.
 
-        ``modes`` holds ``(gen, depth)`` pairs, leftmost outermost; ``terms``
-        maps canonical words to coefficients under ``scalar.exact`` (a
-        ``State`` will do).  Words are interned once and spelled once, and each
-        step adds the kernel's results into one dict in the order that
-        repeated ``apply_mode`` would give.  With no modes, ``terms`` itself
-        comes back: the caller must not mutate it.
+        ``terms`` maps canonical words to coefficients (a ``State`` will do);
+        the result is a ``word -> coefficient`` dict in the order repeated
+        ``apply_mode`` would give.  Words are interned once and spelled once.
+        With no modes, ``terms`` itself comes back: do not mutate it.
         """
         if not modes:
             return terms

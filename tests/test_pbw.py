@@ -313,7 +313,7 @@ def test_kernel_matches_suffix_tuple_oracle(g, max_modes, k):
 
 @pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
 def test_shared_kernel_matches_suffix_tuple_oracle(g):
-    # evaluate keeps one kernel for the call: its memo and word table carry over
+    # a registry keeps one kernel for all its evaluations: its memo and word table carry over
     k = Fraction(-4, 3)
     kernel = Kernel(g, k)
     rng = random.Random(f"shared:{g.dim}")
