@@ -24,7 +24,6 @@ from .pbw import (
     basis_enum,
     is_canonical,
     normal_order,
-    render_modes,
     render_word,
     stratum_size,
     word_charge,
@@ -80,19 +79,17 @@ def _tokenize(text: str):
 
 @dataclass(frozen=True)
 class ExprAST:
-    """Signed terms: (rational coefficient, word of (label, depth) mode pairs)."""
+    """Signed terms: (rational coefficient, word of ``Mode``s in the order spelled)."""
 
     terms: tuple
 
-    def render(self) -> str:
-        return signed_sum(
-            signed_term(coeff, render_modes(word)) for coeff, word in self.terms
-        )
+    def render(self, g: LieAlgebra) -> str:
+        return signed_sum(signed_term(coeff, render_word(g, word)) for coeff, word in self.terms)
 
     def to_state(self, g: LieAlgebra, k) -> State:
         total = {}  # the sum of the terms, in State.__add__ order
         for coeff, word in self.terms:
-            part = normal_order(g, tuple(Mode(g.index(label), depth) for label, depth in word), k)
+            part = normal_order(g, word, k)
             if coeff:
                 add_scaled(total, part, coeff)
         return State(total)
@@ -147,12 +144,11 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
             if kind != "ident":
                 raise StateSyntaxError("expected a generator or |0>", off)
             advance()
-            label = value
             ident_off = off
             try:
-                g.index(label)
+                gen = g.index(value)
             except KeyError:
-                raise StateSyntaxError(f"unknown generator {label!r}", ident_off) from None
+                raise StateSyntaxError(f"unknown generator {value!r}", ident_off) from None
             kind, value, off = peek()
             if not (kind == "op" and value == "("):
                 raise StateSyntaxError("expected '(' after generator", off)
@@ -181,7 +177,7 @@ def parse_state(text: str, g: LieAlgebra) -> ExprAST:
                     f"state longer than the budget of {MAX_WORD_LENGTH} modes", count_off
                 )
             spent += count
-            word.extend([(label, depth)] * count)
+            word.extend([Mode(gen, depth)] * count)
             kind, value, off = peek()
             if kind == "op" and value == "*":
                 advance()
@@ -350,8 +346,7 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
         ast = parse_state(state_text, g)
     except (ValueError, StateSyntaxError) as exc:
         raise click.UsageError(str(exc))
-    for i, (_, spelled) in enumerate(ast.terms, 1):
-        word = tuple(Mode(g.index(label), depth) for label, depth in spelled)
+    for i, (_, word) in enumerate(ast.terms, 1):
         if not is_canonical(word):
             w, q = word_weight(word), word_charge(g, word)
             check_stratum(f"--state word {i} has weight {w} and charge {q}", g, w, q)

@@ -232,11 +232,11 @@ def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity
     """
     terms = []
     for g2, coeff in g.bracket(a, b).items():
-        terms.append((exact(coeff), Mode(g2, m + n)))
+        terms.append((coeff, Mode(g2, m + n)))
     if m + n == 0:
         pairing = g.form(a, b)
         if m and pairing:
-            terms.append((LinForm.symbol("c", Fraction(m) * pairing), None))
+            terms.append((LinForm.symbol("c", m * pairing), None))
     return ModeIdentity(tuple(terms))
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .scalar import add_scaled, parse_rational
+from .scalar import add_scaled, exact, parse_rational
 
 
 class InvalidRank(Exception):
@@ -34,13 +34,13 @@ class LieAlgebra:
         # complete the bracket table antisymmetrically
         table = {}
         for (i, j), vec in bracket.items():
-            table[(i, j)] = {a: Fraction(c) for a, c in vec.items() if c}
+            table[(i, j)] = {a: exact(c) for a, c in vec.items() if c}
         for (i, j) in list(table):
             if (j, i) not in table:
                 table[(j, i)] = {a: -c for a, c in table[(i, j)].items()}
         self._bracket = table
         # complete the form's missing mirrors; a given entry, zero included, stays
-        full = {key: Fraction(q) for key, q in form.items()}
+        full = {key: exact(q) for key, q in form.items()}
         for (i, j) in list(full):
             full.setdefault((j, i), full[(i, j)])
         self._form = {key: q for key, q in full.items() if q}
@@ -57,7 +57,8 @@ class LieAlgebra:
         return self.basis[idx]
 
     def bracket(self, i: int, j: int) -> dict:
-        """[b_i, b_j] as the stored ``{index: Fraction}`` row; callers must not mutate it."""
+        """[b_i, b_j] as the stored ``{index: coefficient}`` row, each coefficient under
+        ``scalar.exact``; callers must not mutate it."""
         return self._bracket.get((i, j), {})
 
     def bracket_elt(self, x: dict, y: dict) -> dict:
@@ -68,8 +69,8 @@ class LieAlgebra:
                 add_scaled(out, self.bracket(i, j), ci * cj)
         return out
 
-    def form(self, i: int, j: int) -> Fraction:
-        return self._form.get((i, j), Fraction(0))
+    def form(self, i: int, j: int) -> int | Fraction:
+        return self._form.get((i, j), 0)
 
     def charge(self, idx: int) -> int:
         """Eigenvalue of ad(h_theta) on the basis vector (the Cartan charge)."""
@@ -84,7 +85,7 @@ class LieAlgebra:
                 raise ValueError(
                     f"ad(h_theta) is not diagonal on basis vector {self.basis[i]!r}"
                 )
-            lam = img.get(i, Fraction(0))
+            lam = img.get(i, 0)
             if lam.denominator != 1:
                 raise ValueError(f"non-integral charge {lam} on {self.basis[i]!r}")
             charges.append(int(lam))
@@ -194,7 +195,7 @@ def _check(g: LieAlgebra) -> ValidationReport:
             add_scaled(both, table.get((j, i), {}), 1)
             if both:
                 failures.append(f"[{name(i)},{name(j)}] not antisymmetric")
-            if g.form(i, j) != g.form(j, i):
+            if form.get((i, j), 0) != form.get((j, i), 0):
                 failures.append(f"<{name(i)},{name(j)}> not symmetric")
 
     # once the first pass is clean the Jacobiator is alternating, so the triples
@@ -214,12 +215,12 @@ def _check(g: LieAlgebra) -> ValidationReport:
         if got != want:
             failures.append(f"triple relation {what} fails")
     form_checks = [
-        (g.form(e, f), Fraction(1), "<e,f> = 1"),
-        (g.form(h, h), Fraction(2), "<h,h> = 2"),
-        (g.form(e, e), Fraction(0), "<e,e> = 0"),
-        (g.form(f, f), Fraction(0), "<f,f> = 0"),
-        (g.form(h, e), Fraction(0), "<h,e> = 0"),
-        (g.form(h, f), Fraction(0), "<h,f> = 0"),
+        (g.form(e, f), 1, "<e,f> = 1"),
+        (g.form(h, h), 2, "<h,h> = 2"),
+        (g.form(e, e), 0, "<e,e> = 0"),
+        (g.form(f, f), 0, "<f,f> = 0"),
+        (g.form(h, e), 0, "<h,e> = 0"),
+        (g.form(h, f), 0, "<h,f> = 0"),
     ]
     for got, want, what in form_checks:
         if got != want:

@@ -133,21 +133,14 @@ def _is_single_symbol(coeff) -> bool:
     return value in (1, -1)
 
 
-def render_modes(modes) -> str:
-    """Text of ``(label, depth)`` pairs applied to ``|0>``; equal adjacent modes collapse.
-
-    ``(("e", -1), ("e", -1), ("f", -1))`` renders as ``e(-1)^2*f(-1)|0>``.
-    """
-    factors = []
-    for (label, depth), run in groupby(modes):
-        count = len(list(run))
-        factors.append(f"{label}({depth})" + (f"^{count}" if count > 1 else ""))
-    return "*".join(factors) + "|0>"
-
-
 def render_word(g: LieAlgebra, word: Word) -> str:
-    """Canonical text form of a word: ``e(-1)^2*f(-1)|0>``."""
-    return render_modes((g.label(mode.gen), mode.depth) for mode in word)
+    """Text of a word applied to ``|0>``, canonical or not; equal adjacent modes
+    collapse: ``e(-1)^2*f(-1)|0>``."""
+    factors = []
+    for (gen, depth), run in groupby(word):
+        count = len(list(run))
+        factors.append(f"{g.label(gen)}({depth})" + (f"^{count}" if count > 1 else ""))
+    return "*".join(factors) + "|0>"
 
 
 def apply_mode(g: LieAlgebra, a: int, m: int, v: State, k) -> State:
@@ -156,8 +149,8 @@ def apply_mode(g: LieAlgebra, a: int, m: int, v: State, k) -> State:
 
 
 def normal_order(g: LieAlgebra, word, k) -> State:
-    """The state equal to the (possibly unordered) word applied to the vacuum."""
-    word = tuple(word if isinstance(word[0], Mode) else (Mode(*m) for m in word)) if word else ()
+    """The state equal to the (possibly unordered) word of ``Mode``s applied to the vacuum."""
+    word = tuple(word)
     for mode in word:
         if mode.depth >= 0:
             raise ValueError(f"normal_order expects creation modes, got depth {mode.depth}")
@@ -171,18 +164,17 @@ class Kernel:
     ``heads[i]`` in front of the word ``tails[i]``.  ``ids`` maps
     ``(gen, depth, rest_id)`` to its id, so each word has exactly one id and a
     memo key ``(gen, m, word_id)`` hashes three ints, however deep the word.
-    ``brackets`` holds each pair's exact ``(index, coeff)`` pairs and form value.
     A kernel lives for one ``apply_mode`` or ``normal_order`` call, or for one
     ``deform.RuleRegistry``, whose evaluations share it; nothing is kept on
     the algebra.
     """
 
-    __slots__ = ("g", "k", "ids", "heads", "tails", "memo", "brackets")
+    __slots__ = ("g", "k", "ids", "heads", "tails", "memo")
 
     def __init__(self, g: LieAlgebra, k):
         self.g, self.k = g, exact(k)
         self.ids, self.heads, self.tails = {}, [None], [0]
-        self.memo, self.brackets = {}, {}
+        self.memo = {}
 
     def cons(self, key) -> int:
         """The id of the word ``Mode(gen, depth)`` followed by ``rest_id``, for
@@ -239,7 +231,7 @@ class Kernel:
         once every key its value is built from is in the memo, and its terms
         are added in the same order as the recursive definition would add them.
         """
-        g, k, memo, brackets = self.g, self.k, self.memo, self.brackets
+        g, k, memo = self.g, self.k, self.memo
         heads, tails, cons = self.heads, self.tails, self.cons
         root = (gen, m, wid)
         stack = [root]
@@ -262,17 +254,13 @@ class Kernel:
                 if inner is None:
                     stack.append((gen, m, rest))
                     continue
-                table = brackets.get((gen, bg))
-                if table is None:
-                    pairs = tuple((g2, exact(c)) for g2, c in g.bracket(gen, bg).items())
-                    table = brackets[(gen, bg)] = (pairs, exact(g.form(gen, bg)))
-                pairs, pairing = table
+                row = g.bracket(gen, bg)
                 depth = m + bd
                 waiting = len(stack)
                 for w2 in inner:
                     if (bg, bd, w2) not in memo:
                         stack.append((bg, bd, w2))
-                for g2, _ in pairs:
+                for g2 in row:
                     if (g2, depth, rest) not in memo:
                         stack.append((g2, depth, rest))
                 if len(stack) > waiting:
@@ -280,9 +268,9 @@ class Kernel:
                 out = {}
                 for w2, c2 in inner.items():
                     add_scaled(out, memo[(bg, bd, w2)], c2)
-                for g2, c in pairs:
+                for g2, c in row.items():
                     add_scaled(out, memo[(g2, depth, rest)], c)
-                central = m * k * pairing if not depth else 0
+                central = m * k * g.form(gen, bg) if not depth else 0
                 if central:
                     add_scaled(out, {rest: 1}, exact(central))
                 memo[key] = out

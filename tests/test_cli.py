@@ -30,8 +30,8 @@ E, H, F = G.theta
 def test_parse_two_term_state():
     ast = parse_state("-48*h(-1)e(-2)|0> + 80*e(-3)|0>", G)
     assert ast.terms == (
-        (Fraction(-48), (("h", -1), ("e", -2))),
-        (Fraction(80), (("e", -3),)),
+        (Fraction(-48), (Mode(H, -1), Mode(E, -2))),
+        (Fraction(80), (Mode(E, -3),)),
     )
 
 
@@ -42,12 +42,12 @@ def test_parse_vacuum():
 
 def test_parse_exponent_expansion():
     ast = parse_state("e(-1)^2*f(-1)|0>", G)
-    assert ast.terms == ((Fraction(1), (("e", -1), ("e", -1), ("f", -1))),)
+    assert ast.terms == ((Fraction(1), (Mode(E, -1), Mode(E, -1), Mode(F, -1))),)
 
 
 def test_parse_rational_coefficient():
     ast = parse_state("3/2*h(-2)|0>", G)
-    assert ast.terms == ((Fraction(3, 2), (("h", -2),)),)
+    assert ast.terms == ((Fraction(3, 2), (Mode(H, -2),)),)
 
 
 def test_parse_star_optional():
@@ -101,7 +101,7 @@ def random_ast(rng):
         den = rng.randint(1, 6)
         coeff = Fraction(num, den)
         word = tuple(
-            (rng.choice("ehf"), -rng.randint(1, 5))
+            Mode(rng.randrange(3), -rng.randint(1, 5))
             for _ in range(rng.randint(0, 4))
         )
         terms.append((coeff, word))
@@ -112,7 +112,7 @@ def test_parse_print_roundtrip_1000():
     rng = random.Random(99)
     for _ in range(1000):
         ast = random_ast(rng)
-        assert parse_state(ast.render(), G) == ast
+        assert parse_state(ast.render(G), G) == ast
 
 
 def test_parse_mode():
@@ -449,7 +449,7 @@ def test_parse_exponent_one_past_budget(head, power):
 
 def test_parse_exponent_at_budget():
     ast = parse_state(f"e(-1)^{MAX_WORD_LENGTH}|0>", G)
-    assert ast.terms == ((Fraction(1), (("e", -1),) * MAX_WORD_LENGTH),)
+    assert ast.terms == ((Fraction(1), (Mode(E, -1),) * MAX_WORD_LENGTH),)
 
 
 def test_budget_counts_the_whole_state():

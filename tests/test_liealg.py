@@ -24,15 +24,41 @@ def test_sl2_triple_relations():
     assert g.bracket(e, f) == {h: 1}
 
 
-@pytest.mark.parametrize("g", [sl2(), sln(3)], ids=["sl2", "sl3"])
-def test_bracket_rows_are_index_fraction_dicts(g):
+def _rescaled_sl3(label="E12", factor=Fraction(1, 3)):
+    """sl3 on the basis with b -> factor*b for one b, so both tables carry denominators."""
+    g = sln(3)
+    s = [Fraction(1)] * g.dim
+    s[g.index(label)] = factor
+    bracket = {
+        (i, j): {a: c * s[i] * s[j] / s[a] for a, c in vec.items()}
+        for (i, j), vec in g._bracket.items()
+    }
+    form = {(i, j): q * s[i] * s[j] for (i, j), q in g._form.items()}
+    return LieAlgebra(g.basis, bracket, form, g.theta)
+
+
+@pytest.mark.parametrize(
+    "g, kinds",
+    [(sl2(), {int}), (sln(3), {int}), (_rescaled_sl3(), {int, Fraction})],
+    ids=["sl2", "sl3", "rescaled-sl3"],
+)
+def test_bracket_rows_are_index_exact_dicts(g, kinds):
+    # each stored constant follows scalar.exact: an int when integral, else a Fraction
+    def follows_exact(c):
+        return type(c) is (int if c.denominator == 1 else Fraction)
+
+    seen = set()
     for i in range(g.dim):
         for j in range(g.dim):
             row = g.bracket(i, j)
             assert type(row) is dict
-            assert all(type(a) is int and type(c) is Fraction and c for a, c in row.items())
+            assert all(type(a) is int and c and follows_exact(c) for a, c in row.items())
+            assert follows_exact(g.form(i, j))
+            seen.update(type(c) for c in row.values())
+            seen.add(type(g.form(i, j)))
             # a dict-in, dict-out bracket of basis elements reads the same row
             assert g.bracket_elt({i: Fraction(1)}, {j: Fraction(1)}) == row
+    assert seen == kinds
 
 
 def test_bracket_elt_is_bilinear():
@@ -450,19 +476,6 @@ def test_check_matches_fraction_reference_on_corruptions(n, kind, seed):
 def test_reference_check_reproduces_corrupted_sl3_failures():
     # the oracle is a faithful copy: it gives the pinned report of the check it replaced
     assert _reference_check(_corrupted_sl3()) == CORRUPTED_SL3_FAILURES
-
-
-def _rescaled_sl3(label="E12", factor=Fraction(1, 3)):
-    """sl3 on the basis with b -> factor*b for one b, so both tables carry denominators."""
-    g = sln(3)
-    s = [Fraction(1)] * g.dim
-    s[g.index(label)] = factor
-    bracket = {
-        (i, j): {a: c * s[i] * s[j] / s[a] for a, c in vec.items()}
-        for (i, j), vec in g._bracket.items()
-    }
-    form = {(i, j): q * s[i] * s[j] for (i, j), q in g._form.items()}
-    return LieAlgebra(g.basis, bracket, form, g.theta)
 
 
 def _structure_text(g):

@@ -38,6 +38,7 @@ from affdef.pbw import (
 from affdef.rigidity import admissible_sl2_rule_table, integral_pipeline
 from affdef.scalar import LinForm, add_scaled, exact
 from affdef.singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
+from test_liealg import _rescaled_sl3
 
 G = sl2()
 E, H, F = G.theta
@@ -153,10 +154,11 @@ def reference_normal_order(g, word, k):
 
 
 @pytest.mark.parametrize("k", [Fraction(2), Fraction(-4, 3), Fraction(7, 2)])
-@pytest.mark.parametrize("rank, max_modes", [(2, 8), (3, 7)])
+@pytest.mark.parametrize("rank, max_modes", [(2, 8), (3, 7), ("rescaled-sl3", 7)])
 def test_kernel_matches_recursive_reference(rank, max_modes, k):
-    # equal states are not enough: the term order reaches rendered expressions
-    g = sln(rank)
+    # equal states are not enough: the term order reaches rendered expressions;
+    # the rescaled sl3 carries denominators in its bracket and form tables
+    g = _rescaled_sl3() if rank == "rescaled-sl3" else sln(rank)
     rng = random.Random(f"{rank}:{k}")
     for trial in range(30):
         word = [
@@ -455,7 +457,7 @@ def test_chain_matches_per_mode_steps(rank, max_modes, k):
         # the parser's terms, summed the way State.__add__ sums them
         terms = [(Fraction(rng.randint(-3, 3), 2), random_word(1, 2, rng.randint(0, 4)))
                  for _ in range(3)]
-        ast = ExprAST(tuple((c, tuple((g.label(m.gen), m.depth) for m in w)) for c, w in terms))
+        ast = ExprAST(tuple(terms))
         want = State.zero()
         for coeff, w in terms:
             want = want + per_mode_normal_order(g, w, k).scale(coeff)
@@ -806,7 +808,7 @@ def test_state_sum_keeps_exact_coefficients():
 
 
 @pytest.mark.parametrize("k", [2, Fraction(-4, 3)], ids=["k=2", "k=-4/3"])
-@pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
+@pytest.mark.parametrize("g", [G, sln(3), _rescaled_sl3()], ids=["sl2", "sl3", "rescaled-sl3"])
 def test_kernel_coefficients_are_plain_rationals(g, k):
     rng = random.Random(f"plain:{g.dim}:{k}")
     for _ in range(10):
