@@ -29,7 +29,7 @@ from .pbw import (
     word_charge,
     word_weight,
 )
-from .scalar import add_scaled, format_rational, parse_rational, signed_sum, signed_term
+from .scalar import add_scaled, format_rational, parse_rational
 
 
 # Most modes a whole state may spell, over all its terms, checked before a
@@ -82,9 +82,6 @@ class ExprAST:
     """Signed terms: (rational coefficient, word of ``Mode``s in the order spelled)."""
 
     terms: tuple
-
-    def render(self, g: LieAlgebra) -> str:
-        return signed_sum(signed_term(coeff, render_word(g, word)) for coeff, word in self.terms)
 
     def to_state(self, g: LieAlgebra, k) -> State:
         total = {}  # the sum of the terms, in State.__add__ order

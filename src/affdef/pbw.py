@@ -164,16 +164,18 @@ class Kernel:
     ``heads[i]`` in front of the word ``tails[i]``.  ``ids`` maps
     ``(gen, depth, rest_id)`` to its id, so each word has exactly one id and a
     memo key ``(gen, m, word_id)`` hashes three ints, however deep the word.
+    ``modes`` holds one ``Mode`` per ``(gen, depth)``, and every head is that
+    object, so the words a kernel spells share their modes.
     A kernel lives for one ``apply_mode`` or ``normal_order`` call, or for one
     ``deform.RuleRegistry``, whose evaluations share it; nothing is kept on
     the algebra.
     """
 
-    __slots__ = ("g", "k", "ids", "heads", "tails", "memo")
+    __slots__ = ("g", "k", "ids", "heads", "tails", "modes", "memo")
 
     def __init__(self, g: LieAlgebra, k):
         self.g, self.k = g, exact(k)
-        self.ids, self.heads, self.tails = {}, [None], [0]
+        self.ids, self.heads, self.tails, self.modes = {}, [None], [0], {}
         self.memo = {}
 
     def cons(self, key) -> int:
@@ -181,9 +183,13 @@ class Kernel:
         ``key = (gen, depth, rest_id)``; ``_act`` prepends through it too."""
         wid = self.ids.get(key)
         if wid is None:
+            gen, depth, rest = key
+            mode = self.modes.get((gen, depth))
+            if mode is None:
+                mode = self.modes[gen, depth] = Mode(gen, depth)
             wid = self.ids[key] = len(self.heads)
-            self.heads.append(Mode(key[0], key[1]))
-            self.tails.append(key[2])
+            self.heads.append(mode)
+            self.tails.append(rest)
         return wid
 
     def intern(self, word: Word) -> int:
@@ -230,10 +236,18 @@ class Kernel:
         is unfolded with an explicit stack: a key ``(gen, m, wid)`` is resolved
         once every key its value is built from is in the memo, and its terms
         are added in the same order as the recursive definition would add them.
+        A creation mode already in canonical position (``m <= -1``, and ``wid``
+        the vacuum or ``(gen, m) <= heads[wid]``) is a prepend, worth
+        ``{cons(key): 1}``: it takes a memo entry only as a root or an inner
+        key, and is resolved inline where a value is summed.
         """
-        g, k, memo = self.g, self.k, self.memo
-        heads, tails, cons = self.heads, self.tails, self.cons
+        memo = self.memo
         root = (gen, m, wid)
+        value = memo.get(root)
+        if value is not None:
+            return value
+        g, k, bracket = self.g, self.k, self.g.bracket
+        heads, tails, cons = self.heads, self.tails, self.cons
         stack = [root]
         while stack:
             key = stack[-1]
@@ -243,33 +257,42 @@ class Kernel:
             gen, m, wid = key
             # a Mode compares as the pair (gen, depth)
             if m <= -1 and (not wid or (gen, m) <= heads[wid]):
-                # creation mode already in canonical position: prepend; the
-                # memo key is also the word's cons key
+                # the memo key is also the word's cons key
                 memo[key] = {cons(key): 1}
             elif not wid:
                 memo[key] = {}  # m >= 0 annihilates the vacuum
             else:
-                (bg, bd), rest = heads[wid], tails[wid]
+                head, rest = heads[wid], tails[wid]
                 inner = memo.get((gen, m, rest))
                 if inner is None:
                     stack.append((gen, m, rest))
                     continue
-                row = g.bracket(gen, bg)
+                bg, bd = head
+                row = bracket(gen, bg)
                 depth = m + bd
+                # only keys that are not prepends wait on the stack: head is a
+                # creation mode, so (bg, bd, w2) is one unless w2's head sorts
+                # first, and (g2, depth, rest) is one when depth <= -1 unless
+                # rest's head sorts first
                 waiting = len(stack)
                 for w2 in inner:
-                    if (bg, bd, w2) not in memo:
+                    if w2 and heads[w2] < head and (bg, bd, w2) not in memo:
                         stack.append((bg, bd, w2))
                 for g2 in row:
-                    if (g2, depth, rest) not in memo:
+                    if (depth >= 0 or rest and heads[rest] < (g2, depth)) and (g2, depth, rest) not in memo:
                         stack.append((g2, depth, rest))
                 if len(stack) > waiting:
                     continue
+                # so a key missing from the memo here is a prepend
                 out = {}
                 for w2, c2 in inner.items():
-                    add_scaled(out, memo[(bg, bd, w2)], c2)
+                    t = (bg, bd, w2)
+                    value = memo.get(t)
+                    add_scaled(out, {cons(t): 1} if value is None else value, c2)
                 for g2, c in row.items():
-                    add_scaled(out, memo[(g2, depth, rest)], c)
+                    t = (g2, depth, rest)
+                    value = memo.get(t)
+                    add_scaled(out, {cons(t): 1} if value is None else value, c)
                 central = m * k * g.form(gen, bg) if not depth else 0
                 if central:
                     add_scaled(out, {rest: 1}, exact(central))

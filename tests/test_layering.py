@@ -50,3 +50,45 @@ def test_package_imports_follow_the_layers():
 def test_import_scan_sees_every_form():
     source = "from .pbw import Mode\nfrom . import singular\nimport affdef.deform\n"
     assert package_imports(source) == {"pbw", "singular", "deform"}
+
+
+# The calculus keeps nothing between calls: no cache per (g, k) or on the algebra.
+CALCULUS = ("scalar", "liealg", "pbw", "deform")
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_CALLS = {"dict", "list", "set"}
+
+
+def module_level_containers(source: str) -> list:
+    """Line numbers of module-level bindings to a mutable container."""
+    found = []
+
+    def visit(statements):
+        for node in statements:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) else None
+            if isinstance(value, MUTABLE_DISPLAYS) or (
+                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id in MUTABLE_CALLS
+            ):
+                found.append(node.lineno)
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []))
+
+    visit(ast.parse(source).body)
+    return found
+
+
+def test_calculus_binds_no_module_level_container():
+    for name in CALCULUS:
+        lines = module_level_containers((PACKAGE / f"{name}.py").read_text())
+        assert not lines, f"{name} binds a mutable container at module level, lines {lines}"
+
+
+def test_container_scan_sees_every_form():
+    source = (
+        "A = {}\nB: list = []\nC = {1}\nD = {x: x for x in ()}\nE = [x for x in ()]\n"
+        "F = {x for x in ()}\nG = dict()\nH = list(())\nif True:\n    I = set()\n"
+        "J = (1, 2)\nK = frozenset()\ndef f():\n    L = {}\nclass C:\n    M = ()\n"
+    )
+    assert module_level_containers(source) == list(range(1, 9)) + [10]

@@ -329,6 +329,40 @@ def test_shared_kernel_matches_suffix_tuple_oracle(g):
         assert typed_items(got) == typed_items(want), (chain, terms)
 
 
+@pytest.mark.parametrize("k", [2, Fraction(-4, 3)], ids=str)
+@pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
+def test_long_chains_match_suffix_tuple_oracle(g, k):
+    # an unordered word of 8-10 modes under one positive mode, in one chain from
+    # the vacuum: prepends nest deep inside every value the kernel sums
+    rng = random.Random(f"long:{g.dim}:{k}")
+    for _ in range(4):
+        word = [Mode(rng.randrange(g.dim), -rng.randint(1, 2)) for _ in range(rng.randint(8, 10))]
+        chain = (Mode(rng.randrange(g.dim), rng.randint(1, 2)),) + tuple(word)
+        got, want = Kernel(g, k).chain(chain, {(): 1}), suffix_apply_chain(g, chain, {(): 1}, k)
+        assert got and typed_items(got) == typed_items(want), chain
+
+
+def distinct_mode_objects(words) -> bool:
+    """Whether the words hold exactly one ``Mode`` object per ``(gen, depth)``."""
+    return len({id(m) for w in words for m in w}) == len({m for w in words for m in w})
+
+
+@pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
+def test_kernel_words_share_one_mode_per_gen_depth(g):
+    rng = random.Random(f"heads:{g.dim}")
+    k = Fraction(-4, 3)
+    kernel = Kernel(g, k)
+    words = []
+    for _ in range(6):
+        word = [Mode(rng.randrange(g.dim), -rng.randint(1, 2)) for _ in range(rng.randint(4, 7))]
+        ordered = normal_order(g, word, k)
+        assert len(ordered) > 1 and distinct_mode_objects(ordered.words())
+        chain = (Mode(rng.randrange(g.dim), rng.randint(1, 2)),) + tuple(word)
+        words += kernel.chain(chain, {(): 1})
+    # one kernel, many chains: the heads are shared across all of them
+    assert distinct_mode_objects(words)
+
+
 def test_kernel_spells_deep_words_back():
     # a word is its id in the table; the id spells it back, however deep
     kernel = Kernel(G, 2)
