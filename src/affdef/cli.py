@@ -33,7 +33,7 @@ from .scalar import add_scaled, format_rational, parse_rational
 
 
 # Most modes a whole state may spell, over all its terms, checked before a
-# word is expanded.
+# word is expanded; also the highest weight pbw-basis lists.
 MAX_WORD_LENGTH = 5_000
 # Highest level k the integral commands accept, checked before any computation.
 MAX_LEVEL = 100
@@ -42,7 +42,7 @@ MAX_RANK = 10
 # Most canonical words in the PBW stratum that one expansion may reach, counted by
 # pbw.stratum_size before anything is expanded: the (weight, charge) stratum of
 # each --state word that is not canonical (a canonical word is its own normal
-# form), and the whole weight stratum that pbw-basis walks before its --charge filter.
+# form), and the stratum that pbw-basis lists, the whole weight without --charge.
 MAX_STRATUM = 10_000
 # Most digits of the numbers in one --level, --state or --mode value, all counted
 # before any conversion, so that no result passes Python's 4300-digit int-to-str limit.
@@ -312,7 +312,10 @@ def pbw_basis_cmd(algebra, weight, charge, fmt, transcript):
     """List the canonical monomials of a graded stratum."""
     g = resolve_algebra(algebra)
     if weight >= 0:
-        check_stratum(f"weight {weight}", g, weight, None)
+        check_stratum(f"weight {weight}", g, weight, charge)
+    # a stratum of one word can still be deep: a word of weight w has up to w modes
+    if weight > MAX_WORD_LENGTH:
+        raise click.UsageError(f"weight {weight} is above the budget of {MAX_WORD_LENGTH} modes")
     try:
         words = basis_enum(g, weight, charge)
     except ValueError as exc:

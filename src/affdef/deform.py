@@ -253,7 +253,7 @@ def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w) -> DefExpr
     ]
     # the target word need not be canonical: the moved-past action and the
     # central term both apply to the vector the word spells
-    spelled = State(kernel.chain(w, {(): 1}))
+    spelled = State._unchecked(kernel.chain(w, {(): 1}))
     for w2, coeff in kernel.chain(((a, m),), spelled).items():
         terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
     tail = State.zero()
@@ -304,7 +304,9 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
     residual = _normalize_residual(g, residual)
     if residual and not collect_residual:
         raise UnresolvedAtom(residual[0].atom, registry.render_atom(residual[0].atom))
-    return (State(tail), residual) if collect_residual else State(tail)
+    # every word of the tail was spelled by the kernel or held by a State
+    tail = State._unchecked(tail)
+    return (tail, residual) if collect_residual else tail
 
 
 def _combine(kernel: Kernel, expr: DefExpression, memo: dict):

@@ -48,7 +48,12 @@ def word_charge(g: LieAlgebra, word: Word) -> int:
 
 
 class State:
-    """Finite sum of canonical PBW monomials with exact coefficients (``scalar.exact``)."""
+    """Finite sum of canonical PBW monomials with exact coefficients (``scalar.exact``).
+
+    The constructor checks every word: each mode a creation mode, in canonical
+    order.  Words a ``Kernel`` spells were checked where they entered it, at
+    ``Kernel.intern``, so the states built from them take ``_unchecked``.
+    """
 
     __slots__ = ("_terms",)
 
@@ -65,6 +70,15 @@ class State:
                 if coeff:
                     data[word] = coeff
         self._terms = data
+
+    @classmethod
+    def _unchecked(cls, terms) -> "State":
+        """A state over words known to be canonical creation words, such as the
+        words a ``Kernel`` spells: ``scalar.exact`` on each coefficient, and no
+        word walk.  Words from outside the engine go through the constructor."""
+        state = cls.__new__(cls)
+        state._terms = {word: c for word, coeff in terms.items() if (c := exact(coeff))}
+        return state
 
     @classmethod
     def zero(cls) -> "State":
@@ -145,7 +159,7 @@ def render_word(g: LieAlgebra, word: Word) -> str:
 
 def apply_mode(g: LieAlgebra, a: int, m: int, v: State, k) -> State:
     """a(m) . v in canonical form, for the basis index a."""
-    return State(Kernel(g, k).chain(((a, m),), v))
+    return State._unchecked(Kernel(g, k).chain(((a, m),), v))
 
 
 def normal_order(g: LieAlgebra, word, k) -> State:
@@ -154,7 +168,7 @@ def normal_order(g: LieAlgebra, word, k) -> State:
     for mode in word:
         if mode.depth >= 0:
             raise ValueError(f"normal_order expects creation modes, got depth {mode.depth}")
-    return State(Kernel(g, k).chain(word, {VACUUM_WORD: 1}))
+    return State._unchecked(Kernel(g, k).chain(word, {VACUUM_WORD: 1}))
 
 
 class Kernel:
@@ -166,6 +180,9 @@ class Kernel:
     memo key ``(gen, m, word_id)`` hashes three ints, however deep the word.
     ``modes`` holds one ``Mode`` per ``(gen, depth)``, and every head is that
     object, so the words a kernel spells share their modes.
+    Words are checked once, where they enter: ``intern`` takes canonical
+    creation words only, and ``_act`` makes an id only by a prepend, so every
+    word a kernel spells is canonical by construction.
     A kernel lives for one ``apply_mode`` or ``normal_order`` call, or for one
     ``deform.RuleRegistry``, whose evaluations share it; nothing is kept on
     the algebra.
@@ -193,10 +210,18 @@ class Kernel:
         return wid
 
     def intern(self, word: Word) -> int:
-        """The id of a canonical word."""
-        wid = 0
-        for gen, depth in reversed(word):
-            wid = self.cons((gen, depth, wid))
+        """The id of a canonical word of creation modes; any other word raises
+        ``ValueError``.  Each mode is checked against the head it is consed in
+        front of, so the check costs one comparison a mode."""
+        wid, heads, cons = 0, self.heads, self.cons
+        for mode in reversed(word):
+            gen, depth = mode
+            if depth >= 0:
+                raise ValueError(f"monomial word has a non-creation mode: {word}")
+            # a Mode compares as the pair (gen, depth)
+            if wid and mode > heads[wid]:
+                raise ValueError(f"monomial word is not canonical: {word}")
+            wid = cons((gen, depth, wid))
         return wid
 
     def spell(self, wid: int) -> Word:
@@ -239,7 +264,8 @@ class Kernel:
         A creation mode already in canonical position (``m <= -1``, and ``wid``
         the vacuum or ``(gen, m) <= heads[wid]``) is a prepend, worth
         ``{cons(key): 1}``: it takes a memo entry only as a root or an inner
-        key, and is resolved inline where a value is summed.
+        key, and where a value is summed its one word is added in place.  A
+        prepend is the only way ``_act`` makes an id, so its words stay canonical.
         """
         memo = self.memo
         root = (gen, m, wid)
@@ -283,16 +309,36 @@ class Kernel:
                         stack.append((g2, depth, rest))
                 if len(stack) > waiting:
                     continue
-                # so a key missing from the memo here is a prepend
+                # so a key missing from the memo here is a prepend, whose one
+                # word is added in place by add_scaled's rule: dropped when it
+                # cancels, and placed last when it comes back
                 out = {}
-                for w2, c2 in inner.items():
+                for w2, c in inner.items():
                     t = (bg, bd, w2)
                     value = memo.get(t)
-                    add_scaled(out, {cons(t): 1} if value is None else value, c2)
+                    if value is not None:
+                        add_scaled(out, value, c)
+                        continue
+                    p = cons(t)
+                    if p in out:
+                        c = out[p] + c
+                        if not c:
+                            del out[p]
+                            continue
+                    out[p] = c
                 for g2, c in row.items():
                     t = (g2, depth, rest)
                     value = memo.get(t)
-                    add_scaled(out, {cons(t): 1} if value is None else value, c)
+                    if value is not None:
+                        add_scaled(out, value, c)
+                        continue
+                    p = cons(t)
+                    if p in out:
+                        c = out[p] + c
+                        if not c:
+                            del out[p]
+                            continue
+                    out[p] = c
                 central = m * k * g.form(gen, bg) if not depth else 0
                 if central:
                     add_scaled(out, {rest: 1}, exact(central))
@@ -324,29 +370,57 @@ def _homogeneous(v: State, name: str, grade) -> int:
 def basis_enum(g: LieAlgebra, w: int, q=None) -> list:
     """All canonical words of conformal weight w (and Cartan charge q if given).
 
+    Words grow mode by mode in canonical order, on an explicit stack.  A prefix
+    is kept only while q stays reachable: in weight r, the modes that may still
+    follow, from the generators at or after the last one placed, carry a
+    multiple of their charges' gcd between ``min(bottom, r * bottom)`` and
+    ``max(top, r * top)``, for their least and greatest charge.
     Deterministic order: shorter words first, then by the modes nearest the
     vacuum; this reproduces the listing order used by the rigidity ansatz.
     """
     if w < 0:
         raise ValueError("weight must be >= 0")
+    if q is None:
+        charges, q = [0] * g.dim, 0
+    else:
+        charges = [g.charge(x) for x in range(g.dim)]
+    # the least and greatest charge, and their gcd, from generator x on
+    suffixes = [charges[x:] for x in range(g.dim)]
+    bottoms, tops = [min(c) for c in suffixes], [max(c) for c in suffixes]
+    steps = [gcd(*c) for c in suffixes]
     words = []
-
-    def extend(prefix, remaining, min_key):
-        if remaining == 0:
-            words.append(tuple(prefix))
-            return
-        for gen in range(g.dim):
-            for depth in range(-remaining, 0):
-                mode = Mode(gen, depth)
-                if mode < min_key:
-                    continue
-                prefix.append(mode)
-                extend(prefix, remaining + depth, mode)
-                prefix.pop()
-
-    extend([], w, (-1, -(w + 1)))
-    if q is not None:
-        words = [wd for wd in words if word_charge(g, wd) == q]
+    # a prefix is a (last mode, prefix) pair; with it the weight and charge left,
+    # the generator of its last mode, and the weight that mode has
+    stack = [((), w, q, 0, w)]
+    while stack:
+        prefix, left, need, first, cap = stack.pop()
+        if not left:
+            word = []
+            while prefix:
+                mode, prefix = prefix
+                word.append(mode)
+            if not need:  # only the empty word of weight 0 can miss q here
+                words.append(tuple(reversed(word)))
+            continue
+        for x in range(first, g.dim):
+            rest = need - charges[x]
+            if steps[x] and rest % steps[x]:
+                continue
+            bottom, top = bottoms[x], tops[x]
+            # the least weight, past 0, of modes that can carry the rest
+            if bottom <= rest <= top:
+                least = 1
+            elif rest > top > 0:
+                least = -(-rest // top)
+            elif rest < bottom < 0:
+                least = -(rest // -bottom)
+            else:
+                least = left + 1
+            heaviest = cap if x == first else left
+            for d in range(1, min(heaviest, left - least) + 1):
+                stack.append(((Mode(x, -d), prefix), left - d, rest, x, d))
+            if not rest and left <= heaviest:
+                stack.append(((Mode(x, -left), prefix), 0, 0, x, left))
     words.sort(key=lambda wd: (len(wd), tuple((m.gen, -m.depth) for m in reversed(wd))))
     return words
 

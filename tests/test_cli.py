@@ -413,7 +413,8 @@ def test_act_at_stratum_budget():
     assert result.output == "0\n"
 
 
-@pytest.mark.parametrize("algebra, weight", [("sl2", 30), ("sl2", 13), ("sl3", 7)])
+# the charge-0 strata hold 11,766 and 18,480 words
+@pytest.mark.parametrize("algebra, weight", [("sl2", 30), ("sl2", 17), ("sl3", 9)])
 def test_pbw_basis_past_stratum_budget_exits_2(algebra, weight):
     result = runner.invoke(
         main, ["pbw-basis", "--algebra", algebra, "--weight", str(weight), "--charge", "0"]
@@ -422,10 +423,38 @@ def test_pbw_basis_past_stratum_budget_exits_2(algebra, weight):
 
 
 def test_pbw_basis_at_stratum_budget():
-    # the whole weight-12 stratum, which pbw-basis walks before its --charge filter
+    # with no --charge the stratum is the whole weight: 7868 words at weight 12
     result = runner.invoke(main, ["pbw-basis", "--weight", "12", "--format", "json"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["count"] == 7868 <= MAX_STRATUM
+
+
+@pytest.mark.parametrize("weight, charge, count", [(16, 0, 7634), (13, 1, 0)])
+def test_pbw_basis_budgets_the_charge_stratum(weight, charge, count):
+    # each whole weight stratum is past the budget; these charge strata are not
+    argv = ["pbw-basis", "--weight", str(weight), "--charge", str(charge), "--format", "json"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["count"] == count <= MAX_STRATUM
+
+
+def test_pbw_basis_top_charge_stratum():
+    result = runner.invoke(main, ["pbw-basis", "--weight", "13", "--charge", "26"])
+    assert result.exit_code == 0, result.output
+    assert result.output == "e(-1)^13|0>\n"
+
+
+def test_pbw_basis_deep_one_word_stratum():
+    # one word each, e(-1)^w|0>: the mode budget bounds its length
+    weight = MAX_WORD_LENGTH
+    result = runner.invoke(main, ["pbw-basis", "--weight", str(weight), "--charge", str(2 * weight)])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"e(-1)^{weight}|0>\n"
+    for weight in (MAX_WORD_LENGTH + 1, 10**999):
+        result = runner.invoke(
+            main, ["pbw-basis", "--weight", str(weight), "--charge", str(2 * weight)]
+        )
+        assert_usage_error(result, f"weight {weight} is above the budget of {MAX_WORD_LENGTH} modes")
 
 
 # --- the word-length budget: no test here lets the parser expand past it ---

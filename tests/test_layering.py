@@ -92,3 +92,34 @@ def test_container_scan_sees_every_form():
         "J = (1, 2)\nK = frozenset()\ndef f():\n    L = {}\nclass C:\n    M = ()\n"
     )
     assert module_level_containers(source) == list(range(1, 9)) + [10]
+
+
+# States over kernel-spelled words skip the word walk; words a user spells enter
+# through the checked State constructor, so only the calculus that owns the
+# kernel may take the unchecked one.
+UNCHECKED_CALLERS = ("pbw", "deform")
+
+
+def unchecked_state_uses(source: str) -> list:
+    """Line numbers that name ``_unchecked`` as an attribute, called or not."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "_unchecked"
+    )
+
+
+def test_unchecked_state_stays_in_the_calculus():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem not in UNCHECKED_CALLERS:
+            lines = unchecked_state_uses(path.read_text())
+            assert not lines, f"{path.stem} builds an unchecked State, lines {lines}"
+    assert unchecked_state_uses((PACKAGE / "deform.py").read_text()), "the scan lost its callers"
+
+
+def test_unchecked_scan_sees_every_form():
+    source = (
+        "State._unchecked({})\nmake = pbw.State._unchecked\nState({})\n"
+        "def f():\n    return affdef.pbw.State._unchecked(terms)\n_unchecked = 1\n"
+    )
+    assert unchecked_state_uses(source) == [1, 2, 5]

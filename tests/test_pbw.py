@@ -302,13 +302,22 @@ def typed_items(terms):
     return [(word, type(coeff), coeff) for word, coeff in terms.items()]
 
 
-@pytest.mark.parametrize("k", [2, Fraction(-4, 3), Fraction(-1, 2)], ids=str)
-@pytest.mark.parametrize("g, max_modes", [(G, 6), (sln(3), 5)], ids=["sl2", "sl3"])
-def test_kernel_matches_suffix_tuple_oracle(g, max_modes, k):
+def oracle_cases(g, max_modes, k):
+    """Forty seeded (terms, chain) inputs: multi-term, some symbolic."""
     rng = random.Random(f"oracle:{g.dim}:{k}")
     for trial in range(40):
         terms = random_terms(rng, g, k, max_modes, symbolic=trial % 4 == 0)
-        chain = random_chain(rng, g)
+        yield terms, random_chain(rng, g)
+
+
+ORACLE_ALGEBRAS = pytest.mark.parametrize("g, max_modes", [(G, 6), (sln(3), 5)], ids=["sl2", "sl3"])
+ORACLE_LEVELS = pytest.mark.parametrize("k", [2, Fraction(-4, 3), Fraction(-1, 2)], ids=str)
+
+
+@ORACLE_LEVELS
+@ORACLE_ALGEBRAS
+def test_kernel_matches_suffix_tuple_oracle(g, max_modes, k):
+    for terms, chain in oracle_cases(g, max_modes, k):
         got, want = Kernel(g, k).chain(chain, terms), suffix_apply_chain(g, chain, terms, k)
         assert typed_items(got) == typed_items(want), (chain, terms)
 
@@ -329,17 +338,67 @@ def test_shared_kernel_matches_suffix_tuple_oracle(g):
         assert typed_items(got) == typed_items(want), (chain, terms)
 
 
-@pytest.mark.parametrize("k", [2, Fraction(-4, 3)], ids=str)
-@pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
-def test_long_chains_match_suffix_tuple_oracle(g, k):
-    # an unordered word of 8-10 modes under one positive mode, in one chain from
-    # the vacuum: prepends nest deep inside every value the kernel sums
+def long_chains(g, k):
+    """Four seeded unordered words of 8-10 modes, each under one positive mode."""
     rng = random.Random(f"long:{g.dim}:{k}")
     for _ in range(4):
         word = [Mode(rng.randrange(g.dim), -rng.randint(1, 2)) for _ in range(rng.randint(8, 10))]
-        chain = (Mode(rng.randrange(g.dim), rng.randint(1, 2)),) + tuple(word)
+        yield (Mode(rng.randrange(g.dim), rng.randint(1, 2)),) + tuple(word)
+
+
+LONG_CHAIN_LEVELS = pytest.mark.parametrize("k", [2, Fraction(-4, 3)], ids=str)
+LONG_CHAIN_ALGEBRAS = pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
+
+
+@LONG_CHAIN_LEVELS
+@LONG_CHAIN_ALGEBRAS
+def test_long_chains_match_suffix_tuple_oracle(g, k):
+    # one chain from the vacuum: prepends nest deep inside every value the kernel sums
+    for chain in long_chains(g, k):
         got, want = Kernel(g, k).chain(chain, {(): 1}), suffix_apply_chain(g, chain, {(): 1}, k)
         assert got and typed_items(got) == typed_items(want), chain
+
+
+def assert_passes_the_full_check(state):
+    # the kernel's words skip the State constructor's walk: it must accept them
+    # all, and keep every coefficient as it is
+    checked = State(dict(state.items()))
+    assert typed_items(checked) == typed_items(state)
+
+
+@ORACLE_LEVELS
+@ORACLE_ALGEBRAS
+def test_kernel_states_pass_the_full_check_on_oracle_inputs(g, max_modes, k):
+    for terms, chain in oracle_cases(g, max_modes, k):
+        state = State(terms)
+        for gen, m in reversed(chain):
+            state = apply_mode(g, gen, m, state, k)
+            assert_passes_the_full_check(state)
+
+
+@LONG_CHAIN_LEVELS
+@LONG_CHAIN_ALGEBRAS
+def test_kernel_states_pass_the_full_check_on_long_chains(g, k):
+    for (gen, m), *word in long_chains(g, k):
+        ordered = normal_order(g, word, k)
+        assert_passes_the_full_check(ordered)
+        assert_passes_the_full_check(apply_mode(g, gen, m, ordered, k))
+
+
+@pytest.mark.parametrize("word", [
+    (Mode(H, -1), Mode(E, -1)),  # out of canonical order
+    (Mode(E, -1), Mode(F, -2), Mode(F, -3)),  # deeper after shallower
+    (Mode(E, 0),),
+    (Mode(E, -1), Mode(F, 1)),
+])
+def test_kernel_rejects_a_raw_word_at_entry(word):
+    kernel = Kernel(G, 2)
+    with pytest.raises(ValueError, match="monomial word"):
+        kernel.chain(((F, 1),), {word: 1})
+    with pytest.raises(ValueError, match="monomial word"):
+        kernel.intern(word)
+    # a word that does pass is still taken
+    assert kernel.chain(((E, -1),), {(Mode(F, -1),): 1}) == {(Mode(E, -1), Mode(F, -1)): 1}
 
 
 def distinct_mode_objects(words) -> bool:
@@ -649,6 +708,25 @@ def test_basis_words_canonical_and_unique():
         words = basis_enum(G, w)
         assert len(set(words)) == len(words)
         assert all(is_canonical(word) for word in words)
+
+
+@pytest.mark.parametrize("g, max_weight", [(G, 8), (sln(3), 4)], ids=["sl2", "sl3"])
+def test_charge_pruned_basis_is_the_filtered_weight_basis(g, max_weight):
+    for w in range(max_weight + 1):
+        words = basis_enum(g, w)
+        for q in range(-2 * w - 3, 2 * w + 4):
+            assert basis_enum(g, w, q) == [wd for wd in words if word_charge(g, wd) == q], (w, q)
+
+
+def test_basis_enum_walks_deep_words_without_recursion():
+    # past the recursion limit, and found without walking the weight-3000 stratum
+    assert basis_enum(G, 3000, 6000) == [(Mode(E, -1),) * 3000]
+    assert basis_enum(G, 3000, 5998) == [
+        (Mode(E, -2),) + (Mode(E, -1),) * 2998,
+        (Mode(E, -1),) * 2999 + (Mode(H, -1),),
+    ]
+    # sl2 charges are even, so an odd charge stops every prefix at once
+    assert basis_enum(G, 3000, 1) == []
 
 
 @pytest.mark.parametrize("g, max_weight", [(G, 8), (sln(3), 4)], ids=["sl2", "sl3"])
