@@ -44,6 +44,9 @@ MAX_RANK = 10
 # each --state word that is not canonical (a canonical word is its own normal
 # form), and the stratum that pbw-basis lists, the whole weight without --charge.
 MAX_STRATUM = 10_000
+# Most modes pbw-basis may list, counted as its stratum's words times its weight
+# (the most modes a word of that weight holds) before anything is listed.
+MAX_LISTED_MODES = 200_000
 # Most digits of the numbers in one --level, --state or --mode value, all counted
 # before any conversion, so that no result passes Python's 4300-digit int-to-str limit.
 MAX_LITERAL_DIGITS = 1_000
@@ -252,10 +255,13 @@ def check_level(k: int):
         raise click.UsageError(f"level {k} is above the budget of {MAX_LEVEL}")
 
 
-def check_stratum(what: str, g: LieAlgebra, weight: int, charge):
-    """Refuse an expansion whose stratum holds more than ``MAX_STRATUM`` words."""
-    if stratum_size(g, weight, charge, MAX_STRATUM) > MAX_STRATUM:
+def check_stratum(what: str, g: LieAlgebra, weight: int, charge) -> int:
+    """Refuse an expansion whose stratum holds more than ``MAX_STRATUM`` words;
+    return the number of words it holds."""
+    size = stratum_size(g, weight, charge, MAX_STRATUM)
+    if size > MAX_STRATUM:
         raise click.UsageError(f"{what}: its stratum holds more than {MAX_STRATUM} words")
+    return size
 
 
 def resolve_algebra(name: str) -> LieAlgebra:
@@ -311,11 +317,16 @@ def main():
 def pbw_basis_cmd(algebra, weight, charge, fmt, transcript):
     """List the canonical monomials of a graded stratum."""
     g = resolve_algebra(algebra)
-    if weight >= 0:
-        check_stratum(f"weight {weight}", g, weight, charge)
-    # a stratum of one word can still be deep: a word of weight w has up to w modes
+    # a word of weight w has up to w modes: a stratum of few words can still be deep
     if weight > MAX_WORD_LENGTH:
         raise click.UsageError(f"weight {weight} is above the budget of {MAX_WORD_LENGTH} modes")
+    if weight >= 0:
+        size = check_stratum(f"weight {weight}", g, weight, charge)
+        if size * weight > MAX_LISTED_MODES:
+            raise click.UsageError(
+                f"weight {weight}: its {size} words may spell more than "
+                f"the budget of {MAX_LISTED_MODES} modes"
+            )
     try:
         words = basis_enum(g, weight, charge)
     except ValueError as exc:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from affdef.cli import (
     MAX_LEVEL,
+    MAX_LISTED_MODES,
     MAX_LITERAL_DIGITS,
     MAX_RANK,
     MAX_STRATUM,
@@ -455,6 +456,27 @@ def test_pbw_basis_deep_one_word_stratum():
             main, ["pbw-basis", "--weight", str(weight), "--charge", str(2 * weight)]
         )
         assert_usage_error(result, f"weight {weight} is above the budget of {MAX_WORD_LENGTH} modes")
+
+
+# sl2 at weight 5000, charges 10000 - 10 and 10000 - 28: 57 and 8634 words, within
+# the word budget, but of up to 5000 modes each
+@pytest.mark.parametrize("charge, count", [(9990, 57), (9972, 8634)])
+def test_pbw_basis_past_listing_budget_exits_2(charge, count):
+    result = runner.invoke(main, ["pbw-basis", "--weight", "5000", "--charge", str(charge)])
+    assert_usage_error(
+        result,
+        f"weight 5000: its {count} words may spell more than the budget of {MAX_LISTED_MODES} modes",
+    )
+
+
+def test_pbw_basis_at_listing_budget():
+    # slack 8 holds 29 words, 145,000 modes at most
+    result = runner.invoke(
+        main, ["pbw-basis", "--weight", "5000", "--charge", "9992", "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["count"] == 29
+    assert 29 * 5000 <= MAX_LISTED_MODES < 57 * 5000
 
 
 # --- the word-length budget: no test here lets the parser expand past it ---

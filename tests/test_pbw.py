@@ -359,6 +359,25 @@ def test_long_chains_match_suffix_tuple_oracle(g, k):
         assert got and typed_items(got) == typed_items(want), chain
 
 
+def test_every_memo_value_matches_suffix_tuple_oracle():
+    # at k = -2 (of the levels tried, only there) a prepend in _act's first sum
+    # lands on a word that an earlier inner value put there, and cancels it: the
+    # word must leave the memo value, not stay in it as a zero
+    g, k = sln(3), -2
+    text = "E13(1) D2(2) E31(-1) E23(-1) E31(-1) E32(-2) E32(-2) E32(-2)"
+    chain = tuple(
+        Mode(g.index(label), int(depth.rstrip(")")))
+        for label, depth in (token.split("(") for token in text.split())
+    )
+    kernel = Kernel(g, k)
+    kernel.chain(chain, {(): 1})
+    memo, brackets = {}, {}
+    for (gen, m, wid), value in kernel.memo.items():
+        want = suffix_act(g, gen, m, kernel.spell(wid), exact(k), memo, brackets)
+        got = {kernel.spell(w): c for w, c in value.items()}
+        assert typed_items(got) == typed_items(want), (gen, m, kernel.spell(wid))
+
+
 def assert_passes_the_full_check(state):
     # the kernel's words skip the State constructor's walk: it must accept them
     # all, and keep every coefficient as it is
