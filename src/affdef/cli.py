@@ -9,9 +9,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 
@@ -39,6 +39,9 @@ MAX_WORD_LENGTH = 5_000
 MAX_LEVEL = 100
 # Highest n of --algebra slN (past it the labels collide), checked on its digits.
 MAX_RANK = 10
+# Most basis labels of a structure file, the dimension of sl(MAX_RANK), checked
+# before any table is built: validate's pair passes grow with its square.
+MAX_DIM = MAX_RANK**2 - 1
 # Most canonical words in the PBW stratum that one expansion may reach, counted by
 # pbw.stratum_size before anything is expanded: the (weight, charge) stratum of
 # each --state word that is not canonical (a canonical word is its own normal
@@ -80,8 +83,7 @@ def _tokenize(text: str):
     return tokens
 
 
-@dataclass(frozen=True)
-class ExprAST:
+class ExprAST(NamedTuple):
     """Signed terms: (rational coefficient, word of ``Mode``s in the order spelled)."""
 
     terms: tuple
@@ -279,7 +281,7 @@ def resolve_algebra(name: str) -> LieAlgebra:
     path = Path(name)
     if path.suffix or path.exists():
         try:
-            return load_structure_file(path.read_text())
+            return load_structure_file(path.read_text(), MAX_DIM)
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load algebra {name!r}: {exc}") from None
     raise click.UsageError(f"unknown algebra {name!r}")

@@ -16,7 +16,6 @@ be registered, which keeps the reduction terminating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -70,8 +69,7 @@ class RegistryFrozen(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     atom: DefAtom
     value: DefExpression  # a registered state is the tail of a term-free expression
     provenance: str
@@ -209,8 +207,7 @@ def generator_value(g: LieAlgebra, a: int, m: int, b: int) -> State:
     return State.vacuum(LinForm.symbol("c", pairing))
 
 
-@dataclass(frozen=True)
-class ModeIdentity:
+class ModeIdentity(NamedTuple):
     """Operator identity [a^def(m), b(n)] + [a(m), b^def(n)] = sum of the terms.
 
     Each term is (coefficient, def-mode) with ``None`` for the identity operator.

@@ -12,8 +12,8 @@ triple to report each failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .scalar import add_scaled, exact, parse_rational
 
@@ -92,10 +92,9 @@ class LieAlgebra:
         return tuple(charges)
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
-    failures: list = field(default_factory=list)
+    failures: list
 
     def __str__(self):
         if self.ok:
@@ -289,11 +288,12 @@ def _scan(g: LieAlgebra, alternating: bool) -> list:
     return failures
 
 
-def load_structure_file(text: str) -> LieAlgebra:
+def load_structure_file(text: str, max_dim: int | None = None) -> LieAlgebra:
     """Parse the line-oriented structure-constant format and validate the result.
 
     Lines: ``basis x y z``, ``[x,y] = q1*z1 + q2*z2``, ``<x,y> = q``,
-    ``triple e h f``.  Blank lines and ``#`` comments are ignored.
+    ``triple e h f``.  Blank lines and ``#`` comments are ignored.  A basis of
+    more than ``max_dim`` labels is refused before any table is built.
     """
     import re
 
@@ -328,6 +328,8 @@ def load_structure_file(text: str) -> LieAlgebra:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if not labels:
         raise ValueError("missing 'basis' line")
+    if max_dim is not None and len(labels) > max_dim:
+        raise ValueError(f"basis has {len(labels)} labels, above the budget of {max_dim}")
     if triple is None:
         raise ValueError("missing 'triple' line")
     index = {lab: i for i, lab in enumerate(labels)}

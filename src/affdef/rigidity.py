@@ -9,8 +9,8 @@ coefficient equations are valid verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .deform import (
     DefAtom,
@@ -38,17 +38,31 @@ class SystemMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule: str
     detail: str
     output: str = ""
 
 
-@dataclass
 class ProofTranscript:
-    steps: list = field(default_factory=list)
-    conclusion: LinForm = None
+    """The numbered steps of a pipeline run and the relation it concludes.
+
+    The one mutable record: a pipeline appends steps and then sets ``conclusion``.
+    """
+
+    __slots__ = ("steps", "conclusion")
+
+    def __init__(self, steps=None, conclusion: LinForm = None):
+        self.steps = [] if steps is None else steps
+        self.conclusion = conclusion
+
+    def __eq__(self, other):
+        if not isinstance(other, ProofTranscript):
+            return NotImplemented
+        return self.steps == other.steps and self.conclusion == other.conclusion
+
+    def __repr__(self):
+        return f"ProofTranscript(steps={self.steps!r}, conclusion={self.conclusion!r})"
 
     def add(self, rule: str, detail: str, output: str = ""):
         self.steps.append(Step(rule, detail, output))
@@ -99,15 +113,14 @@ def eliminate(equations) -> LinForm | None:
     return None
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     pipeline: str
     level: Fraction
     c_forced_zero: bool
     final_relation: LinForm
     equations: list
     transcript: ProofTranscript
-    quarantine: list = field(default_factory=list)
+    quarantine: tuple = ()
 
     def to_jsonable(self, include_steps: bool = False) -> dict:
         return {
@@ -453,12 +466,11 @@ def admissible_pipeline(combination=None) -> Verdict:
         final_relation=final_relation,
         equations=equations,
         transcript=transcript,
-        quarantine=quarantine,
+        quarantine=tuple(quarantine),
     )
 
 
-@dataclass
-class CrossCheckEntry:
+class CrossCheckEntry(NamedTuple):
     label: str
     status: str  # "match" | "residual" | "mismatch"
     residual_atoms: list

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .liealg import LieAlgebra
 from .pbw import Mode, State, apply_mode, normal_order, weight
@@ -42,8 +42,7 @@ class NonPositiveLevel(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SingularVector:
+class SingularVector(NamedTuple):
     level: Fraction
     vector: State
     label: str

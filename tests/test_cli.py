@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from affdef import liealg
 from affdef.cli import (
+    MAX_DIM,
     MAX_LEVEL,
     MAX_LISTED_MODES,
     MAX_LITERAL_DIGITS,
@@ -570,6 +572,39 @@ def test_rank_past_budget_exits_2(rank):
     assert result.output.splitlines()[-1] == (
         f"Error: rank {rank.lstrip('0')} is above the budget of {MAX_RANK}"
     )
+
+
+# --- the dimension budget of a structure file ---
+
+def inert_algebra_file(path, dim):
+    """sl2 plus ``dim - 3`` labels that bracket and pair to zero: valid, of dimension dim."""
+    labels = " ".join(f"x{i}" for i in range(dim - 3))
+    path.write_text(
+        f"basis e h f {labels}\n[h,e] = 2*e\n[h,f] = -2*f\n[e,f] = h\n"
+        "<e,f> = 1\n<h,h> = 2\ntriple e h f\n"
+    )
+    return str(path)
+
+
+def test_structure_file_at_dimension_budget_loads(tmp_path):
+    assert MAX_DIM == MAX_RANK**2 - 1 == 99
+    algebra = inert_algebra_file(tmp_path / "alg.txt", MAX_DIM)
+    result = runner.invoke(main, ["pbw-basis", "--algebra", algebra, "--weight", "1"])
+    assert result.exit_code == 0, result.output
+    assert len(result.output.splitlines()) == MAX_DIM
+
+
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 1503])
+def test_structure_file_past_dimension_budget_exits_2(tmp_path, monkeypatch, dim):
+    def refuse(*args):
+        raise AssertionError("a table was built past the dimension budget")
+
+    # refused on the basis line, before any table is built or validated
+    monkeypatch.setattr(liealg, "LieAlgebra", refuse)
+    monkeypatch.setattr(liealg, "validate", refuse)
+    algebra = inert_algebra_file(tmp_path / "alg.txt", dim)
+    result = runner.invoke(main, ["pbw-basis", "--algebra", algebra, "--weight", "1"])
+    assert_usage_error(result, f"basis has {dim} labels, above the budget of {MAX_DIM}")
 
 
 # --- numbers: ASCII digits, and a digit budget per option value ---

@@ -7,7 +7,6 @@ against ``(c)*...`` in def-expressions).  After an intended output change,
 rewrite the corpus with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
-import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -122,7 +121,7 @@ def pipelines() -> str:
         lines.append(json.dumps(verdict.to_jsonable(include_steps=True), sort_keys=True))
         lines.append(verdict.transcript.render())
     lines.append("# cross-check")
-    lines += [json.dumps(dataclasses.asdict(e), sort_keys=True) for e in cross_check()]
+    lines += [json.dumps(e._asdict(), sort_keys=True) for e in cross_check()]
     return "\n".join(lines) + "\n"
 
 

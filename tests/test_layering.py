@@ -1,7 +1,12 @@
 """The package's import graph: each module imports only the layers below it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import affdef
 
@@ -123,3 +128,44 @@ def test_unchecked_scan_sees_every_form():
         "def f():\n    return affdef.pbw.State._unchecked(terms)\n_unchecked = 1\n"
     )
     assert unchecked_state_uses(source) == [1, 2, 5]
+
+
+# A fresh interpreter imports the module named by argv[1] and exits with a message
+# if that import newly loaded any of the modules named after it.  Modules already
+# loaded before the import (say by a site hook) do not count.
+FRESH_IMPORT = """
+import sys
+module, heavy = sys.argv[1], sys.argv[2:]
+before = set(sys.modules)
+__import__(module)
+loaded = sorted(set(heavy) & (set(sys.modules) - before))
+if loaded:
+    sys.exit(f"import {module} newly loaded {' '.join(loaded)}")
+"""
+
+
+def fresh_import(module: str, *heavy: str) -> subprocess.CompletedProcess:
+    """Run FRESH_IMPORT in a child that finds this package first on its path."""
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-c", FRESH_IMPORT, module, *heavy],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+# The records are NamedTuples and one plain class, so a cold start skips
+# dataclasses and what it imports; click itself imports inspect.
+@pytest.mark.parametrize("module, heavy", [
+    ("affdef", ("dataclasses", "inspect", "ast", "dis", "tokenize")),
+    ("affdef.cli", ("dataclasses",)),
+])
+def test_cold_import_skips_heavy_modules(module, heavy):
+    child = fresh_import(module, *heavy)
+    assert child.returncode == 0, child.stderr
+
+
+def test_fresh_import_reports_a_heavy_module():
+    child = fresh_import("affdef.scalar", "affdef.scalar", "dataclasses")
+    assert child.returncode == 1
+    assert child.stderr.strip() == "import affdef.scalar newly loaded affdef.scalar"

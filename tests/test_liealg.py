@@ -233,6 +233,12 @@ def test_structure_file_roundtrip():
             assert g.form(i, j) == ref.form(i, j)
 
 
+def test_structure_file_dimension_budget():
+    assert load_structure_file(SL2_FILE, max_dim=3).basis == ("e", "h", "f")
+    with pytest.raises(ValueError, match="basis has 3 labels, above the budget of 2"):
+        load_structure_file(SL2_FILE, max_dim=2)
+
+
 def test_structure_file_rejects_invalid():
     bad = SL2_FILE.replace("<e,f> = 1", "<e,f> = 2")
     with pytest.raises(ValueError, match="invalid"):

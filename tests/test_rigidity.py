@@ -14,6 +14,9 @@ from affdef.rigidity import (
     admissible_pipeline,
     cross_check,
     eliminate,
+    ProofTranscript,
+    Step,
+    Verdict,
     integral_pipeline,
 )
 from affdef.scalar import LinForm
@@ -148,6 +151,46 @@ def test_integral_deterministic():
     assert json.dumps(a.to_jsonable(True), sort_keys=True) == json.dumps(
         b.to_jsonable(True), sort_keys=True
     )
+
+
+# --- records ---
+
+def transcript(conclusion=None, output="2*c"):
+    t = ProofTranscript()
+    t.add("solve", "row reduction")
+    t.add("telescope", "substitute", output)
+    t.conclusion = conclusion
+    return t
+
+
+def test_transcript_equality_covers_steps_and_conclusion():
+    assert transcript(lf(c=2)) == transcript(lf(c=2))
+    assert transcript(lf(c=2)) != transcript(lf(c=3))
+    assert transcript(lf(c=2)) != transcript(None)
+    assert transcript(lf(c=2), output="2*c") != transcript(lf(c=2), output="3*c")
+    assert ProofTranscript() == ProofTranscript([], None)
+    assert repr(transcript(None)) == (
+        "ProofTranscript(steps=[Step(rule='solve', detail='row reduction', output=''), "
+        "Step(rule='telescope', detail='substitute', output='2*c')], conclusion=None)"
+    )
+
+
+def test_verdict_equality_compares_the_transcript():
+    a = integral_pipeline(sl2(), 3)
+    assert a == integral_pipeline(sl2(), 3)
+    assert a != integral_pipeline(sl2(), 4)
+    other = transcript(a.transcript.conclusion)
+    assert a._replace(transcript=other) != a
+    steps = list(a.transcript.steps)
+    steps[-1] = steps[-1]._replace(output="")
+    assert a._replace(transcript=ProofTranscript(steps, a.transcript.conclusion)) != a
+
+
+def test_verdict_quarantine_defaults_to_empty():
+    verdict = Verdict("p", Fraction(1), True, lf(c=1), [], ProofTranscript())
+    assert verdict.quarantine == ()
+    assert verdict.to_jsonable()["quarantine"] == []
+    assert Step("r", "d") == Step("r", "d", "")
 
 
 # --- admissible pipeline ---
