@@ -16,7 +16,7 @@ from typing import NamedTuple
 import click
 
 from . import rigidity, singular
-from .liealg import InvalidRank, LieAlgebra, load_structure_file, sl2, sln
+from .liealg import MAX_DIM, MAX_RANK, InvalidRank, LieAlgebra, load_structure_file, sl2, sln
 from .pbw import (
     Mode,
     State,
@@ -32,16 +32,14 @@ from .pbw import (
 from .scalar import add_scaled, format_rational, parse_rational
 
 
+# The budgets of the input grammars.  The algebras' two are liealg's: MAX_RANK,
+# checked here on the digits of --algebra slN, and MAX_DIM, checked by the loader.
+
 # Most modes a whole state may spell, over all its terms, checked before a
 # word is expanded; also the highest weight pbw-basis lists.
 MAX_WORD_LENGTH = 5_000
 # Highest level k the integral commands accept, checked before any computation.
 MAX_LEVEL = 100
-# Highest n of --algebra slN (past it the labels collide), checked on its digits.
-MAX_RANK = 10
-# Most basis labels of a structure file, the dimension of sl(MAX_RANK), checked
-# before any table is built: validate's pair passes grow with its square.
-MAX_DIM = MAX_RANK**2 - 1
 # Most canonical words in the PBW stratum that one expansion may reach, counted by
 # pbw.stratum_size before anything is expanded: the (weight, charge) stratum of
 # each --state word that is not canonical (a canonical word is its own normal
@@ -53,6 +51,9 @@ MAX_LISTED_MODES = 200_000
 # Most digits of the numbers in one --level, --state or --mode value, all counted
 # before any conversion, so that no result passes Python's 4300-digit int-to-str limit.
 MAX_LITERAL_DIGITS = 1_000
+# The label integral:k=N, with N in ASCII digits: int() alone also takes "1_0",
+# "+2" and " 3".
+INTEGRAL_LABEL = re.compile(r"integral:k=(-?[0-9]+)")
 
 
 class StateSyntaxError(Exception):
@@ -281,7 +282,7 @@ def resolve_algebra(name: str) -> LieAlgebra:
     path = Path(name)
     if path.suffix or path.exists():
         try:
-            return load_structure_file(path.read_text(), MAX_DIM)
+            return load_structure_file(path.read_text())
         except (OSError, ValueError) as exc:
             raise click.UsageError(f"cannot load algebra {name!r}: {exc}") from None
     raise click.UsageError(f"unknown algebra {name!r}")
@@ -378,18 +379,23 @@ def act_cmd(algebra, mode_text, state_text, level, fmt, transcript):
 def singular_check_cmd(label, fmt, transcript):
     """Verify a cataloged singular vector by exhausting its annihilators."""
     g = sl2()
-    m = singular.INTEGRAL_LABEL.fullmatch(label)
-    if m:
+    m = INTEGRAL_LABEL.fullmatch(label)
+    if label == "sl2:-4/3":
+        entry = singular.admissible_sl2(g)
+    elif m:
         try:
             k = int(m.group(1))
         except ValueError:  # more digits than int() converts
             raise click.UsageError(f"bad catalog label {label!r}") from None
         check_level(k)
-    try:
-        entry = singular.catalog(label, g)
-    except (KeyError, singular.NonPositiveLevel) as exc:
-        # str() of a KeyError is the repr of its message
-        raise click.UsageError(exc.args[0])
+        try:
+            entry = singular.integral_relation(g, k)
+        except singular.NonPositiveLevel as exc:
+            raise click.UsageError(str(exc)) from None
+    elif label.startswith("integral:k="):
+        raise click.UsageError(f"bad catalog label {label!r}")
+    else:
+        raise click.UsageError(f"unknown catalog label {label!r}")
     ok, witness = singular.is_singular(entry.vector, entry.level, g)
     lines = [
         f"label: {entry.label}",

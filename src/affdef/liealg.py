@@ -18,6 +18,14 @@ from typing import NamedTuple
 from .scalar import add_scaled, exact, parse_rational
 
 
+# Highest n of sln (past it the matrix-unit labels collide: E(1,11) and E(11,1)
+# are both E111).
+MAX_RANK = 10
+# Most basis labels of a structure file, the dimension of sl(MAX_RANK), checked
+# before any table is built: validate's pair passes grow with its square.
+MAX_DIM = MAX_RANK**2 - 1
+
+
 class InvalidRank(Exception):
     pass
 
@@ -103,18 +111,9 @@ class ValidationReport(NamedTuple):
 
 
 def sl2() -> LieAlgebra:
-    """The rank-1 algebra on basis (e, h, f) with the standard triple relations."""
-    e, h, f = 0, 1, 2
-    bracket = {
-        (h, e): {e: 2},
-        (h, f): {f: -2},
-        (e, f): {h: 1},
-        (e, e): {},
-        (h, h): {},
-        (f, f): {},
-    }
-    form = {(e, f): 1, (h, h): 2}
-    return LieAlgebra(("e", "h", "f"), bracket, form, (e, h, f))
+    """The rank-1 algebra: ``sln(2)`` relabelled (e, h, f) from (E12, D1, E21)."""
+    g = sln(2)
+    return LieAlgebra(("e", "h", "f"), g._bracket, g._form, g.theta)
 
 
 def sln(n: int) -> LieAlgebra:
@@ -124,8 +123,8 @@ def sln(n: int) -> LieAlgebra:
     """
     if n < 2:
         raise InvalidRank(f"sln needs n >= 2, got {n}")
-    if n > 10:
-        raise InvalidRank(f"sln needs n <= 10 for distinct basis labels, got {n}")
+    if n > MAX_RANK:
+        raise InvalidRank(f"sln needs n <= {MAX_RANK} for distinct basis labels, got {n}")
     # matrix units above the diagonal row by row, then the D_i, then those below
     upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     lower = [(i, j) for i in range(n) for j in range(i)]
@@ -288,16 +287,17 @@ def _scan(g: LieAlgebra, alternating: bool) -> list:
     return failures
 
 
-def load_structure_file(text: str, max_dim: int | None = None) -> LieAlgebra:
+def load_structure_file(text: str) -> LieAlgebra:
     """Parse the line-oriented structure-constant format and validate the result.
 
     Lines: ``basis x y z``, ``[x,y] = q1*z1 + q2*z2``, ``<x,y> = q``,
-    ``triple e h f``.  Blank lines and ``#`` comments are ignored.  A basis of
-    more than ``max_dim`` labels is refused before any table is built.
+    ``triple e h f``, each of the ``basis`` and ``triple`` lines once.  Blank lines
+    and ``#`` comments are ignored.  A basis of more than ``MAX_DIM`` labels is
+    refused before any table is built.
     """
     import re
 
-    labels = []
+    labels = None
     bracket_lines = []
     form_lines = []
     triple = None
@@ -307,8 +307,12 @@ def load_structure_file(text: str, max_dim: int | None = None) -> LieAlgebra:
         if not line:
             continue
         if line.startswith("basis "):
+            if labels is not None:
+                raise ValueError(f"line {lineno}: second 'basis' line")
             labels = line.split()[1:]
         elif line.startswith("triple "):
+            if triple is not None:
+                raise ValueError(f"line {lineno}: second 'triple' line")
             parts = line.split()[1:]
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: triple needs three labels")
@@ -328,8 +332,8 @@ def load_structure_file(text: str, max_dim: int | None = None) -> LieAlgebra:
             raise ValueError(f"line {lineno}: unrecognized line {line!r}")
     if not labels:
         raise ValueError("missing 'basis' line")
-    if max_dim is not None and len(labels) > max_dim:
-        raise ValueError(f"basis has {len(labels)} labels, above the budget of {max_dim}")
+    if len(labels) > MAX_DIM:
+        raise ValueError(f"basis has {len(labels)} labels, above the budget of {MAX_DIM}")
     if triple is None:
         raise ValueError("missing 'triple' line")
     index = {lab: i for i, lab in enumerate(labels)}

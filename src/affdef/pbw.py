@@ -52,7 +52,8 @@ class State:
 
     The constructor checks every word: each mode a creation mode, in canonical
     order.  Words a ``Kernel`` spells were checked where they entered it, at
-    ``Kernel.intern``, so the states built from them take ``_unchecked``.
+    ``Kernel.intern``, so the states built from them take ``_unchecked``, as do
+    sums, scalings and ``d_operator`` images of states, whose words are checked.
     """
 
     __slots__ = ("_terms",)
@@ -108,7 +109,7 @@ class State:
     def __add__(self, other: "State") -> "State":
         out = dict(self._terms)
         add_scaled(out, other._terms, 1)
-        return State(out)
+        return State._unchecked(out)
 
     def __sub__(self, other: "State") -> "State":
         return self + other.scale(-1)
@@ -118,7 +119,7 @@ class State:
         factor = exact(factor)
         if not factor:
             return State.zero()
-        return State({w: coeff * factor for w, coeff in self._terms.items()})
+        return State._unchecked({w: coeff * factor for w, coeff in self._terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, State) and self._terms == other._terms
@@ -492,4 +493,4 @@ def d_operator(v: State) -> State:
             shifted = word[:i] + (Mode(mode.gen, mode.depth - 1),) + word[i + 1 :]
             # same-generator modes commute freely, so resorting is exact
             add_scaled(out, {tuple(sorted(shifted)): coeff}, -mode.depth)
-    return State(out)
+    return State._unchecked(out)

@@ -1,4 +1,4 @@
-"""Catalog and verification of the singular vectors generating the maximal ideals.
+"""The singular vectors generating the maximal ideals, and their verification.
 
 A homogeneous vector of weight w is singular iff e(0) and every positive mode
 a(m), 1 <= m <= w, annihilate it; modes deeper than w land below weight zero
@@ -7,8 +7,6 @@ and vanish automatically, so the check is finite and complete.
 
 from __future__ import annotations
 
-import contextlib
-import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -32,10 +30,6 @@ WEIGHT3_WORDS = (
 # conditions, which also pin every other coefficient (the annihilator of the
 # five-dimensional stratum has a one-dimensional kernel; see the uniqueness test).
 SINGULAR_COEFFS = (Fraction(-48), Fraction(36), Fraction(-6), Fraction(9), Fraction(80))
-
-# The label integral:k=N, with N in ASCII digits: int() alone also takes "1_0",
-# "+2" and " 3".
-INTEGRAL_LABEL = re.compile(r"integral:k=(-?[0-9]+)")
 
 
 class NonPositiveLevel(Exception):
@@ -62,19 +56,6 @@ def admissible_sl2(g: LieAlgebra) -> SingularVector:
     for coeff, word in zip(SINGULAR_COEFFS, WEIGHT3_WORDS):
         vec = vec + normal_order(g, word, ADMISSIBLE_LEVEL).scale(coeff)
     return SingularVector(ADMISSIBLE_LEVEL, vec, "sl2:-4/3")
-
-
-def catalog(label: str, g: LieAlgebra) -> SingularVector:
-    """Look up a cataloged singular vector on ``g``: ``integral:k=N`` or ``sl2:-4/3``."""
-    if label == "sl2:-4/3":
-        return admissible_sl2(g)
-    m = INTEGRAL_LABEL.fullmatch(label)
-    if m:
-        with contextlib.suppress(ValueError):  # more digits than int() converts
-            return integral_relation(g, int(m.group(1)))
-    if label.startswith("integral:k="):
-        raise KeyError(f"bad catalog label {label!r}")
-    raise KeyError(f"unknown catalog label {label!r}")
 
 
 def is_singular(v: State, k, g: LieAlgebra) -> tuple:

@@ -228,6 +228,7 @@ def test_singular_check_pass():
 def test_singular_check_integral():
     result = runner.invoke(main, ["singular-check", "--label", "integral:k=2"])
     assert result.exit_code == 0
+    assert result.output.splitlines()[:3] == ["label: integral:k=2", "level: 2", "vector: e(-1)^3|0>"]
 
 
 def test_singular_check_unknown_label():
@@ -246,8 +247,9 @@ def test_singular_check_unknown_label():
         ("integral:k=" + "9" * 5000, "bad catalog label 'integral:k=" + "9" * 5000 + "'"),
         ("integral:k=0", "integral level must be a positive integer, got 0"),
         ("integral:k=-1", "integral level must be a positive integer, got -1"),
+        ("nonsense", "unknown catalog label 'nonsense'"),
     ],
-    ids=["underscore", "plus", "space", "5000-digits", "zero", "negative"],
+    ids=["underscore", "plus", "space", "5000-digits", "zero", "negative", "unknown"],
 )
 def test_singular_check_label_errors_exit_2(label, message):
     result = runner.invoke(main, ["singular-check", "--label", label])
@@ -605,6 +607,17 @@ def test_structure_file_past_dimension_budget_exits_2(tmp_path, monkeypatch, dim
     algebra = inert_algebra_file(tmp_path / "alg.txt", dim)
     result = runner.invoke(main, ["pbw-basis", "--algebra", algebra, "--weight", "1"])
     assert_usage_error(result, f"basis has {dim} labels, above the budget of {MAX_DIM}")
+
+
+@pytest.mark.parametrize("head", ["basis", "triple"])
+def test_structure_file_second_line_exits_2(tmp_path, head):
+    path = tmp_path / "alg.txt"
+    path.write_text(
+        "basis e h f\n[h,e] = 2*e\n[h,f] = -2*f\n[e,f] = h\n<e,f> = 1\n<h,h> = 2\n"
+        f"triple f h e\n{head} e h f\n"
+    )
+    result = runner.invoke(main, ["pbw-basis", "--algebra", str(path), "--weight", "1"])
+    assert_usage_error(result, f"cannot load algebra {str(path)!r}: line 8: second '{head}' line")
 
 
 # --- numbers: ASCII digits, and a digit budget per option value ---

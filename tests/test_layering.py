@@ -130,6 +130,46 @@ def test_unchecked_scan_sees_every_form():
     assert unchecked_state_uses(source) == [1, 2, 5]
 
 
+# Each budget is stated once: the algebra bounds in liealg, the input grammars' in cli.
+BUDGET_OWNERS = {"MAX_RANK": "liealg", "MAX_DIM": "liealg"}
+
+
+def budget_assignments(source: str) -> list:
+    """``(name, line)`` of every binding of a ``MAX_*`` name, nested ones included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.NamedExpr, ast.For)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            found += [(n.id, node.lineno) for n in names if n.id.startswith("MAX_")]
+        elif isinstance(node, ast.alias) and (node.asname or "").startswith("MAX_"):
+            found.append((node.asname, node.lineno))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_each_budget_has_one_owner():
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, line in budget_assignments(path.read_text()):
+            owners.setdefault(name, []).append(f"{path.stem}:{line}")
+    assert {"MAX_RANK", "MAX_DIM", "MAX_LEVEL"} <= set(owners), "the scan lost its budgets"
+    for name, places in sorted(owners.items()):
+        owner = BUDGET_OWNERS.get(name, "cli")
+        assert len(places) == 1 and places[0].startswith(f"{owner}:"), (name, places)
+
+
+def test_budget_scan_sees_every_form():
+    source = (
+        "MAX_A = 1\nMAX_B: int = 2\nMAX_C += 3\nx, MAX_D = 4, 5\n"
+        "def f():\n    MAX_E = 6\n    return (MAX_F := 7)\nfor MAX_G in ():\n    pass\n"
+        "from m import X as MAX_H\nMAX_A\nOTHER = MAX_B\n"
+    )
+    assert budget_assignments(source) == [
+        ("MAX_A", 1), ("MAX_B", 2), ("MAX_C", 3), ("MAX_D", 4), ("MAX_E", 6), ("MAX_F", 7),
+        ("MAX_G", 8), ("MAX_H", 10),
+    ]
+
+
 # A fresh interpreter imports the module named by argv[1] and exits with a message
 # if that import newly loaded any of the modules named after it.  Modules already
 # loaded before the import (say by a site hook) do not count.

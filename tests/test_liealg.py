@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from affdef import liealg
 from affdef.liealg import (
+    MAX_DIM,
+    MAX_RANK,
     InvalidRank,
     LieAlgebra,
     _check,
@@ -95,14 +98,22 @@ def test_bracket_self_vanishes():
         assert not g.bracket(i, i)
 
 
+# sl2 on (e, h, f) = (0, 1, 2), written out apart from the sl_n builder: each
+# stored row in the order its coefficients are kept, and the form with its mirrors.
+SL2_BRACKET = {(1, 0): [(0, 2)], (0, 1): [(0, -2)], (1, 2): [(2, -2)], (2, 1): [(2, 2)],
+               (0, 2): [(1, 1)], (2, 0): [(1, -1)]}
+SL2_FORM = {(0, 2): 1, (2, 0): 1, (1, 1): 2}
+
+
 def test_sln2_matches_sl2_tables():
-    a, b = sln(2), sl2()
-    assert a.dim == b.dim
-    assert a.theta == b.theta
-    for i in range(3):
-        for j in range(3):
-            assert a.bracket(i, j) == b.bracket(i, j)
-            assert a.form(i, j) == b.form(i, j)
+    for g, basis in ((sl2(), ("e", "h", "f")), (sln(2), ("E12", "D1", "E21"))):
+        assert g.basis == basis
+        assert g.theta == (0, 1, 2)
+        assert g.charges == (2, 0, -2)
+        for i in range(3):
+            for j in range(3):
+                assert list(g.bracket(i, j).items()) == SL2_BRACKET.get((i, j), [])
+                assert g.form(i, j) == SL2_FORM.get((i, j), 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -122,8 +133,9 @@ def test_sln_rank_guard():
     with pytest.raises(InvalidRank):
         sln(1)
     # past rank 10 the matrix-unit labels collide: E(1,11) and E(11,1) are both E111
-    with pytest.raises(InvalidRank, match="n <= 10"):
-        sln(11)
+    assert MAX_RANK == 10
+    with pytest.raises(InvalidRank, match=r"^sln needs n <= 10 for distinct basis labels, got 11$"):
+        sln(MAX_RANK + 1)
 
 
 def _explicit_matrices(labels, n):
@@ -233,10 +245,39 @@ def test_structure_file_roundtrip():
             assert g.form(i, j) == ref.form(i, j)
 
 
-def test_structure_file_dimension_budget():
-    assert load_structure_file(SL2_FILE, max_dim=3).basis == ("e", "h", "f")
-    with pytest.raises(ValueError, match="basis has 3 labels, above the budget of 2"):
-        load_structure_file(SL2_FILE, max_dim=2)
+def inert_structure_file(dim):
+    """SL2_FILE plus ``dim - 3`` labels that bracket and pair to zero: valid, of dimension dim."""
+    labels = " ".join(f"x{i}" for i in range(dim - 3))
+    return SL2_FILE.replace("basis e h f", f"basis e h f {labels}")
+
+
+def test_structure_file_dimension_budget(monkeypatch):
+    assert MAX_DIM == MAX_RANK**2 - 1 == 99
+    assert load_structure_file(inert_structure_file(MAX_DIM)).dim == MAX_DIM
+
+    def refuse(*args):
+        raise AssertionError("a table was built past the dimension budget")
+
+    # refused on the basis line, before any table is built or validated
+    monkeypatch.setattr(liealg, "LieAlgebra", refuse)
+    monkeypatch.setattr(liealg, "validate", refuse)
+    with pytest.raises(ValueError, match=r"^basis has 100 labels, above the budget of 99$"):
+        load_structure_file(inert_structure_file(MAX_DIM + 1))
+
+
+@pytest.mark.parametrize(
+    "text, head",
+    [
+        (SL2_FILE + "basis e h f\n", "basis"),
+        (SL2_FILE + "triple e h f\n", "triple"),
+        # a second line used to replace the first: f h e, then e h f, loaded as e h f
+        (SL2_FILE.replace("triple e h f", "triple f h e") + "triple e h f\n", "triple"),
+    ],
+    ids=["basis", "triple", "swapped-triple"],
+)
+def test_structure_file_refuses_a_second_line(text, head):
+    with pytest.raises(ValueError, match=rf"^line 10: second '{head}' line$"):
+        load_structure_file(text)
 
 
 def test_structure_file_rejects_invalid():

@@ -1000,3 +1000,34 @@ def test_cancelled_word_comes_back_last():
         summed = summed + apply_mode(G, E, 1, State.monomial(word), k).scale(coeff)
     assert list(summed.words()) == list(got)
     assert summed == State(got)
+
+
+def test_state_arithmetic_matches_the_checked_constructor():
+    # sums, scalings and D build through State._unchecked: the result must equal,
+    # in order and coefficient type, the checked constructor's on the same terms
+    def checked_sum(a, b):
+        out = dict(a.items())
+        add_scaled(out, dict(b.items()), 1)
+        return State(out)
+
+    def checked_scale(a, factor):
+        factor = exact(factor)
+        return State({w: c * factor for w, c in a.items()} if factor else None)
+
+    c = LinForm.symbol("c")
+    half = mono((E, -1), coeff=Fraction(1, 2))
+    rng = random.Random("unchecked-arithmetic")
+    states = [half, mono((F, -1), (F, -1), coeff=c), State.zero()]
+    states += [random_state(rng, 4).scale(rng.choice([1, Fraction(2, 3), c])) for _ in range(8)]
+    factors = [0, 1, -3, Fraction(1, 2), Fraction(4, 2), c, LinForm(Fraction(3, 5)), 2 * c]
+    for a in states:
+        for b in states + [half, a.scale(-1)]:
+            assert typed_items(a + b) == typed_items(checked_sum(a, b))
+            assert typed_items(a - b) == typed_items(checked_sum(a, checked_scale(b, -1)))
+        # a LinForm times a LinForm is refused: symbolic states take constant factors
+        constant = not any(isinstance(coeff, LinForm) for _, coeff in a.items())
+        for factor in factors if constant else factors[:5]:
+            assert typed_items(a.scale(factor)) == typed_items(checked_scale(a, factor))
+        assert typed_items(d_operator(a)) == typed_items(State(dict(d_operator(a).items())))
+    # Fraction(1, 2) + Fraction(1, 2) is stored as the int 1
+    assert typed_items(half + half) == [((Mode(E, -1),), int, 1)]

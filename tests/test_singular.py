@@ -9,7 +9,6 @@ from affdef.singular import (
     ADMISSIBLE_LEVEL,
     NonPositiveLevel,
     admissible_sl2,
-    catalog,
     integral_relation,
     is_singular,
 )
@@ -102,25 +101,3 @@ def test_weight3_vector_unique():
     ratio = next(c / d for c, d in zip(coeffs, direction) if d != 0)
     assert ratio != 0
     assert all(c == ratio * d for c, d in zip(coeffs, direction))
-
-
-def test_catalog_lookup():
-    assert catalog("sl2:-4/3", G).label == "sl2:-4/3"
-    assert catalog("integral:k=2", G).vector == State.monomial((Mode(E, -1),) * 3)
-    with pytest.raises(KeyError):
-        catalog("integral:k=x", G)
-    with pytest.raises(KeyError):
-        catalog("nonsense", G)
-
-
-@pytest.mark.parametrize("label", ["integral:k=1_0", "integral:k=+2", "integral:k= 3"])
-def test_catalog_level_is_ascii_digits(label):
-    # int() alone would read these as 10, 2 and 3
-    with pytest.raises(KeyError, match="bad catalog label"):
-        catalog(label, G)
-
-
-def test_catalog_level_past_int_digit_limit():
-    # more digits than int() converts: still a malformed label, not a ValueError
-    with pytest.raises(KeyError, match="bad catalog label"):
-        catalog("integral:k=" + "9" * 5000, G)
