@@ -3,10 +3,11 @@
 An algebra is a basis with exact structure-constant tables: the bracket, a
 normalized symmetric invariant form, and the distinguished sl2-triple (e, h, f)
 of the highest root, satisfying [h,e] = 2e, [h,f] = -2f, [e,f] = h, <e,f> = 1,
-<h,h> = 2.  Validation is exhaustive over basis triples, never sampled: once
-the bracket is antisymmetric the Jacobiator is alternating, so the triples
-i < j < l decide Jacobi, and a table that fails is rescanned over every ordered
-triple to report each failure.
+<h,h> = 2.  Validation is exhaustive over basis triples, never sampled, and
+sums Jacobi and invariance by joins over the nonzero table entries, so it pays
+for the triples that can be nonzero only.  Once the bracket is antisymmetric the
+Jacobiator is alternating, so the triples i < j < l decide Jacobi, and a table
+that fails is rescanned over every ordered triple to report each failure.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .scalar import add_scaled, exact, parse_rational
 # are both E111).
 MAX_RANK = 10
 # Most basis labels of a structure file, the dimension of sl(MAX_RANK), checked
-# before any table is built: validate's pair passes grow with its square.
+# before any table is built: a file may store a row of up to that many terms for
+# each pair, and validate's Jacobi join meets each term with a column of rows.
 MAX_DIM = MAX_RANK**2 - 1
 
 
@@ -39,6 +41,10 @@ class LieAlgebra:
         self._index = {label: i for i, label in enumerate(self.basis)}
         if len(self._index) != self.dim:
             raise ValueError("duplicate basis labels")
+        span = range(self.dim)  # validate reads every stored key, so each must name a basis vector
+        if any(a not in span for key, vec in bracket.items() for a in (*key, *vec)) or any(
+                a not in span for key in form for a in key):
+            raise ValueError("bracket or form index outside the basis")
         # complete the bracket table antisymmetrically
         table = {}
         for (i, j), vec in bracket.items():
@@ -178,23 +184,20 @@ def validate(g: LieAlgebra) -> ValidationReport:
 
 
 def _check(g: LieAlgebra) -> ValidationReport:
-    failures = []
-    dim = g.dim
     name = g.basis.__getitem__
-
-    # the checks read the tables directly: index -> nonzero coefficient dicts
+    # the first pass walks the stored entries: a pair that fails does so in
+    # both orders, and one of its two entries is nonzero, so stored
     table, form = g._bracket, g._form
-    for i in range(dim):
-        if table.get((i, i)):
-            failures.append(f"[{name(i)},{name(i)}] != 0")
-    for i in range(dim):
-        for j in range(dim):
-            both = dict(table.get((i, j), {}))  # [b_i,b_j] + [b_j,b_i]
-            add_scaled(both, table.get((j, i), {}), 1)
-            if both:
-                failures.append(f"[{name(i)},{name(j)}] not antisymmetric")
-            if form.get((i, j), 0) != form.get((j, i), 0):
-                failures.append(f"<{name(i)},{name(j)}> not symmetric")
+    selfs = sorted(i for (i, j), row in table.items() if i == j and row)
+    failures = [f"[{name(i)},{name(i)}] != 0" for i in selfs]
+    pairs = {(u, v, 0) for (i, j), row in table.items()
+             if row and row != {a: -c for a, c in table.get((j, i), {}).items()}
+             for u, v in ((i, j), (j, i))}
+    pairs.update((u, v, 1) for (i, j), q in form.items() if q != form.get((j, i), 0)
+                 for u, v in ((i, j), (j, i)))
+    for i, j, kind in sorted(pairs):
+        what = "<{},{}> not symmetric" if kind else "[{},{}] not antisymmetric"
+        failures.append(what.format(name(i), name(j)))
 
     # once the first pass is clean the Jacobiator is alternating, so the triples
     # i < j < l decide it; a failure there is reported by the ordered scan
@@ -228,63 +231,57 @@ def _check(g: LieAlgebra) -> ValidationReport:
 
 def _scan(g: LieAlgebra, alternating: bool) -> list:
     """Jacobi (degree 2 in the bracket) and invariance (bilinear in bracket x form)
-    failures, in ``(i, j, l)`` order, on each table times the lcm of its
-    denominators, as ints.
+    failures, in ``(i, j, l)`` order, from joins over the nonzero entries of each
+    table times the lcm of its denominators, as ints.
 
-    Invariance runs on every ordered pair ``(i, j)``.  Jacobi runs on every
-    ordered triple, or with ``alternating`` only on ``i < j < l``.  The latter
-    is exact when ``[b_i,b_i] = 0`` and the table is antisymmetric: the
-    Jacobiator ``[x,[y,z]] + [y,[z,x]] + [z,[x,y]]`` is trilinear and cyclic, and
+    Each stored ``[b_y,b_z]_w`` meets each stored row ``[b_x,b_w]`` to sum
+    ``T(x,y,z) = [b_x,[b_y,b_z]]``, and the Jacobiator ``J(i,j,l)`` is ``T`` summed
+    over the three rotations of ``(i,j,l)``.  Ordered, each ``T`` is added under
+    all three rotation keys, so every ordered triple is decided.  With
+    ``alternating`` only the even permutations of an increasing triple are kept,
+    so ``J`` is decided on ``i < j < l`` alone.  That is exact when ``[b_i,b_i] = 0``
+    and the table is antisymmetric: ``J`` is trilinear and cyclic, and
     antisymmetry makes it change sign under a swap, so it is alternating and
-    vanishes on all basis triples once it does on the increasing ones.  For each
-    pair the Jacobi step visits, ascending, only the ``l`` where a term can be
-    nonzero: ``[b_j,b_l]``, ``[b_l,b_i]``, ``[b_l,y]`` or ``<y,b_l> != 0`` for some
-    ``y`` in ``[b_i,b_j]``.
+    vanishes on all basis triples once it does on the increasing ones.
+    Invariance compares ``<[b_i,b_j],b_l>`` (rows times form rows) with
+    ``<b_i,[b_j,b_l]>`` (form columns times rows) on every ordered triple.
     """
     table, form = g._bracket, g._form
     scale = math.lcm(*(c.denominator for row in table.values() for c in row.values()))
     fscale = math.lcm(*(q.denominator for q in form.values()))
-    # a -> b -> [b_a,b_b] and <b_a,b_b> as ints; y -> the l with [b_l,y] or <y,b_l> != 0
-    rows, frows, reach = {}, {}, {}
-    for (a, b), row in table.items():
-        if row:
-            rows.setdefault(a, {})[b] = {x: int(c * scale) for x, c in row.items()}
-            reach.setdefault(b, set()).add(a)
+    # the nonzero [b_y,b_z] as ints; w -> the (x, [b_x,b_w]) and the (i, <b_i,b_w>)
+    rows = [(y, z, [(w, int(c * scale)) for w, c in row.items()])
+            for (y, z), row in table.items() if row]
+    cols, frows, fcols = {}, {}, {}
+    for x, w, row in rows:
+        cols.setdefault(w, []).append((x, row))
     for (a, b), q in form.items():
-        frows.setdefault(a, {})[b] = int(q * fscale)
-        reach.setdefault(a, set()).add(b)
-    failures = []
-    dim, name = g.dim, g.basis.__getitem__
-    none, basis = {}, set(range(dim))
-    # j -> the l the Jacobi step may visit after (i, j)
-    later = [set(range(j + 1, dim)) if alternating else basis for j in range(dim)]
-    for i in range(dim):
-        ri, fi = rows.get(i, none), frows.get(i, none)
-        for j in range(dim):
-            rj, ij = rows.get(j, none), ri.get(j, none)
-            inv = {}  # l -> <[b_i,b_j],b_l> - <b_i,[b_j,b_l]>
-            for y, c in ij.items():
-                for l, q in frows.get(y, none).items():
-                    inv[l] = inv.get(l, 0) + c * q
-            for l, row in rj.items():
-                for x, c in row.items():
-                    inv[l] = inv.get(l, 0) - fi.get(x, 0) * c
-            bad = [(l, 1) for l, d in inv.items() if d and l in basis]
-            if not alternating or i < j:
-                visit = reach.get(i, set()).union(rj, *(reach.get(y, ()) for y in ij))
-                for l in sorted(visit & later[j]):
-                    rl, jl = rows.get(l, none), rj.get(l, none)
-                    jac = {}  # [b_i,[b_j,b_l]] + [b_j,[b_l,b_i]] + [b_l,[b_i,b_j]]
-                    for r, elt in ((ri, jl), (rj, rl.get(i, none)), (rl, ij)):
-                        for y, c in elt.items():
-                            for a, d in r.get(y, none).items():
-                                jac[a] = jac.get(a, 0) + c * d
-                    if any(jac.values()):
-                        bad.append((l, 0))
-            for l, kind in sorted(bad):
-                what = "form not invariant" if kind else "Jacobi fails"
-                failures.append(f"{what} on ({name(i)},{name(j)},{name(l)})")
-    return failures
+        q = int(q * fscale)
+        frows.setdefault(a, []).append((b, q))
+        fcols.setdefault(b, []).append((a, q))
+    jac, inv = {}, {}  # (i, j, l) -> J(i,j,l); -> <[b_i,b_j],b_l> - <b_i,[b_j,b_l]>
+    for y, z, yz in rows:
+        for w, c in yz:
+            for x, xw in cols.get(w, ()):
+                if not alternating:
+                    keys = ((x, y, z), (y, z, x), (z, x, y))
+                elif (x < y) + (y < z) + (z < x) == 2:  # an even permutation of x, y, z distinct
+                    keys = ((x, y, z) if x < y and x < z else (y, z, x) if y < z else (z, x, y),)
+                else:
+                    continue
+                for key in keys:
+                    acc = jac.setdefault(key, {})
+                    for a, d in xw:
+                        acc[a] = acc.get(a, 0) + c * d
+            for l, q in frows.get(w, ()):
+                inv[(y, z, l)] = inv.get((y, z, l), 0) + c * q
+            for i, q in fcols.get(w, ()):
+                inv[(i, y, z)] = inv.get((i, y, z), 0) - q * c
+    bad = [key + (0,) for key, acc in jac.items() if any(acc.values())]
+    bad += [key + (1,) for key, d in inv.items() if d]
+    name = g.basis.__getitem__
+    return [f"{'form not invariant' if kind else 'Jacobi fails'} on ({name(i)},{name(j)},{name(l)})"
+            for i, j, l, kind in sorted(bad)]
 
 
 def load_structure_file(text: str) -> LieAlgebra:

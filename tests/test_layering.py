@@ -195,9 +195,10 @@ def fresh_import(module: str, *heavy: str) -> subprocess.CompletedProcess:
 
 
 # The records are NamedTuples and one plain class, so a cold start skips
-# dataclasses and what it imports; click itself imports inspect.
+# dataclasses and what it imports; click itself imports inspect.  validate runs
+# on dicts of Python ints, so set-up imports no array or symbolic package.
 @pytest.mark.parametrize("module, heavy", [
-    ("affdef", ("dataclasses", "inspect", "ast", "dis", "tokenize")),
+    ("affdef", ("dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "sympy")),
     ("affdef.cli", ("dataclasses",)),
 ])
 def test_cold_import_skips_heavy_modules(module, heavy):

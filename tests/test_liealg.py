@@ -191,6 +191,15 @@ def _edited_sl2(edit):
     return LieAlgebra(g.basis, bracket, form, g.theta)
 
 
+@pytest.mark.parametrize("bracket, form", [
+    ({(0, 3): {1: 1}}, {}), ({(0, 2): {3: 1}}, {}), ({}, {(3, 3): 1}), ({(-1, 0): {0: 1}}, {}),
+], ids=["bracket-key", "bracket-row", "form-key", "negative"])
+def test_algebra_refuses_an_index_outside_the_basis(bracket, form):
+    g = sl2()
+    with pytest.raises(ValueError, match=r"^bracket or form index outside the basis$"):
+        LieAlgebra(g.basis, {**g._bracket, **bracket}, {**g._form, **form}, g.theta)
+
+
 def test_validate_catches_form_defect():
     def edit(bracket, form):
         form[(0, 2)] = Fraction(2)  # <e,f> = 2
@@ -472,10 +481,9 @@ def _tables(g):
     return {key: dict(vec) for key, vec in g._bracket.items()}, dict(g._form)
 
 
-def _corrupted(n, kind, seed):
-    """sl_n with a seeded edit, none of which touches ad(h_theta) (the charges)."""
+def _corrupted(g, kind, seed):
+    """g with a seeded edit, none of which touches ad(h_theta) (the charges)."""
     rng = random.Random(seed)
-    g = sl2() if n == 2 else sln(n)
     bracket, form = _tables(g)
     h = g.theta[1]
     others = [i for i in range(g.dim) if i != h]
@@ -499,6 +507,18 @@ def _corrupted(n, kind, seed):
         for j in range(g.dim):
             if bracket.get((i, j)):
                 bracket[(i, j)] = {a: c * factor for a, c in bracket[(i, j)].items()}
+    elif kind == "self-bracket":
+        # a nonzero [b_i, b_i]: the ordered scan then meets (i,i,l), (i,j,i) and (i,i,i)
+        i = rng.choice(others)
+        bracket[(i, i)] = {rng.randrange(g.dim): coeff()}
+    elif kind == "self-form":
+        i = rng.randrange(g.dim)
+        form[(i, i)] = form.get((i, i), Fraction(0)) + coeff()
+    elif kind == "asymmetric-form":
+        # the mirror given as it was, zero included, so LieAlgebra keeps it
+        i, j = rng.sample(range(g.dim), 2)
+        form[(j, i)] = form.get((j, i), Fraction(0))
+        form[(i, j)] = form[(j, i)] + coeff()
     else:
         # one nonzero [b_i, b_j] and its mirror scaled alike: still antisymmetric,
         # so the check takes its i < j < l scan and hands the failure to the ordered one
@@ -511,11 +531,78 @@ def _corrupted(n, kind, seed):
     return LieAlgebra(g.basis, bracket, form, g.theta)
 
 
-@pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("kind", ["bracket", "form", "row", "pair"])
-@pytest.mark.parametrize("n", [2, 3, 4])
+KINDS = ["bracket", "form", "row", "pair", "self-bracket", "self-form", "asymmetric-form"]
+
+
+@pytest.mark.parametrize("n, kind, seed", [
+    (n, kind, seed)
+    for n, seeds in ((2, 6), (3, 6), (4, 6), (5, 2))
+    for kind in KINDS
+    for seed in range(seeds)
+])
 def test_check_matches_fraction_reference_on_corruptions(n, kind, seed):
-    g = _corrupted(n, kind, 1000 * n + seed)
+    g = _corrupted(sl2() if n == 2 else sln(n), kind, 1000 * n + seed)
+    want = _reference_check(g)
+    assert want and _check(g).failures == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_ordered_scan_passes_sln(n):
+    # every ordered triple, (i,i,l), (i,j,i) and (i,i,i) among them
+    assert _scan(sln(n), False) == []
+
+
+def _dense(g):
+    """g on the basis b'_i = b_i + b_next, next the following index of the same
+    ad(h_theta) charge, where each theta index comes last in its charge: a
+    unimodular integral change of basis that keeps the theta triple and the
+    charges, and mixes every other basis vector into the next of its charge."""
+    classes = {}
+    for i in sorted(range(g.dim), key=lambda i: i in g.theta):
+        classes.setdefault(g.charge(i), []).append(i)
+    new, old = {}, {}  # b'_i on the b; b_i on the b'
+    for members in classes.values():
+        for k, i in enumerate(members):
+            new[i] = {i: 1, members[k + 1]: 1} if k + 1 < len(members) else {i: 1}
+            old[i] = {members[t]: (-1) ** (t - k) for t in range(k, len(members))}
+
+    def coords(v):
+        out = {}
+        for a, c in v.items():
+            add_scaled(out, old[a], c)
+        return out
+
+    span = range(g.dim)
+    bracket = {(i, j): coords(g.bracket_elt(new[i], new[j])) for i in span for j in span}
+    form = {(i, j): sum(c * d * g.form(a, b) for a, c in new[i].items() for b, d in new[j].items())
+            for i in span for j in span}
+    return LieAlgebra(g.basis, bracket, form, g.theta)
+
+
+def _widest(g):
+    """The longest bracket row, and the most rows one basis index appears in."""
+    columns = {}
+    for row in g._bracket.values():
+        for w in row:
+            columns[w] = columns.get(w, 0) + 1
+    return max(len(row) for row in g._bracket.values()), max(columns.values())
+
+
+@pytest.mark.parametrize("n, sparse, dense", [(3, (2, 6), (2, 10)), (4, (2, 10), (5, 32))])
+def test_dense_basis_validates(n, sparse, dense):
+    g = _dense(sln(n))
+    # sl3's charge spaces are at most 2-dimensional, so only its columns grow
+    assert (_widest(sln(n)), _widest(g)) == (sparse, dense)
+    assert _reference_check(g) == []
+    assert validate(g).ok, g.report.failures[:3]
+    assert _scan(g, False) == []
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_matches_fraction_reference_on_dense_corruptions(n, kind, seed):
+    g = _corrupted(_dense(sln(n)), kind, 1000 * n + seed)
     want = _reference_check(g)
     assert want and _check(g).failures == want
 
@@ -574,7 +661,7 @@ def test_unordered_scan_sees_every_increasing_jacobi_failure(n, seed):
     # on an antisymmetric table the i < j < l scan is a proof, not a sample: it
     # reports the ordered scan's Jacobi failures on increasing triples, and every
     # invariance failure
-    g = _corrupted(n, "pair", 1000 * n + seed)
+    g = _corrupted(sln(n), "pair", 1000 * n + seed)
 
     def kept(failure):
         i, j, l = (g.index(x) for x in failure[failure.index("(") + 1:-1].split(","))
