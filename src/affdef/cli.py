@@ -32,8 +32,9 @@ from .pbw import (
 from .scalar import add_scaled, format_rational, parse_rational
 
 
-# The budgets of the input grammars.  The algebras' two are liealg's: MAX_RANK,
-# checked here on the digits of --algebra slN, and MAX_DIM, checked by the loader.
+# The budgets of the input grammars.  The algebras' three are liealg's: MAX_RANK,
+# checked here on the digits of --algebra slN, and MAX_DIM and MAX_JOIN, checked
+# by the loader.
 
 # Most modes a whole state may spell, over all its terms, checked before a
 # word is expanded; also the highest weight pbw-basis lists.

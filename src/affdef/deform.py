@@ -249,14 +249,14 @@ def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w) -> DefExpr
         DefTerm(-1, (Mode(a, m),), DefAtom(b, n, w)),
     ]
     # the target word need not be canonical: the moved-past action and the
-    # central term both apply to the vector the word spells
-    spelled = State._unchecked(kernel.chain(w, {(): 1}))
-    for w2, coeff in kernel.chain(((a, m),), spelled).items():
+    # central term both apply to the vector the word spells, which only the
+    # central term needs spelled on its own
+    for w2, coeff in kernel.chain(((a, m),) + w, {(): 1}).items():
         terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
     tail = State.zero()
     for coeff, dm in mode_identity(g, a, m, b, n).terms:
         if dm is None:
-            tail = spelled.scale(coeff)
+            tail = State._unchecked(kernel.chain(w, {(): 1})).scale(coeff)
         else:
             terms.append(DefTerm(coeff, (), DefAtom(*dm, w)))
     return DefExpression(terms, tail)

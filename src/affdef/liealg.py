@@ -26,6 +26,12 @@ MAX_RANK = 10
 # before any table is built: a file may store a row of up to that many terms for
 # each pair, and validate's Jacobi join meets each term with a column of rows.
 MAX_DIM = MAX_RANK**2 - 1
+# Most terms validate's Jacobi join may sum over a structure file's bracket
+# table (``join_cost``), checked before the algebra is built.  A term costs about
+# a tenth of a microsecond, and a change of basis can make a file of MAX_DIM
+# labels cost far more than its matrix-unit form: sl(MAX_RANK) sums 50,220 terms
+# on matrix units and 21,835,930 on the dense basis b_i + b_next, and both load.
+MAX_JOIN = 25_000_000
 
 
 class InvalidRank(Exception):
@@ -284,13 +290,24 @@ def _scan(g: LieAlgebra, alternating: bool) -> list:
             for i, j, l, kind in sorted(bad)]
 
 
+def join_cost(bracket: dict) -> int:
+    """The number of terms ``_scan``'s Jacobi join sums over a bracket table
+    ``(i, j) -> {w: coefficient}``: over each nonzero ``[b_y,b_z]_w``, the total
+    length of the rows ``[b_x,b_w]``, zero coefficients not counted."""
+    column = {}  # w -> the total length of the rows [b_x,b_w]
+    for (x, w), row in bracket.items():
+        column[w] = column.get(w, 0) + sum(1 for c in row.values() if c)
+    return sum(column.get(w, 0) for row in bracket.values() for w, c in row.items() if c)
+
+
 def load_structure_file(text: str) -> LieAlgebra:
     """Parse the line-oriented structure-constant format and validate the result.
 
     Lines: ``basis x y z``, ``[x,y] = q1*z1 + q2*z2``, ``<x,y> = q``,
     ``triple e h f``, each of the ``basis`` and ``triple`` lines once.  Blank lines
     and ``#`` comments are ignored.  A basis of more than ``MAX_DIM`` labels is
-    refused before any table is built.
+    refused before any table is built, and a bracket table whose ``join_cost``
+    is past ``MAX_JOIN`` before the algebra is built or validated.
     """
     import re
 
@@ -365,6 +382,11 @@ def load_structure_file(text: str) -> LieAlgebra:
         if mirror in bracket and bracket[mirror] != neg:
             raise ValueError(f"line {lineno}: bracket for [{y},{x}] breaks antisymmetry")
         bracket[mirror] = neg
+    cost = join_cost(bracket)
+    if cost > MAX_JOIN:
+        raise ValueError(
+            f"validate's Jacobi join would sum {cost} terms, above the budget of {MAX_JOIN}"
+        )
     form = {}
     for lineno, x, y, q in form_lines:
         key = (idx(x, lineno), idx(y, lineno))

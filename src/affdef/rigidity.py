@@ -109,7 +109,7 @@ def eliminate(equations) -> LinForm | None:
         pivot = rows.pop(at)
         for row in rows:
             if name in row:
-                add_scaled(row, pivot, -row[name] / pivot[name])
+                add_scaled(row, pivot, Fraction(-row[name], pivot[name]))
     return None
 
 

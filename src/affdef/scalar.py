@@ -36,10 +36,17 @@ def exact(value):
     """The one coefficient rule: an int when integral, otherwise a Fraction, and a
     LinForm only when it carries an unknown.  Other inputs go through ``Fraction()``."""
     if isinstance(value, LinForm):
-        if value.terms:
-            return value
-        value = value.constant
-    elif not isinstance(value, (int, Fraction)):
+        # a form keeps its constant under the rule already
+        return value if value.terms else value.constant
+    return exact_rational(value)
+
+
+def exact_rational(value):
+    """``exact``'s rational branch: an int when integral, otherwise a Fraction.
+
+    Other inputs go through ``Fraction()``, which refuses a ``LinForm``.
+    """
+    if not isinstance(value, (int, Fraction)):
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -103,18 +110,19 @@ def symbol_sort_key(name: str):
 class LinForm:
     """Affine-linear expression ``constant + sum(coeff * symbol)`` with exact coefficients.
 
-    Zero coefficients are never stored; two forms are equal iff constant and term
-    maps are equal.  Instances are immutable.
+    The constant and every coefficient are stored under ``exact``'s rational
+    branch, an int when integral, and zero coefficients are never stored; two
+    forms are equal iff constant and term maps are equal.  Instances are immutable.
     """
 
     __slots__ = ("constant", "terms")
 
     def __init__(self, constant=0, terms=None):
-        object.__setattr__(self, "constant", Fraction(constant))
+        object.__setattr__(self, "constant", exact_rational(constant))
         pruned = {}
         if terms:
             for name, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = exact_rational(coeff)
                 if coeff:
                     pruned[name] = coeff
         object.__setattr__(self, "terms", pruned)
@@ -124,10 +132,10 @@ class LinForm:
 
     @classmethod
     def symbol(cls, name: str, coeff=1) -> "LinForm":
-        return cls(0, {name: Fraction(coeff)})
+        return cls(0, {name: coeff})
 
-    def coefficient(self, name: str) -> Fraction:
-        return self.terms.get(name, Fraction(0))
+    def coefficient(self, name: str):
+        return self.terms.get(name, 0)
 
     def symbols(self):
         return sorted(self.terms, key=symbol_sort_key)
@@ -150,7 +158,7 @@ class LinForm:
         return self.scale(-1)
 
     def scale(self, r) -> "LinForm":
-        r = Fraction(r)
+        r = exact_rational(r)
         if not r:
             return LinForm(0)
         return LinForm(self.constant * r, {n: c * r for n, c in self.terms.items()})

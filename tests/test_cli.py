@@ -609,6 +609,30 @@ def test_structure_file_past_dimension_budget_exits_2(tmp_path, monkeypatch, dim
     assert_usage_error(result, f"basis has {dim} labels, above the budget of {MAX_DIM}")
 
 
+def test_structure_file_past_join_budget_exits_2(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an algebra was built past the join budget")
+
+    monkeypatch.setattr(liealg, "LieAlgebra", refuse)
+    monkeypatch.setattr(liealg, "validate", refuse)
+    # 96 labels with [x_i,x_j] = x_0 + ... + x_5 for i < j: each of the 96*95*6
+    # stored terms meets 95 rows of 6 terms, and sl2 adds 12
+    labels = [f"x{i}" for i in range(96)]
+    rhs = " + ".join(labels[:6])
+    path = tmp_path / "alg.txt"
+    path.write_text(
+        f"basis e h f {' '.join(labels)}\n[h,e] = 2*e\n[h,f] = -2*f\n[e,f] = h\n"
+        "<e,f> = 1\n<h,h> = 2\ntriple e h f\n"
+        + "".join(f"[{x},{y}] = {rhs}\n" for i, x in enumerate(labels) for y in labels[i + 1:])
+    )
+    result = runner.invoke(main, ["pbw-basis", "--algebra", str(path), "--weight", "1"])
+    assert_usage_error(
+        result,
+        f"cannot load algebra {str(path)!r}: validate's Jacobi join would sum 31190412 terms, "
+        f"above the budget of {liealg.MAX_JOIN}",
+    )
+
+
 @pytest.mark.parametrize("head", ["basis", "triple"])
 def test_structure_file_second_line_exits_2(tmp_path, head):
     path = tmp_path / "alg.txt"

@@ -130,8 +130,50 @@ def test_unchecked_scan_sees_every_form():
     assert unchecked_state_uses(source) == [1, 2, 5]
 
 
+# Coefficients are ints when integral, so a bare ``a / b`` of two of them is a
+# float; the exact layers divide only where an operand is a Fraction(...) call.
+EXACT_LAYERS = ("scalar", "pbw", "deform", "rigidity", "singular")
+
+
+def _is_fraction_call(node) -> bool:
+    func = node.func if isinstance(node, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "Fraction") or (
+        isinstance(func, ast.Attribute) and func.attr == "Fraction")
+
+
+def true_divisions(source: str) -> list:
+    """Line numbers of each ``/`` and ``/=`` with no ``Fraction(...)`` call as an operand."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            operands = (node.target, node.value)
+        else:
+            continue
+        if not any(map(_is_fraction_call, operands)):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_exact_layers_divide_only_into_a_fraction():
+    for name in EXACT_LAYERS:
+        lines = true_divisions((PACKAGE / f"{name}.py").read_text())
+        assert not lines, f"{name} divides outside a Fraction, lines {lines}"
+
+
+def test_division_scan_sees_every_form():
+    source = (
+        "a / b\na / Fraction(b)\nFraction(a) / b\nx /= 2\nx /= Fraction(2)\n"
+        "fractions.Fraction(1) / n\na // b\nf = lambda p, q: p / q\n"
+        "def g(r=1 / 3):\n    return [p / q for p in r]\n"
+        "Fraction(a / b)\nfloat(a) / b\n'1/2'\n"
+    )
+    assert true_divisions(source) == [1, 4, 8, 9, 10, 11, 12]
+
+
 # Each budget is stated once: the algebra bounds in liealg, the input grammars' in cli.
-BUDGET_OWNERS = {"MAX_RANK": "liealg", "MAX_DIM": "liealg"}
+BUDGET_OWNERS = {"MAX_RANK": "liealg", "MAX_DIM": "liealg", "MAX_JOIN": "liealg"}
 
 
 def budget_assignments(source: str) -> list:
@@ -152,7 +194,7 @@ def test_each_budget_has_one_owner():
     for path in sorted(PACKAGE.glob("*.py")):
         for name, line in budget_assignments(path.read_text()):
             owners.setdefault(name, []).append(f"{path.stem}:{line}")
-    assert {"MAX_RANK", "MAX_DIM", "MAX_LEVEL"} <= set(owners), "the scan lost its budgets"
+    assert {"MAX_RANK", "MAX_DIM", "MAX_JOIN", "MAX_LEVEL"} <= set(owners), "the scan lost its budgets"
     for name, places in sorted(owners.items()):
         owner = BUDGET_OWNERS.get(name, "cli")
         assert len(places) == 1 and places[0].startswith(f"{owner}:"), (name, places)

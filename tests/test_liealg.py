@@ -6,11 +6,13 @@ import pytest
 from affdef import liealg
 from affdef.liealg import (
     MAX_DIM,
+    MAX_JOIN,
     MAX_RANK,
     InvalidRank,
     LieAlgebra,
     _check,
     _scan,
+    join_cost,
     load_structure_file,
     sl2,
     sln,
@@ -272,6 +274,57 @@ def test_structure_file_dimension_budget(monkeypatch):
     monkeypatch.setattr(liealg, "validate", refuse)
     with pytest.raises(ValueError, match=r"^basis has 100 labels, above the budget of 99$"):
         load_structure_file(inert_structure_file(MAX_DIM + 1))
+
+
+def joined_structure_file(width):
+    """SL2_FILE plus 96 labels x_i with ``[x_i,x_j] = x_0 + ... + x_{width-1}``,
+    i < j: each of the 96*95*width stored terms meets a column of 95 rows of
+    ``width`` terms, so the join sums ``12 + 866,400 * width**2`` terms, 12 of
+    them sl2's.  Validate need not pass it."""
+    labels = [f"x{i}" for i in range(MAX_DIM - 3)]
+    rhs = " + ".join(labels[:width])
+    lines = [f"[{x},{y}] = {rhs}\n" for i, x in enumerate(labels) for y in labels[i + 1:]]
+    text = SL2_FILE.replace("basis e h f", "basis e h f " + " ".join(labels))
+    return text + "".join(lines)
+
+
+class Reached(Exception):
+    pass
+
+
+def test_structure_file_join_budget(monkeypatch):
+    assert MAX_JOIN == 25_000_000
+
+    def reached(*args):
+        raise Reached
+
+    def refuse(*args):
+        raise AssertionError("an algebra was built past the join budget")
+
+    # 21,660,012 terms: within the budget, so the file reaches validate
+    monkeypatch.setattr(liealg, "validate", reached)
+    with pytest.raises(Reached):
+        load_structure_file(joined_structure_file(5))
+    # 31,190,412 terms: refused before the algebra is built or validated
+    monkeypatch.setattr(liealg, "LieAlgebra", refuse)
+    monkeypatch.setattr(liealg, "validate", refuse)
+    with pytest.raises(ValueError, match=(
+            r"^validate's Jacobi join would sum 31190412 terms, above the budget of 25000000$")):
+        load_structure_file(joined_structure_file(6))
+
+
+def test_structure_file_join_budget_boundary(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an algebra was built past the join budget")
+
+    # SL2_FILE's join sums 12 terms: two rows [b_x,b_w] of one term for each of its 6
+    monkeypatch.setattr(liealg, "MAX_JOIN", 12)
+    assert load_structure_file(SL2_FILE).dim == 3
+    monkeypatch.setattr(liealg, "MAX_JOIN", 11)
+    monkeypatch.setattr(liealg, "LieAlgebra", refuse)
+    monkeypatch.setattr(liealg, "validate", refuse)
+    with pytest.raises(ValueError, match=r"^validate's Jacobi join would sum 12 terms, above the budget of 11$"):
+        load_structure_file(SL2_FILE)
 
 
 @pytest.mark.parametrize(
@@ -586,6 +639,26 @@ def _widest(g):
         for w in row:
             columns[w] = columns.get(w, 0) + 1
     return max(len(row) for row in g._bracket.values()), max(columns.values())
+
+
+def _reference_join_cost(g):
+    """join_cost by basis triples: each nonzero [b_y,b_z]_w times the length of [b_x,b_w]."""
+    span = range(g.dim)
+    return sum(len(g.bracket(x, w)) for y in span for z in span for w in g.bracket(y, z)
+               for x in span)
+
+
+@pytest.mark.parametrize("g", [sl2(), sln(3), _dense(sln(3)), _dense(sln(4))])
+def test_join_cost_matches_the_triple_count(g):
+    assert join_cost(g._bracket) == _reference_join_cost(g)
+
+
+@pytest.mark.parametrize("n, dense, cost", [
+    (10, False, 50_220), (8, True, 3_858_556), (10, True, 21_835_930),
+])
+def test_join_budget_admits_the_dense_sln(n, dense, cost):
+    g = _dense(sln(n)) if dense else sln(n)
+    assert join_cost(g._bracket) == cost <= MAX_JOIN
 
 
 @pytest.mark.parametrize("n, sparse, dense", [(3, (2, 6), (2, 10)), (4, (2, 10), (5, 32))])

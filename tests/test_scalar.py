@@ -129,3 +129,67 @@ def test_constant_form_hashes_like_its_value():
         assert hash(LinForm(value)) == hash(value)
         assert len({LinForm(value), value}) == 1
         assert {value: "found"}[LinForm(value)] == "found"
+
+
+# --- the coefficient rule: an int when integral, a Fraction otherwise ---
+
+def follows_the_rule(q) -> bool:
+    """``exact``'s rational rule, by type: never a float, a bool or an integral Fraction."""
+    return type(q) is int or (type(q) is Fraction and q.denominator != 1)
+
+
+def test_symbol_stores_an_integral_coefficient_as_int():
+    x = LinForm.symbol("c", Fraction(4, 2))
+    assert x.terms == {"c": 2} and type(x.terms["c"]) is int
+
+
+def test_coefficient_of_an_absent_symbol_is_zero():
+    zero = LinForm.symbol("c").coefficient("a1")
+    assert zero == 0 and type(zero) is int
+
+
+def test_int_and_fraction_inputs_give_one_form():
+    as_int = LinForm(2, {"a1": Fraction(1, 2), "c": 3})
+    as_fraction = LinForm(Fraction(4, 2), {"a1": Fraction(1, 2), "c": Fraction(3)})
+    assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+    assert len({as_int, as_fraction}) == 1
+    assert all(follows_the_rule(q) for q in (as_fraction.constant, *as_fraction.terms.values()))
+
+
+def test_other_inputs_follow_the_rule():
+    x = LinForm(True, {"a1": False, "b1": "0/3", "c": 0.5})
+    assert (x.constant, x.terms) == (1, {"c": Fraction(1, 2)})
+    assert follows_the_rule(x.constant) and follows_the_rule(x.terms["c"])
+    assert type(lf(0, c=3).scale(1.0).terms["c"]) is int
+    with pytest.raises(TypeError):
+        LinForm(0, {"c": LinForm.symbol("a1")})
+
+
+@given(rationals, linforms, linforms)
+def test_arithmetic_keeps_the_rule(r, x, y):
+    for z in (x + y, x - y, -x, x.scale(r), LinForm(r) * x, x + r):
+        assert all(follows_the_rule(q) for q in (z.constant, *z.terms.values())), z
+
+
+def test_pipelines_build_every_linform_under_the_rule(monkeypatch):
+    from affdef.liealg import sl2, sln
+    from affdef.rigidity import admissible_pipeline, cross_check, integral_pipeline
+
+    seen, broken = set(), []
+    init = LinForm.__init__
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for q in (self.constant, *self.terms.values()):
+            seen.add(type(q))
+            if not follows_the_rule(q):
+                broken.append((str(self), type(q)))
+
+    monkeypatch.setattr(LinForm, "__init__", checked)
+    for g, top in ((sl2(), 4), (sln(3), 2)):
+        for k in range(1, top + 1):
+            assert integral_pipeline(g, k).c_forced_zero
+    assert admissible_pipeline().c_forced_zero
+    assert len(cross_check()) == 10
+    assert not broken, broken[:5]
+    assert seen == {int, Fraction}  # both branches of the rule were built
