@@ -6,14 +6,16 @@ of the highest root, satisfying [h,e] = 2e, [h,f] = -2f, [e,f] = h, <e,f> = 1,
 <h,h> = 2.  Validation is exhaustive over basis triples, never sampled, and
 sums Jacobi and invariance by joins over the nonzero table entries, so it pays
 for the triples that can be nonzero only.  Once the bracket is antisymmetric the
-Jacobiator is alternating, so the triples i < j < l decide Jacobi, and a table
-that fails is rescanned over every ordered triple to report each failure.
+Jacobiator is alternating, so the triples i < j < l decide Jacobi, summed from
+the rows [b_y,b_z] with y < z alone, and each that fails is reported in all six
+orders; a table that is not antisymmetric is joined over every ordered triple.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import permutations
 from typing import NamedTuple
 
 from .scalar import add_scaled, exact, parse_rational
@@ -26,11 +28,12 @@ MAX_RANK = 10
 # before any table is built: a file may store a row of up to that many terms for
 # each pair, and validate's Jacobi join meets each term with a column of rows.
 MAX_DIM = MAX_RANK**2 - 1
-# Most terms validate's Jacobi join may sum over a structure file's bracket
-# table (``join_cost``), checked before the algebra is built.  A term costs about
-# a tenth of a microsecond, and a change of basis can make a file of MAX_DIM
-# labels cost far more than its matrix-unit form: sl(MAX_RANK) sums 50,220 terms
-# on matrix units and 21,835,930 on the dense basis b_i + b_next, and both load.
+# Most terms of the ordered Jacobi join over a structure file's bracket table
+# (``join_cost``), checked before the algebra is built; validate sums at most
+# half of them on an antisymmetric table.  A term costs under a tenth of a
+# microsecond, and a change of basis can make a file of MAX_DIM labels cost far
+# more than its matrix-unit form: sl(MAX_RANK) counts 50,220 terms on matrix
+# units and 21,835,930 on the dense basis b_i + b_next, and both load.
 MAX_JOIN = 25_000_000
 
 
@@ -192,13 +195,22 @@ def validate(g: LieAlgebra) -> ValidationReport:
 def _check(g: LieAlgebra) -> ValidationReport:
     name = g.basis.__getitem__
     # the first pass walks the stored entries: a pair that fails does so in
-    # both orders, and one of its two entries is nonzero, so stored
+    # both orders, and one of its two entries is nonzero, so stored; it is
+    # compared once, from (i, j) with i <= j unless only (j, i) holds a row
     table, form = g._bracket, g._form
     selfs = sorted(i for (i, j), row in table.items() if i == j and row)
     failures = [f"[{name(i)},{name(i)}] != 0" for i in selfs]
-    pairs = {(u, v, 0) for (i, j), row in table.items()
-             if row and row != {a: -c for a, c in table.get((j, i), {}).items()}
-             for u, v in ((i, j), (j, i))}
+    pairs = set()
+    for (i, j), row in table.items():
+        mirror = table.get((j, i), {})
+        if row and (i <= j or not mirror):
+            if len(row) == len(mirror):
+                for a, c in row.items():
+                    if mirror.get(a) != -c:
+                        break
+                else:
+                    continue  # the mirror negates the row entry by entry
+            pairs.update(((i, j, 0), (j, i, 0)))
     pairs.update((u, v, 1) for (i, j), q in form.items() if q != form.get((j, i), 0)
                  for u, v in ((i, j), (j, i)))
     for i, j, kind in sorted(pairs):
@@ -206,12 +218,14 @@ def _check(g: LieAlgebra) -> ValidationReport:
         failures.append(what.format(name(i), name(j)))
 
     # once the first pass is clean the Jacobiator is alternating, so the triples
-    # i < j < l decide it; a failure there is reported by the ordered scan
+    # i < j < l decide it: one that fails does so in all six orders, and a
+    # triple with a repeated index cannot fail
     alternating = not failures
-    found = _scan(g, alternating)
-    if found and alternating:
-        found = _scan(g, False)
-    failures += found
+    found = _join(g, alternating)
+    if alternating:
+        found = [key for key in found if key[3]] + [
+            ijl + (0,) for key in found if not key[3] for ijl in permutations(key[:3])]
+    failures += _render(g, found)
     e, h, f = g.theta
     triple_checks = [
         (g.bracket(h, e), {e: 2}, "[h,e] = 2e"),
@@ -236,64 +250,90 @@ def _check(g: LieAlgebra) -> ValidationReport:
 
 
 def _scan(g: LieAlgebra, alternating: bool) -> list:
+    """The Jacobi and invariance failures ``_join`` finds, in ``(i, j, l)`` order."""
+    return _render(g, _join(g, alternating))
+
+
+def _render(g: LieAlgebra, found: list) -> list:
+    name = g.basis.__getitem__
+    return [f"{'form not invariant' if kind else 'Jacobi fails'} on ({name(i)},{name(j)},{name(l)})"
+            for i, j, l, kind in sorted(found)]
+
+
+def _join(g: LieAlgebra, alternating: bool) -> list:
     """Jacobi (degree 2 in the bracket) and invariance (bilinear in bracket x form)
-    failures, in ``(i, j, l)`` order, from joins over the nonzero entries of each
-    table times the lcm of its denominators, as ints.
+    failures as ``(i, j, l, kind)``, kind 0 for Jacobi and 1 for invariance, from
+    joins over the nonzero entries of each table, as ints: a table with a
+    denominator is first scaled by the lcm of its denominators.
 
     Each stored ``[b_y,b_z]_w`` meets each stored row ``[b_x,b_w]`` to sum
     ``T(x,y,z) = [b_x,[b_y,b_z]]``, and the Jacobiator ``J(i,j,l)`` is ``T`` summed
     over the three rotations of ``(i,j,l)``.  Ordered, each ``T`` is added under
     all three rotation keys, so every ordered triple is decided.  With
-    ``alternating`` only the even permutations of an increasing triple are kept,
-    so ``J`` is decided on ``i < j < l`` alone.  That is exact when ``[b_i,b_i] = 0``
-    and the table is antisymmetric: ``J`` is trilinear and cyclic, and
-    antisymmetry makes it change sign under a swap, so it is alternating and
-    vanishes on all basis triples once it does on the increasing ones.
-    Invariance compares ``<[b_i,b_j],b_l>`` (rows times form rows) with
-    ``<b_i,[b_j,b_l]>`` (form columns times rows) on every ordered triple.
+    ``alternating`` the table must have ``[b_i,b_i] = 0`` and be antisymmetric;
+    then ``T(x,z,y) = -T(x,y,z)`` and ``J`` is alternating (trilinear, cyclic and
+    odd under a swap), so it vanishes on all basis triples once it does on the
+    increasing ones.  Only the rows ``[b_y,b_z]`` with ``y < z`` are joined, and
+    each ``T(x,y,z)`` with ``x`` not in ``{y, z}`` is added under its increasing
+    key: ``+`` as ``(x,y,z)`` when ``x < y`` and as ``(y,z,x)`` when ``x > z``,
+    ``-`` as ``(y,x,z)`` when ``y < x < z``.  That sums the same ``J(i,j,l)`` on
+    ``i < j < l`` from half the terms.  Invariance compares
+    ``<[b_i,b_j],b_l>`` (rows times form rows) with ``<b_i,[b_j,b_l]>`` (form
+    columns times rows) on every ordered triple.
     """
     table, form = g._bracket, g._form
     scale = math.lcm(*(c.denominator for row in table.values() for c in row.values()))
     fscale = math.lcm(*(q.denominator for q in form.values()))
     # the nonzero [b_y,b_z] as ints; w -> the (x, [b_x,b_w]) and the (i, <b_i,b_w>)
-    rows = [(y, z, [(w, int(c * scale)) for w, c in row.items()])
+    rows = [(y, z, list(row.items()) if scale == 1 else [(w, int(c * scale)) for w, c in row.items()])
             for (y, z), row in table.items() if row]
     cols, frows, fcols = {}, {}, {}
     for x, w, row in rows:
         cols.setdefault(w, []).append((x, row))
     for (a, b), q in form.items():
-        q = int(q * fscale)
+        if fscale != 1:
+            q = int(q * fscale)
         frows.setdefault(a, []).append((b, q))
         fcols.setdefault(b, []).append((a, q))
     jac, inv = {}, {}  # (i, j, l) -> J(i,j,l); -> <[b_i,b_j],b_l> - <b_i,[b_j,b_l]>
     for y, z, yz in rows:
         for w, c in yz:
-            for x, xw in cols.get(w, ()):
-                if not alternating:
-                    keys = ((x, y, z), (y, z, x), (z, x, y))
-                elif (x < y) + (y < z) + (z < x) == 2:  # an even permutation of x, y, z distinct
-                    keys = ((x, y, z) if x < y and x < z else (y, z, x) if y < z else (z, x, y),)
-                else:
-                    continue
-                for key in keys:
-                    acc = jac.setdefault(key, {})
+            if not alternating:
+                for x, xw in cols.get(w, ()):
+                    for key in ((x, y, z), (y, z, x), (z, x, y)):
+                        acc = jac.setdefault(key, {})
+                        for a, d in xw:
+                            acc[a] = acc.get(a, 0) + c * d
+            elif y < z:
+                for x, xw in cols.get(w, ()):
+                    if x < y:
+                        key, s = (x, y, z), c
+                    elif x > z:
+                        key, s = (y, z, x), c
+                    elif x != y and x != z:
+                        key, s = (y, x, z), -c
+                    else:
+                        continue
+                    acc = jac.get(key)
+                    if acc is None:  # not setdefault, which builds a dict for every term
+                        acc = jac[key] = {}
                     for a, d in xw:
-                        acc[a] = acc.get(a, 0) + c * d
+                        acc[a] = acc.get(a, 0) + s * d
             for l, q in frows.get(w, ()):
                 inv[(y, z, l)] = inv.get((y, z, l), 0) + c * q
             for i, q in fcols.get(w, ()):
                 inv[(i, y, z)] = inv.get((i, y, z), 0) - q * c
-    bad = [key + (0,) for key, acc in jac.items() if any(acc.values())]
-    bad += [key + (1,) for key, d in inv.items() if d]
-    name = g.basis.__getitem__
-    return [f"{'form not invariant' if kind else 'Jacobi fails'} on ({name(i)},{name(j)},{name(l)})"
-            for i, j, l, kind in sorted(bad)]
+    found = [key + (0,) for key, acc in jac.items() if any(acc.values())]
+    return found + [key + (1,) for key, d in inv.items() if d]
 
 
 def join_cost(bracket: dict) -> int:
-    """The number of terms ``_scan``'s Jacobi join sums over a bracket table
+    """The number of terms of the ordered Jacobi join over a bracket table
     ``(i, j) -> {w: coefficient}``: over each nonzero ``[b_y,b_z]_w``, the total
-    length of the rows ``[b_x,b_w]``, zero coefficients not counted."""
+    length of the rows ``[b_x,b_w]``, zero coefficients not counted.  That sums
+    ``T(x,y,z)`` once for each ordered ``(x, y, z)``; ``_join`` adds each of those
+    terms under three keys when ordered, and sums at most half of them when
+    alternating, since it then joins only the rows ``[b_y,b_z]`` with ``y < z``."""
     column = {}  # w -> the total length of the rows [b_x,b_w]
     for (x, w), row in bracket.items():
         column[w] = column.get(w, 0) + sum(1 for c in row.values() if c)

@@ -572,9 +572,14 @@ def _corrupted(g, kind, seed):
         i, j = rng.sample(range(g.dim), 2)
         form[(j, i)] = form.get((j, i), Fraction(0))
         form[(i, j)] = form[(j, i)] + coeff()
+    elif kind == "empty-mirror":
+        # a nonzero [b_i, b_j], i > j, beside an explicitly empty [b_j, b_i]: the
+        # first pass compares the pair from (i, j) only
+        i, j = rng.choice([(i, j) for (i, j), vec in bracket.items() if vec and i > j and h not in (i, j)])
+        bracket[(j, i)] = {}
     else:
         # one nonzero [b_i, b_j] and its mirror scaled alike: still antisymmetric,
-        # so the check takes its i < j < l scan and hands the failure to the ordered one
+        # so the check decides Jacobi on i < j < l and lists each failure in every order
         i, j = rng.choice([key for key, vec in bracket.items() if vec and h not in key])
         factor = coeff()
         while factor == 1:
@@ -584,7 +589,7 @@ def _corrupted(g, kind, seed):
     return LieAlgebra(g.basis, bracket, form, g.theta)
 
 
-KINDS = ["bracket", "form", "row", "pair", "self-bracket", "self-form", "asymmetric-form"]
+KINDS = ["bracket", "form", "row", "pair", "self-bracket", "self-form", "asymmetric-form", "empty-mirror"]
 
 
 @pytest.mark.parametrize("n, kind, seed", [
@@ -597,6 +602,25 @@ def test_check_matches_fraction_reference_on_corruptions(n, kind, seed):
     g = _corrupted(sl2() if n == 2 else sln(n), kind, 1000 * n + seed)
     want = _reference_check(g)
     assert want and _check(g).failures == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [3, 4])
+def test_check_joins_once_on_a_jacobi_failure(monkeypatch, n, seed):
+    # an antisymmetric table that fails Jacobi: the i < j < l join decides it,
+    # and its failures are expanded to every order without a second join
+    g = _corrupted(sln(n), "pair", 1000 * n + seed)
+    calls, join = [], liealg._join
+
+    def counted(*args):
+        calls.append(args[1:])
+        return join(*args)
+
+    monkeypatch.setattr(liealg, "_join", counted)
+    failures = _check(g).failures
+    assert calls == [(True,)]
+    assert any(f.startswith("Jacobi") for f in failures)
+    assert failures == _reference_check(g)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -651,6 +675,19 @@ def _reference_join_cost(g):
 @pytest.mark.parametrize("g", [sl2(), sln(3), _dense(sln(3)), _dense(sln(4))])
 def test_join_cost_matches_the_triple_count(g):
     assert join_cost(g._bracket) == _reference_join_cost(g)
+
+
+def _alternating_join_terms(g):
+    """The terms the alternating join sums: each nonzero [b_y,b_z]_w with y < z
+    times the length of [b_x,b_w], x not y or z."""
+    span = range(g.dim)
+    return sum(len(g.bracket(x, w)) for y in span for z in span[y + 1:] for w in g.bracket(y, z)
+               for x in span if x not in (y, z))
+
+
+@pytest.mark.parametrize("g", [sl2(), sln(3), _dense(sln(3)), _dense(sln(4))])
+def test_join_cost_bounds_twice_the_alternating_join(g):
+    assert 0 < 2 * _alternating_join_terms(g) <= join_cost(g._bracket)
 
 
 @pytest.mark.parametrize("n, dense, cost", [
