@@ -92,7 +92,11 @@ class DefExpression:
 
     @classmethod
     def atom(cls, atom: DefAtom, coeff=1) -> "DefExpression":
-        return cls([DefTerm(coeff, (), atom)])
+        # one term needs no merge: ``_merge_terms`` drops a zero and takes ``exact``
+        expr = cls.__new__(cls)
+        expr.terms = (DefTerm(exact(coeff), (), atom),) if coeff else ()
+        expr.tail = State.zero()
+        return expr
 
     def __add__(self, other: "DefExpression") -> "DefExpression":
         return DefExpression(list(self.terms) + list(other.terms), self.tail + other.tail)
@@ -268,7 +272,8 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
     Each atom is reduced once, on an explicit stack, by the first of: the vacuum
     rule, its rule, ``generator_value``, one ``master_commute`` step, or else it
     is unresolved.  Its value, a state plus the unresolved terms it reaches, is
-    kept for the call, or in ``registry.memo`` once frozen.  The net residual
+    kept for the call, or in ``registry.memo`` once frozen; an atom whose
+    rewrite holds no def-terms gets its value where it is met.  The net residual
     comes back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
     """
     g, kernel = registry.g, registry.kernel
@@ -292,13 +297,17 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
             sub = DefExpression((), generator_value(g, atom.gen, atom.depth, atom.word[0].gen))
         else:
             sub = master_commute(kernel, atom.gen, atom.depth, *atom.word[0], atom.word[1:])
+        if not sub.terms:  # nothing to wait for: the value is the tail
+            memo[atom] = (dict(sub.tail.items()), ())
+            continue
         waiting[atom] = sub
         stack += [atom] + [t.atom for t in sub.terms]
         for t in sub.terms:
             if t.atom in waiting:
                 raise RuntimeError(f"def-mode reduction cycles at {registry.render_atom(t.atom)}")
     tail, residual = _combine(kernel, expr, memo)
-    residual = _normalize_residual(g, residual)
+    if residual:
+        residual = _normalize_residual(g, residual)
     if residual and not collect_residual:
         raise UnresolvedAtom(residual[0].atom, registry.render_atom(residual[0].atom))
     # every word of the tail was spelled by the kernel or held by a State
@@ -313,7 +322,8 @@ def _combine(kernel: Kernel, expr: DefExpression, memo: dict):
         state, unresolved = memo[t.atom]
         if state:
             add_scaled(tail, kernel.chain(t.prefix, state), t.coeff)
-        residual += [DefTerm(t.coeff * r.coeff, t.prefix + r.prefix, r.atom) for r in unresolved]
+        if unresolved:
+            residual += [DefTerm(t.coeff * r.coeff, t.prefix + r.prefix, r.atom) for r in unresolved]
     return tail, _merge_terms(residual) if residual else ()
 
 

@@ -315,6 +315,18 @@ def test_rule_table_lookups():
     assert expr.terms == (DefTerm(LinForm(-1), (Mode(F, 1),), DefAtom(H, -2, (Mode(E, -1),))),)
 
 
+# --- expressions ---
+
+@pytest.mark.parametrize("coeff", [1, 0, Fraction(4, 2), Fraction(1, 3), C, LinForm(0)])
+def test_atom_expression_matches_the_merged_one(coeff):
+    # DefExpression.atom builds its one term directly; the merge is the reference
+    atom = DefAtom(F, 1, (Mode(E, -1),) * 2)
+    got, want = DefExpression.atom(atom, coeff), DefExpression([DefTerm(coeff, (), atom)])
+    assert got.terms == want.terms
+    assert [type(t.coeff) for t in got.terms] == [type(t.coeff) for t in want.terms]
+    assert got.tail == want.tail and list(got.tail.items()) == list(want.tail.items())
+
+
 # --- the evaluator ---
 
 def test_evaluate_generator_pairing():
@@ -491,6 +503,38 @@ def test_frozen_registry_reuses_values_without_adding_rules(monkeypatch):
     assert registry.dump() == dump
     with pytest.raises(RegistryFrozen):
         registry.register_value(DefAtom(H, -1, (Mode(E, -1),)), State.zero(), "late")
+
+
+def test_frozen_reduction_combines_only_atoms_that_wait(monkeypatch):
+    # the vacuum, a registered zero and a generator pairing are settled where
+    # they are met; only the root and the master-commute rewrites that hold
+    # def-terms go through _combine
+    combined = []
+    combine = deform._combine
+
+    def counted(kernel, expr, memo):
+        combined.append(expr)
+        return combine(kernel, expr, memo)
+
+    monkeypatch.setattr(deform, "_combine", counted)
+    rewrites = []
+
+    def recorded(*args):
+        rewrites.append(master_commute(*args))
+        return rewrites[-1]
+
+    monkeypatch.setattr(deform, "master_commute", recorded)
+    registry = power_rule_registry(3)
+    registry.freeze()
+    top = DefExpression.atom(DefAtom(F, 1, (Mode(E, -1),) * 3))
+    assert evaluate(top, registry) == State.monomial((Mode(E, -1),) * 2, C.scale(3))
+    # f^def(1) on e(-1)^3 and e(-1)^2, and h^def(0)e(-1)^2, each take one step
+    assert len(rewrites) == 3 and all(r.terms for r in rewrites)
+    assert len(combined) == 4 and combined[-1] is top
+    assert {id(e) for e in combined[:-1]} == {id(r) for r in rewrites}
+    # the five settled atoms: e^def(-1) on |0>, e(-1) and e(-1)^2, and
+    # h^def(0)e(-1) and f^def(1)e(-1) by the generator pairing
+    assert len(registry.memo) == 8
 
 
 # --- strictness is the net residual ---

@@ -226,12 +226,13 @@ if loaded:
 """
 
 
-def fresh_import(module: str, *heavy: str) -> subprocess.CompletedProcess:
-    """Run FRESH_IMPORT in a child that finds this package first on its path."""
+def fresh_import(module: str, *heavy: str, script: str = FRESH_IMPORT) -> subprocess.CompletedProcess:
+    """Run the script (FRESH_IMPORT by default) in a child that finds this package
+    first on its path, with the module and the names after it as arguments."""
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-c", FRESH_IMPORT, module, *heavy],
+        [sys.executable, "-c", script, module, *heavy],
         env=env, capture_output=True, text=True, timeout=60,
     )
 

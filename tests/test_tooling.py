@@ -6,6 +6,7 @@ from pathlib import Path
 
 from affdef.liealg import LieAlgebra
 from affdef.scalar import LinForm
+from test_layering import fresh_import
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -25,3 +26,31 @@ def test_every_traced_name_exists():
     # the two methods the tracer counts calls of
     assert callable(vars(LieAlgebra).get("bracket_elt"))
     assert callable(vars(LinForm).get("__init__"))
+
+
+# A fresh interpreter imports the module named by argv[1] and exits with a message
+# unless that import left every module named after it loaded.
+LOADS_ALL = """
+import sys
+module, wanted = sys.argv[1], sys.argv[2:]
+__import__(module)
+missing = sorted(set(wanted) - set(sys.modules))
+if missing:
+    sys.exit(f"import {module} did not load {' '.join(missing)}")
+"""
+
+
+def test_import_affdef_loads_every_traced_module():
+    # a traced round imports affdef and nothing more of it before
+    # Tracer.install() reads sys.modules[home] for each span and the
+    # LieAlgebra and LinForm counters
+    homes = {module for module, _, _ in load_tracer().SPANS} | {"affdef.scalar"}
+    child = fresh_import("affdef", *sorted(homes), script=LOADS_ALL)
+    assert child.returncode == 0, child.stderr
+
+
+def test_loads_all_reports_a_missing_module():
+    # the package loads its layers, not the command line
+    child = fresh_import("affdef.scalar", "affdef.scalar", "affdef.cli", script=LOADS_ALL)
+    assert child.returncode == 1
+    assert child.stderr.strip() == "import affdef.scalar did not load affdef.cli"
