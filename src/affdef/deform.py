@@ -27,6 +27,7 @@ from .pbw import (
     basis_enum,
     charge,
     d_operator,
+    is_creation_word,
     render_word,
     weight,
     word_charge,
@@ -91,12 +92,17 @@ class DefExpression:
         self.tail = tail if tail is not None else State.zero()
 
     @classmethod
+    def _merged(cls, terms: tuple, tail: State) -> "DefExpression":
+        """An expression over terms that ``_merge_terms`` would keep as they are:
+        distinct ``(prefix, atom)`` keys, each with a nonzero coefficient under ``exact``."""
+        expr = cls.__new__(cls)
+        expr.terms, expr.tail = terms, tail
+        return expr
+
+    @classmethod
     def atom(cls, atom: DefAtom, coeff=1) -> "DefExpression":
         # one term needs no merge: ``_merge_terms`` drops a zero and takes ``exact``
-        expr = cls.__new__(cls)
-        expr.terms = (DefTerm(exact(coeff), (), atom),) if coeff else ()
-        expr.tail = State.zero()
-        return expr
+        return cls._merged((DefTerm(exact(coeff), (), atom),) if coeff else (), State.zero())
 
     def __add__(self, other: "DefExpression") -> "DefExpression":
         return DefExpression(list(self.terms) + list(other.terms), self.tail + other.tail)
@@ -248,22 +254,29 @@ def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w) -> DefExpr
     """
     g = kernel.g
     w = tuple(w)
-    terms = [
-        DefTerm(1, (Mode(b, n),), DefAtom(a, m, w)),
-        DefTerm(-1, (Mode(a, m),), DefAtom(b, n, w)),
-    ]
-    # the target word need not be canonical: the moved-past action and the
-    # central term both apply to the vector the word spells, which only the
-    # central term needs spelled on its own
-    for w2, coeff in kernel.chain(((a, m),) + w, {(): 1}).items():
-        terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
+    # the vector the target word spells, which the moved-past action and the
+    # central term share: a canonical creation word is its own vector, and
+    # only another spelling (a table's h(-1)e(-1)) takes a kernel pass of its own
+    target = {w: 1} if is_creation_word(w) else kernel.chain(w, {(): 1})
+    # the terms keyed (prefix, atom) and merged as they are built: the two
+    # moved terms cancel when (a, m) == (b, n), and a prefix-free key recurs
+    # only when a^def(0) meets [a,b] proportional to b
+    terms = {}
+    if (a, m) != (b, n):
+        terms[(Mode(b, n),), DefAtom(a, m, w)] = 1
+        terms[(Mode(a, m),), DefAtom(b, n, w)] = -1
+    for w2, coeff in kernel.chain(((a, m),), target).items():
+        terms[(), DefAtom(b, n, w2)] = coeff
     tail = State.zero()
     for coeff, dm in mode_identity(g, a, m, b, n).terms:
         if dm is None:
-            tail = State._unchecked(kernel.chain(w, {(): 1})).scale(coeff)
+            tail = State._unchecked({w2: c * coeff for w2, c in target.items()})
         else:
-            terms.append(DefTerm(coeff, (), DefAtom(*dm, w)))
-    return DefExpression(terms, tail)
+            key = ((), DefAtom(*dm, w))
+            terms[key] = terms.get(key, 0) + coeff
+    return DefExpression._merged(
+        tuple(DefTerm(exact(c), *key) for key, c in terms.items() if c), tail
+    )
 
 
 def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool = False):

@@ -39,6 +39,12 @@ def is_canonical(word: Word) -> bool:
     return all(a <= b for a, b in zip(word, word[1:]))
 
 
+def is_creation_word(word: Word) -> bool:
+    """Whether every mode of the word creates and the word is canonical: the
+    check ``State`` makes of each word, so such a word is its own state."""
+    return all(m.depth < 0 for m in word) and is_canonical(word)
+
+
 def word_weight(word: Word) -> int:
     return sum(-m.depth for m in word)
 
@@ -63,10 +69,8 @@ class State:
         if terms:
             for word, coeff in terms.items():
                 word = tuple(word)
-                if any(m.depth >= 0 for m in word):
-                    raise ValueError(f"monomial word has a non-creation mode: {word}")
-                if not is_canonical(word):
-                    raise ValueError(f"monomial word is not canonical: {word}")
+                if not is_creation_word(word):
+                    raise ValueError(f"monomial word is not a canonical creation word: {word}")
                 coeff = exact(coeff)
                 if coeff:
                     data[word] = coeff

@@ -92,6 +92,9 @@ def eliminate(equations) -> LinForm | None:
     ``c`` last.  So the c-unit vector lies in the row space exactly when a row
     still holds ``c`` once every other pivot has been eliminated, and such a
     row holds nothing else.  Returns that row scaled to ``1*c``, or ``None``.
+    The pivot row for a symbol is the shortest row holding it, the first of
+    those on a tie, so that little fills in; it cannot change the verdict,
+    which only the column order decides.
     Deformation equations are linear in the unknowns, so a constant term is a
     pipeline bug and raises ``ValueError``.
     """
@@ -101,7 +104,11 @@ def eliminate(equations) -> LinForm | None:
             raise ValueError(f"equation has a constant term: {eq} = 0")
         rows.append(dict(eq.terms))
     for name in sorted({name for row in rows for name in row}, key=symbol_sort_key):
-        at = next((i for i, row in enumerate(rows) if name in row), None)
+        at = min(
+            (i for i, row in enumerate(rows) if name in row),
+            key=lambda i: len(rows[i]),
+            default=None,
+        )
         if at is None:
             continue
         if name == "c":

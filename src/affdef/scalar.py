@@ -112,7 +112,8 @@ class LinForm:
 
     The constant and every coefficient are stored under ``exact``'s rational
     branch, an int when integral, and zero coefficients are never stored; two
-    forms are equal iff constant and term maps are equal.  Instances are immutable.
+    forms are equal iff constant and term maps are equal.  Instances are immutable
+    and shared (``scale(1)`` is the form itself), so no code mutates ``terms`` in place.
     """
 
     __slots__ = ("constant", "terms")
@@ -159,6 +160,8 @@ class LinForm:
 
     def scale(self, r) -> "LinForm":
         r = exact_rational(r)
+        if r == 1:  # the form is immutable, so the unit scaling is the form itself
+            return self
         if not r:
             return LinForm(0)
         return LinForm(self.constant * r, {n: c * r for n, c in self.terms.items()})

@@ -101,6 +101,146 @@ def test_generator_value_agrees_with_master_route():
                 assert evaluate(expr, empty_registry()) == direct
 
 
+def reference_master_commute(kernel, a, m, b, n, w):
+    """The rewrite as it was built before one kernel pass a step: the moved-past
+    mode and the target word in one chain from the vacuum, the central term from
+    a second chain of the word, and the constructor's merge."""
+    w = tuple(w)
+    terms = [
+        DefTerm(1, (Mode(b, n),), DefAtom(a, m, w)),
+        DefTerm(-1, (Mode(a, m),), DefAtom(b, n, w)),
+    ]
+    for w2, coeff in kernel.chain(((a, m),) + w, {(): 1}).items():
+        terms.append(DefTerm(coeff, (), DefAtom(b, n, w2)))
+    tail = State.zero()
+    for coeff, dm in mode_identity(kernel.g, a, m, b, n).terms:
+        if dm is None:
+            tail = State(kernel.chain(w, {(): 1})).scale(coeff)
+        else:
+            terms.append(DefTerm(coeff, (), DefAtom(*dm, w)))
+    return DefExpression(terms, tail)
+
+
+def assert_same_rewrite(got, want, context):
+    # term for term: order and coefficient types reach the evaluator's sums
+    assert got.terms == want.terms, context
+    assert [type(t.coeff) for t in got.terms] == [type(t.coeff) for t in want.terms], context
+    assert list(got.tail.items()) == list(want.tail.items()), context
+    assert [type(c) for _, c in got.tail.items()] == [type(c) for _, c in want.tail.items()], context
+
+
+def assert_rewrites_match_the_reference(g, k, cases):
+    # each side acts with its own kernel, so neither reads the other's memo
+    kernel, reference = Kernel(g, k), Kernel(g, k)
+    for a, m, b, n, w in cases:
+        context = (k, a, m, b, n, w)
+        assert_same_rewrite(
+            master_commute(kernel, a, m, b, n, w),
+            reference_master_commute(reference, a, m, b, n, w),
+            context,
+        )
+
+
+@pytest.mark.parametrize("k", [2, K43, Fraction(-1, 2)])
+def test_master_commute_matches_the_reference_on_sl2(k):
+    # every a^def(m) b(n) w with wt(w) <= 3: the vacuum target, the m = 0
+    # coincidence of h^def(0) with [h,e] = 2e, and (a, m) == (b, n) among them
+    targets = [w for wt in range(4) for w in basis_enum(G, wt)]
+    assert_rewrites_match_the_reference(G, k, [
+        (a, m, b, n, w)
+        for a in (E, H, F) for m in range(-2, 3)
+        for b in (E, H, F) for n in (-1, -2)
+        for w in targets
+    ])
+
+
+def test_master_commute_matches_the_reference_on_sl3():
+    g = sln(3)
+    rng = random.Random(2029)
+    targets = [w for wt in range(3) for w in basis_enum(g, wt)]
+    cases = [
+        (rng.randrange(g.dim), rng.randint(-1, 2), rng.randrange(g.dim), rng.randint(-2, -1),
+         rng.choice(targets))
+        for _ in range(300)
+    ]
+    cases += [(1, -1, 1, -1, ()), (3, 0, 0, -1, targets[1])]  # (a, m) == (b, n); a zero mode
+    for k in (2, Fraction(-3, 2)):
+        assert_rewrites_match_the_reference(g, k, cases)
+
+
+# the -4/3 table's mixed spellings, and targets with a mode that does not create
+RAW_TARGETS = [word[1:] for word in WEIGHT3_WORDS] + [
+    (Mode(H, -1), Mode(E, -1)),
+    (Mode(F, -1), Mode(E, -1)),
+    (Mode(H, -1), Mode(E, -2)),
+    (Mode(F, -1), Mode(H, -1), Mode(E, -1)),
+    (Mode(E, -1), Mode(F, -1), Mode(E, -1)),
+    (Mode(E, 0), Mode(F, -1)),
+    (Mode(F, 1), Mode(E, -1), Mode(E, -1)),
+]
+
+
+def test_master_commute_matches_the_reference_on_raw_targets():
+    assert any(len(w) > 1 and w[0] > w[1] for w in RAW_TARGETS[: len(WEIGHT3_WORDS)])
+    assert_rewrites_match_the_reference(G, K43, [
+        (a, m, b, n, w)
+        for a in (E, H, F) for m in range(-1, 3)
+        for b in (E, H, F) for n in (-1, -2)
+        for w in RAW_TARGETS
+    ])
+
+
+def test_master_commute_drops_the_moved_terms_when_the_modes_agree():
+    # e^def(-1) e(-1) f(-1): the moved terms cancel, and only the moved-past
+    # action is left, the atom itself
+    word = (Mode(E, -1), Mode(F, -1))
+    expr = master_commute(Kernel(G, 2), E, -1, E, -1, word[1:])
+    assert expr.terms == (DefTerm(1, (), DefAtom(E, -1, word)),)
+    assert expr.tail.is_zero
+
+
+def test_master_commute_merges_the_zero_mode_coincidence():
+    # h^def(0) e(-1) e(-1): h(0) acts on e(-1) by 2, and [h,e] = 2e, so the
+    # two prefix-free e^def(-1)e(-1) terms are one term with coefficient 4
+    word = (Mode(E, -1),)
+    expr = master_commute(Kernel(G, 2), H, 0, E, -1, word)
+    assert expr.terms == (
+        DefTerm(1, (Mode(E, -1),), DefAtom(H, 0, word)),
+        DefTerm(-1, (Mode(H, 0),), DefAtom(E, -1, word)),
+        DefTerm(4, (), DefAtom(E, -1, word)),
+    )
+
+
+def count_kernel_chains(monkeypatch) -> list:
+    """Route ``Kernel.chain`` through a wrapper; the list grows by its modes per call."""
+    calls = []
+    chain = Kernel.chain
+
+    def counted(self, modes, terms):
+        calls.append(tuple(modes))
+        return chain(self, modes, terms)
+
+    monkeypatch.setattr(Kernel, "chain", counted)
+    return calls
+
+
+@pytest.mark.parametrize("w, passes", [
+    ((), 1),
+    ((Mode(E, -1),) * 3, 1),
+    ((Mode(E, -2), Mode(H, -1), Mode(F, -1)), 1),
+    ((Mode(H, -1), Mode(E, -1)), 2),
+    ((Mode(E, 0), Mode(F, -1)), 2),
+])
+def test_master_commute_spells_only_a_raw_target(monkeypatch, w, passes):
+    # a canonical creation word is its own vector; any other spelling is spelled
+    # once, and the moved-past mode acts on that vector in one more pass
+    kernel = Kernel(G, K43)
+    calls = count_kernel_chains(monkeypatch)
+    master_commute(kernel, F, 1, E, -1, w)
+    assert len(calls) == passes
+    assert calls[-1] == ((F, 1),)
+
+
 # --- translation identity ---
 
 def test_single_generator_deep_targets_vanish():

@@ -130,6 +130,53 @@ def test_unchecked_scan_sees_every_form():
     assert unchecked_state_uses(source) == [1, 2, 5]
 
 
+# A LinForm is shared once made (``scale(1)`` is the form itself), so no module
+# changes the ``terms`` of any object in place: no item assignment or deletion,
+# no dict mutator, no in-place operator and no ``add_scaled`` into it.
+DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+
+
+def _is_terms(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def terms_mutations(source: str) -> list:
+    """Line numbers that change an object's ``.terms`` in place."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Delete)):
+            targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Subscript) and _is_terms(target.value) or (
+                    isinstance(node, ast.AugAssign) and _is_terms(target)
+                ):
+                    found.append(node.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in DICT_MUTATORS and _is_terms(func.value):
+                found.append(node.lineno)
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "add_scaled" and node.args and _is_terms(node.args[0]):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_mutates_terms_in_place():
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = terms_mutations(path.read_text())
+        assert not lines, f"{path.stem} changes .terms in place, lines {lines}"
+
+
+def test_terms_scan_sees_every_form():
+    source = (
+        "x.terms['c'] = 1\ndel x.terms['c']\nx.terms['c'] += 1\nx.terms |= {}\n"
+        "x.terms.update({})\nx.terms.pop('c')\nscalar.add_scaled(x.terms, y, 1)\n"
+        "add_scaled(out, x.terms, 1)\nx.terms = {}\nd = dict(x.terms)\nd['c'] = 1\n"
+        "x.terms.get('c')\nx.terms.setdefault('c', 0)\n"
+    )
+    assert terms_mutations(source) == [1, 2, 3, 4, 5, 6, 7, 13]
+
+
 # Coefficients are ints when integral, so a bare ``a / b`` of two of them is a
 # float; the exact layers divide only where an operand is a Fraction(...) call.
 EXACT_LAYERS = ("scalar", "pbw", "deform", "rigidity", "singular")

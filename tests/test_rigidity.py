@@ -119,6 +119,58 @@ def test_eliminate_wide_sparse_systems_against_rank_oracle():
     assert forced_seen >= 12 and free_seen >= 6
 
 
+def c_unit_in_row_space(rows, symbols):
+    """The row-space oracle: adjoining the c-unit row leaves the rank as it is."""
+    matrix = sympy.Matrix(
+        [[sympy.Rational(eq.coefficient(s)) for s in symbols] for eq in rows]
+    )
+    unit = sympy.Matrix([[int(s == "c") for s in symbols]])
+    return matrix.col_join(unit).rank() == matrix.rank()
+
+
+def test_eliminate_rank_deficient_sparse_systems_against_row_space_oracle():
+    """More rows than rank: every row past the first few is a sparse combination of them."""
+    rng = random.Random(2029)
+    forced_seen = free_seen = 0
+    for trial in range(30):
+        basis = [sparse_row(rng, nonzeros=rng.randint(2, 5)) for _ in range(rng.randint(3, 10))]
+        if trial % 3 == 0:
+            basis.append(lf(c=rng.randint(1, 5)))  # the c-unit row, hidden below
+        rows = []
+        for _ in range(len(basis) + rng.randint(2, 8)):
+            row = LinForm(0)
+            for b in rng.sample(basis, rng.randint(1, 3)):
+                row = row + b.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 2)))
+            rows.append(row)
+        rows = [row for row in rows if row]
+        got = eliminate(rows)
+        assert (got is not None) == c_unit_in_row_space(rows, WIDE_SYMBOLS), f"trial {trial}"
+        assert got in (None, lf(c=1))
+        forced_seen += got is not None
+        free_seen += got is None
+    assert forced_seen >= 5 and free_seen >= 10
+
+
+def test_eliminate_pivots_on_the_shortest_row(monkeypatch):
+    # a1 is held by a four-entry row and two two-entry rows: the first of the
+    # two short rows is the pivot, and each row it clears gets one entry at most
+    from affdef import rigidity
+
+    pivots = []
+    add_scaled = rigidity.add_scaled
+
+    def recorded(row, pivot, factor):
+        pivots.append(dict(pivot))
+        add_scaled(row, pivot, factor)
+
+    monkeypatch.setattr(rigidity, "add_scaled", recorded)
+    rows = [lf(a1=1, a2=1, a3=1, a4=1), lf(a1=2, a2=1), lf(a1=1, c=1)]
+    assert eliminate(rows) is None
+    assert pivots[:2] == [{"a1": 2, "a2": 1}] * 2
+    # with a2, a3 and a4 pinned to zero, so is a1, and then c
+    assert eliminate(rows + [lf(a2=1), lf(a3=1), lf(a4=1)]) == lf(c=1)
+
+
 # --- integral pipeline ---
 
 @pytest.mark.parametrize("k", list(range(1, 9)))

@@ -39,6 +39,15 @@ def test_scale_rational():
     assert lf(0, c=3).scale(Fraction(4, 3)) == lf(0, c=4)
 
 
+def test_unit_scaling_shares_the_form():
+    # a form is immutable, so scaling by one hands back the form itself
+    x = lf(2, a1=3, c=-1)
+    assert x.scale(1) is x and x.scale(Fraction(3, 3)) is x
+    assert x * 1 is x and 1 * x is x and Fraction(1) * x is x
+    assert x * LinForm(1) is x and LinForm(1) * x is x
+    assert x.scale(-1) is not x and x.scale(-1).scale(-1) == x
+
+
 def test_mul_constant_left():
     assert LinForm(2) * lf(3, a1=1) == lf(6, a1=2)
 
