@@ -27,7 +27,6 @@ from .pbw import (
     basis_enum,
     charge,
     d_operator,
-    is_creation_word,
     render_word,
     weight,
     word_charge,
@@ -92,17 +91,11 @@ class DefExpression:
         self.tail = tail if tail is not None else State.zero()
 
     @classmethod
-    def _merged(cls, terms: tuple, tail: State) -> "DefExpression":
-        """An expression over terms that ``_merge_terms`` would keep as they are:
-        distinct ``(prefix, atom)`` keys, each with a nonzero coefficient under ``exact``."""
-        expr = cls.__new__(cls)
-        expr.terms, expr.tail = terms, tail
-        return expr
-
-    @classmethod
     def atom(cls, atom: DefAtom, coeff=1) -> "DefExpression":
         # one term needs no merge: ``_merge_terms`` drops a zero and takes ``exact``
-        return cls._merged((DefTerm(exact(coeff), (), atom),) if coeff else (), State.zero())
+        expr = cls.__new__(cls)
+        expr.terms, expr.tail = (DefTerm(exact(coeff), (), atom),) if coeff else (), State.zero()
+        return expr
 
     def __add__(self, other: "DefExpression") -> "DefExpression":
         return DefExpression(list(self.terms) + list(other.terms), self.tail + other.tail)
@@ -135,30 +128,30 @@ def def_label(g: LieAlgebra, gen: int, depth: int) -> str:
 
 
 def _merge_terms(terms):
+    """``(coeff, prefix, atom)`` triples summed per ``(prefix, atom)``, in the
+    order each key first comes, as ``DefTerm``s under ``exact``, zeros dropped."""
     merged = {}
-    order = []
-    for t in terms:
-        key = (t.prefix, t.atom)
-        if key in merged:
-            merged[key] = merged[key] + t.coeff
-        else:
-            merged[key] = t.coeff
-            order.append(key)
-    return tuple(DefTerm(exact(merged[key]), *key) for key in order if merged[key])
+    for coeff, prefix, atom in terms:
+        key = (prefix, atom)
+        merged[key] = merged[key] + coeff if key in merged else coeff
+    return tuple(DefTerm(exact(c), *key) for key, c in merged.items() if c)
 
 
 class RuleRegistry:
     """One rule per atom at level ``k``, values and rewrites alike; frozen after setup.
 
     ``kernel`` is the mode action at level ``k`` that evaluations share; it
-    holds no rule, so sharing it is exact before ``freeze`` too.  Once frozen,
-    ``memo`` keeps the value ``evaluate`` computes for each atom.
+    holds no rule, so sharing it is exact before ``freeze`` too.  Its word
+    table keys the evaluator: a rule is entered there as it is registered, and
+    once frozen, ``memo`` keeps the value ``evaluate`` computes for each atom,
+    both keyed ``(gen, depth, word id)``.
     """
 
     def __init__(self, g: LieAlgebra, k):
         self.g = g
         self.kernel = Kernel(g, k)
         self._rules = {}
+        self._id_values = {}  # each rule's value as evaluate reads it, by atom key
         self.memo = None  # evaluate's atom values, kept once frozen
 
     def register_value(self, atom: DefAtom, value, provenance: str) -> Rule:
@@ -172,6 +165,8 @@ class RuleRegistry:
         self._check_grading(atom, value.tail)
         rule = Rule(atom, value, provenance)
         self._rules[atom] = rule
+        key = (atom.gen, atom.depth, self.kernel.enter(atom.word))
+        self._id_values[key] = _over_ids(self.kernel, value)
         return rule
 
     def _check_grading(self, atom: DefAtom, value: State):
@@ -247,35 +242,56 @@ def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity
     return ModeIdentity(tuple(terms))
 
 
-def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w) -> DefExpression:
+def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w):
     """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward.
 
-    ``kernel`` is the ``pbw.Kernel`` at the level to act with.
+    ``kernel`` is the ``pbw.Kernel`` at the level to act with.  The evaluator
+    passes ``w`` as a word id and takes the rewrite over ids, as ``_over_ids``
+    builds one; a word ``w`` is entered here and its rewrite comes back spelled.
     """
-    g = kernel.g
-    w = tuple(w)
+    spelled = not isinstance(w, int)
+    if spelled:
+        w = kernel.enter(tuple(w))
     # the vector the target word spells, which the moved-past action and the
     # central term share: a canonical creation word is its own vector, and
-    # only another spelling (a table's h(-1)e(-1)) takes a kernel pass of its own
-    target = {w: 1} if is_creation_word(w) else kernel.chain(w, {(): 1})
+    # only a raw spelling (a table's h(-1)e(-1)) takes a kernel pass of its own
+    target = kernel.chain_ids(kernel.spell(w), {0: 1}) if w in kernel.raw else {w: 1}
     # the terms keyed (prefix, atom) and merged as they are built: the two
     # moved terms cancel when (a, m) == (b, n), and a prefix-free key recurs
     # only when a^def(0) meets [a,b] proportional to b
-    terms = {}
+    terms, tail = {}, {}
     if (a, m) != (b, n):
-        terms[(Mode(b, n),), DefAtom(a, m, w)] = 1
-        terms[(Mode(a, m),), DefAtom(b, n, w)] = -1
-    for w2, coeff in kernel.chain(((a, m),), target).items():
-        terms[(), DefAtom(b, n, w2)] = coeff
-    tail = State.zero()
-    for coeff, dm in mode_identity(g, a, m, b, n).terms:
+        terms[(Mode(b, n),), (a, m, w)] = 1
+        terms[(Mode(a, m),), (b, n, w)] = -1
+    for w2, coeff in kernel.chain_ids(((a, m),), target).items():
+        terms[(), (b, n, w2)] = coeff
+    for coeff, dm in mode_identity(kernel.g, a, m, b, n).terms:
         if dm is None:
-            tail = State._unchecked({w2: c * coeff for w2, c in target.items()})
+            tail = {w2: x for w2, c in target.items() if (x := exact(c * coeff))}
         else:
-            key = ((), DefAtom(*dm, w))
+            key = ((), (*dm, w))
             terms[key] = terms.get(key, 0) + coeff
-    return DefExpression._merged(
-        tuple(DefTerm(exact(c), *key) for key, c in terms.items() if c), tail
+    rewrite = tuple((exact(c), *key) for key, c in terms.items() if c), tail
+    return DefExpression(*_spelled(kernel, rewrite)) if spelled else rewrite
+
+
+def _over_ids(kernel: Kernel, expr: DefExpression) -> tuple:
+    """The expression over the kernel's word ids, as the evaluator reads it:
+    ``(coeff, prefix, (gen, depth, word id))`` terms and an ``id -> coeff`` tail."""
+    return (
+        tuple((c, p, (a.gen, a.depth, kernel.enter(a.word))) for c, p, a in expr.terms),
+        {kernel.intern(word): c for word, c in expr.tail.items()},
+    )
+
+
+def _spelled(kernel: Kernel, expr: tuple) -> tuple:
+    """The terms and tail of an expression over word ids, spelled as ``DefTerm``s
+    and a ``State``; its tail ids are canonical."""
+    terms, tail = expr
+    spell = kernel.spell
+    return (
+        [DefTerm(c, p, DefAtom(gen, depth, spell(w))) for c, p, (gen, depth, w) in terms],
+        State._unchecked({spell(w): c for w, c in tail.items()}),
     )
 
 
@@ -284,60 +300,66 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
 
     Each atom is reduced once, on an explicit stack, by the first of: the vacuum
     rule, its rule, ``generator_value``, one ``master_commute`` step, or else it
-    is unresolved.  Its value, a state plus the unresolved terms it reaches, is
-    kept for the call, or in ``registry.memo`` once frozen; an atom whose
-    rewrite holds no def-terms gets its value where it is met.  The net residual
-    comes back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
+    is unresolved.  Atoms are keyed ``(gen, depth, word id)`` in the registry
+    kernel's word table, where a step reads the head and rest of its word; the
+    expression is entered once, and words are spelled only in the result and
+    the errors.  An atom's value, its unresolved terms and its state, is kept
+    for the call, or in ``registry.memo`` once frozen; an atom whose rewrite
+    holds no def-terms gets its value where it is met.  The net residual comes
+    back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
     """
-    g, kernel = registry.g, registry.kernel
+    g, kernel, rules = registry.g, registry.kernel, registry._id_values
+    heads, tails = kernel.heads, kernel.tails
     memo = {} if registry.memo is None else registry.memo
-    stack, waiting = [t.atom for t in expr.terms], {}  # waiting: atom -> its rewrite
+    root = _over_ids(kernel, expr)
+    stack, waiting = [key for _, _, key in root[0]], {}  # waiting: key -> its rewrite
     while stack:
-        atom = stack.pop()
-        if atom in waiting:  # every atom of its rewrite has a value now
-            memo[atom] = _combine(kernel, waiting.pop(atom), memo)
-        if atom in memo:
+        key = stack.pop()
+        if key in waiting:  # every atom of its rewrite has a value now
+            memo[key] = _combine(kernel, waiting.pop(key), memo)
+        if key in memo:
             continue
-        rule = registry.lookup_value(atom)
-        if not atom.word:
-            sub = DefExpression()  # vacuum rule
-        elif rule is not None:
-            sub = rule.value
-        elif atom.depth < 0:
-            memo[atom] = ({}, (DefTerm(1, (), atom),))  # unresolved
+        gen, depth, wid = key
+        sub = rules.get(key) if wid else ((), {})  # its rule, or the vacuum rule
+        if sub is None:
+            if depth < 0:
+                memo[key] = (((1, (), key),), {})  # unresolved
+                continue
+            head, rest = heads[wid], tails[wid]
+            if rest or head.depth != -1:
+                sub = master_commute(kernel, gen, depth, *head, rest)
+            else:  # the generator pairing, whose one word is the vacuum
+                sub = (), {0: c for _, c in generator_value(g, gen, depth, head.gen).items()}
+        if not sub[0]:  # nothing to wait for: the value is the tail
+            memo[key] = sub
             continue
-        elif len(atom.word) == 1 and atom.word[0].depth == -1:
-            sub = DefExpression((), generator_value(g, atom.gen, atom.depth, atom.word[0].gen))
-        else:
-            sub = master_commute(kernel, atom.gen, atom.depth, *atom.word[0], atom.word[1:])
-        if not sub.terms:  # nothing to wait for: the value is the tail
-            memo[atom] = (dict(sub.tail.items()), ())
-            continue
-        waiting[atom] = sub
-        stack += [atom] + [t.atom for t in sub.terms]
-        for t in sub.terms:
-            if t.atom in waiting:
-                raise RuntimeError(f"def-mode reduction cycles at {registry.render_atom(t.atom)}")
-    tail, residual = _combine(kernel, expr, memo)
-    if residual:
-        residual = _normalize_residual(g, residual)
+        waiting[key] = sub
+        stack.append(key)
+        for _, _, atom in sub[0]:
+            if atom in waiting:
+                gen, depth, wid = atom
+                atom = DefAtom(gen, depth, kernel.spell(wid))
+                raise RuntimeError(f"def-mode reduction cycles at {registry.render_atom(atom)}")
+            stack.append(atom)
+    residual, tail = _spelled(kernel, _combine(kernel, root, memo))
+    residual = _normalize_residual(g, residual) if residual else ()
     if residual and not collect_residual:
         raise UnresolvedAtom(residual[0].atom, registry.render_atom(residual[0].atom))
-    # every word of the tail was spelled by the kernel or held by a State
-    tail = State._unchecked(tail)
     return (tail, residual) if collect_residual else tail
 
 
-def _combine(kernel: Kernel, expr: DefExpression, memo: dict):
-    """The expression's state and net unresolved terms, from its atoms' values."""
-    tail, residual = dict(expr.tail.items()), []
-    for t in expr.terms:
-        state, unresolved = memo[t.atom]
+def _combine(kernel: Kernel, expr: tuple, memo: dict) -> tuple:
+    """An expression's value, over ids: its net unresolved terms and its state,
+    from its atoms' values."""
+    terms, tail = expr
+    residual, tail = [], dict(tail)
+    for coeff, prefix, key in terms:
+        unresolved, state = memo[key]
         if state:
-            add_scaled(tail, kernel.chain(t.prefix, state), t.coeff)
+            add_scaled(tail, kernel.chain_ids(prefix, state), coeff)
         if unresolved:
-            residual += [DefTerm(t.coeff * r.coeff, t.prefix + r.prefix, r.atom) for r in unresolved]
-    return tail, _merge_terms(residual) if residual else ()
+            residual += [(coeff * c, prefix + p, atom) for c, p, atom in unresolved]
+    return _merge_terms(residual) if residual else (), tail
 
 
 def _normalize_residual(g: LieAlgebra, terms):

@@ -187,18 +187,21 @@ class Kernel:
     object, so the words a kernel spells share their modes.
     Words are checked once, where they enter: ``intern`` takes canonical
     creation words only, and ``_act`` makes an id only by a prepend, so every
-    word a kernel spells is canonical by construction.
+    word ``_act`` meets or makes is canonical by construction.  ``enter``
+    also conses any other spelling, as a def-atom may carry (the -4/3 table's
+    ``h(-1)e(-1)``), and records its id in ``raw``: such a word is
+    normal-ordered, by ``chain_ids`` from the vacuum, before any mode acts on it.
     A kernel lives for one ``apply_mode`` or ``normal_order`` call, or for one
     ``deform.RuleRegistry``, whose evaluations share it; nothing is kept on
     the algebra.
     """
 
-    __slots__ = ("g", "k", "ids", "heads", "tails", "modes", "memo")
+    __slots__ = ("g", "k", "ids", "heads", "tails", "modes", "memo", "raw")
 
     def __init__(self, g: LieAlgebra, k):
         self.g, self.k = g, exact(k)
         self.ids, self.heads, self.tails, self.modes = {}, [None], [0], {}
-        self.memo = {}
+        self.memo, self.raw = {}, set()
 
     def cons(self, key) -> int:
         """The id of the word ``Mode(gen, depth)`` followed by ``rest_id``, for
@@ -218,7 +221,7 @@ class Kernel:
         """The id of a canonical word of creation modes; any other word raises
         ``ValueError``.  Each mode is checked against the head it is consed in
         front of, so the check costs one comparison a mode."""
-        wid, heads, cons = 0, self.heads, self.cons
+        wid, heads, ids, cons = 0, self.heads, self.ids, self.cons
         for mode in reversed(word):
             gen, depth = mode
             if depth >= 0:
@@ -226,7 +229,27 @@ class Kernel:
             # a Mode compares as the pair (gen, depth)
             if wid and mode > heads[wid]:
                 raise ValueError(f"monomial word is not canonical: {word}")
+            key = (gen, depth, wid)
+            wid = ids.get(key) or cons(key)  # every id past the vacuum's is nonzero
+        return wid
+
+    def enter(self, word: Word) -> int:
+        """The id of a word as spelled: a canonical creation word is interned,
+        and any other spelling is consed as it stands, the id of each of its
+        suffixes that is not a canonical creation word going into ``raw``.  No
+        such key ``(gen, depth, rest_id)`` is a prepend, so ``_act`` never
+        makes a raw id, and callers normal-order one before a mode acts on it."""
+        try:
+            return self.intern(word)
+        except ValueError:  # not a canonical creation word
+            pass
+        wid, heads, raw, cons = 0, self.heads, self.raw, self.cons
+        for mode in reversed(word):
+            gen, depth = mode
+            bad = depth >= 0 or wid in raw or (wid and mode > heads[wid])
             wid = cons((gen, depth, wid))
+            if bad:
+                raw.add(wid)
         return wid
 
     def spell(self, wid: int) -> Word:
@@ -249,15 +272,20 @@ class Kernel:
         """
         if not modes:
             return terms
-        intern, act = self.intern, self._act
-        ids = {intern(word): coeff for word, coeff in terms.items()}
+        intern, spell = self.intern, self.spell
+        ids = self.chain_ids(modes, {intern(word): coeff for word, coeff in terms.items()})
+        return {spell(wid): coeff for wid, coeff in ids.items()}
+
+    def chain_ids(self, modes, ids: dict) -> dict:
+        """``chain`` on canonical word ids: an ``id -> coefficient`` dict in, one
+        out.  With no modes, ``ids`` itself comes back: do not mutate it."""
+        act = self._act
         for gen, m in reversed(modes):
             out = {}
             for wid, coeff in ids.items():
                 add_scaled(out, act(gen, m, wid), coeff)
             ids = out
-        spell = self.spell
-        return {spell(wid): coeff for wid, coeff in ids.items()}
+        return ids
 
     def _act(self, gen: int, m: int, wid: int) -> dict:
         """gen(m) applied to the canonical word ``wid``, as an ``id -> rational`` dict.

@@ -25,7 +25,7 @@ from .deform import (
     register_ansatz,
 )
 from .liealg import LieAlgebra, sl2, validate
-from .pbw import Mode, State, apply_mode, normal_order, render_word
+from .pbw import Kernel, Mode, State, normal_order, render_word
 from .scalar import LinForm, add_scaled, format_rational, signed_sum, symbol_sort_key
 from .singular import ADMISSIBLE_LEVEL, WEIGHT3_WORDS
 
@@ -154,17 +154,19 @@ def rational_jsonable(q: Fraction):
     return int(q) if q.denominator == 1 else format_rational(q)
 
 
-def check_power_rule_ingredients(g: LieAlgebra, k) -> None:
+def check_power_rule_ingredients(kernel: Kernel) -> None:
     """Check the vanishing ingredients of e^def(-1) e(-1)^j |0>, the same for every j.
 
     The double-sum expansion of this mode only involves e(alpha) e(-1)|0> and
     e^def(alpha) e(-1)|0> for alpha >= 0; both vanish (nilpotent direction, and
     modes with alpha >= 2 land below weight zero), so every summand is zero.
+    The modes act with ``kernel``, the mode action at the level checked.
     """
+    g = kernel.g
     e = g.theta[0]
-    single = State.monomial((Mode(e, -1),))
+    single = {(Mode(e, -1),): 1}
     for alpha in range(0, 4):
-        if apply_mode(g, e, alpha, single, k) or generator_value(g, e, alpha, e):
+        if kernel.chain(((e, alpha),), single) or generator_value(g, e, alpha, e):
             raise ArithmeticError(
                 f"nonzero ingredient at alpha={alpha}: the vanishing argument fails"
             )
@@ -196,7 +198,7 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
         return f"{def_label(g, gen, depth)}{e1}^{n}|0>"
 
     registry = RuleRegistry(g, k)
-    check_power_rule_ingredients(g, k)
+    check_power_rule_ingredients(registry.kernel)
     for j in range(1, k + 1):
         registry.register_value(DefAtom(e, -1, e_word(j)), State.zero(), "derived:power-rule")
         transcript.add("power-rule", f"{atom_text(e, -1, j)} := 0", "all ingredients vanish")

@@ -211,16 +211,16 @@ def test_master_commute_merges_the_zero_mode_coincidence():
     )
 
 
-def count_kernel_chains(monkeypatch) -> list:
-    """Route ``Kernel.chain`` through a wrapper; the list grows by its modes per call."""
+def count_kernel_calls(monkeypatch, name: str) -> list:
+    """Route the ``Kernel`` method through a wrapper; the list grows by its arguments per call."""
     calls = []
-    chain = Kernel.chain
+    method = getattr(Kernel, name)
 
-    def counted(self, modes, terms):
-        calls.append(tuple(modes))
-        return chain(self, modes, terms)
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
 
-    monkeypatch.setattr(Kernel, "chain", counted)
+    monkeypatch.setattr(Kernel, name, counted)
     return calls
 
 
@@ -233,12 +233,13 @@ def count_kernel_chains(monkeypatch) -> list:
 ])
 def test_master_commute_spells_only_a_raw_target(monkeypatch, w, passes):
     # a canonical creation word is its own vector; any other spelling is spelled
-    # once, and the moved-past mode acts on that vector in one more pass
+    # once, and the moved-past mode acts on that vector in one more pass; every
+    # pass of modes over the kernel's word ids goes through chain_ids
     kernel = Kernel(G, K43)
-    calls = count_kernel_chains(monkeypatch)
+    calls = count_kernel_calls(monkeypatch, "chain_ids")
     master_commute(kernel, F, 1, E, -1, w)
     assert len(calls) == passes
-    assert calls[-1] == ((F, 1),)
+    assert calls[-1][0] == ((F, 1),)
 
 
 # --- translation identity ---
@@ -283,7 +284,7 @@ def power_rule_registry(k):
 
 @pytest.mark.parametrize("k", range(1, 6))
 def test_power_rule_ingredients_vanish(k):
-    check_power_rule_ingredients(G, Fraction(k))
+    check_power_rule_ingredients(Kernel(G, Fraction(k)))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -583,7 +584,25 @@ def test_integral_pipeline_commutes_each_power_once(monkeypatch, k):
     # takes one master-commute step; every earlier power comes from the memo
     calls = count_master_commute(monkeypatch)
     assert integral_pipeline(sl2(), k).final_relation == C.scale(k + 1)
-    assert len(calls) <= 2 * k - 1
+    assert len(calls) == 2 * k - 1
+
+
+@pytest.mark.parametrize("n", [5, 60])
+def test_a_memoised_step_enters_and_spells_its_word_once(monkeypatch, n):
+    # f^def(1)e(-1)^n over a memo that holds f^def(1)e(-1)^(n-1): the step reads
+    # its word's head and rest from the kernel's word table, so however long the
+    # word, it is interned once where it enters and spelled once in the result
+    registry = power_rule_registry(n)
+    for p in range(1, n + 1):
+        registry.register_value(DefAtom(H, 0, (Mode(E, -1),) * p), State.zero(), "cartan")
+    registry.freeze()
+    word = (Mode(E, -1),) * n
+    evaluate(atom_expr(F, 1, word[1:]), registry)
+    interned = count_kernel_calls(monkeypatch, "intern")
+    spelled = count_kernel_calls(monkeypatch, "spell")
+    got = evaluate(atom_expr(F, 1, word), registry)
+    assert len(interned) == len(spelled) == 1
+    assert got == State.monomial(word[1:], C.scale(n))
 
 
 def test_unfrozen_registry_never_memoises():
@@ -668,9 +687,12 @@ def test_frozen_reduction_combines_only_atoms_that_wait(monkeypatch):
     registry.freeze()
     top = DefExpression.atom(DefAtom(F, 1, (Mode(E, -1),) * 3))
     assert evaluate(top, registry) == State.monomial((Mode(E, -1),) * 2, C.scale(3))
-    # f^def(1) on e(-1)^3 and e(-1)^2, and h^def(0)e(-1)^2, each take one step
-    assert len(rewrites) == 3 and all(r.terms for r in rewrites)
-    assert len(combined) == 4 and combined[-1] is top
+    # f^def(1) on e(-1)^3 and e(-1)^2, and h^def(0)e(-1)^2, each take one step;
+    # the evaluator reads each rewrite over word ids, as (terms, tail)
+    assert len(rewrites) == 3 and all(terms for terms, _ in rewrites)
+    # the root is the top expression over ids: its one term, keyed by the word's id
+    root_key = (F, 1, registry.kernel.intern(top.terms[0].atom.word))
+    assert len(combined) == 4 and combined[-1] == (((1, (), root_key),), {})
     assert {id(e) for e in combined[:-1]} == {id(r) for r in rewrites}
     # the five settled atoms: e^def(-1) on |0>, e(-1) and e(-1)^2, and
     # h^def(0)e(-1) and f^def(1)e(-1) by the generator pairing

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from affdef.liealg import LieAlgebra
@@ -54,3 +55,29 @@ def test_loads_all_reports_a_missing_module():
     child = fresh_import("affdef.scalar", "affdef.scalar", "affdef.cli", script=LOADS_ALL)
     assert child.returncode == 1
     assert child.stderr.strip() == "import affdef.scalar did not load affdef.cli"
+
+
+# A fresh interpreter loads the tracer from the file named by argv[1], installs it
+# as a traced benchmark round does, runs integral_pipeline(sl2(), 4) and prints
+# the span counts as JSON.
+TRACED_PIPELINE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+import affdef
+tracer = tracer_module.Tracer()
+tracer.install()
+affdef.integral_pipeline(affdef.sl2(), 4)
+print(json.dumps(tracer.span_counts()))
+"""
+
+
+def test_tracer_sees_every_evaluator_step():
+    # four Cartan powers and five f^def(1) powers are evaluated; past the first
+    # of each, every power takes one master-commute step, entered by the
+    # evaluator through the name the benchmark traces
+    child = fresh_import(str(TRACER), script=TRACED_PIPELINE)
+    assert child.returncode == 0, child.stderr
+    counts = json.loads(child.stdout)
+    assert (counts.get("deform.evaluate"), counts.get("deform.master_commute")) == (9, 7)
