@@ -70,7 +70,7 @@ class RegistryFrozen(Exception):
 
 
 class Rule(NamedTuple):
-    atom: DefAtom
+    atom: DefAtom  # or its (gen, depth, word id) key, as registered
     value: DefExpression  # a registered state is the tail of a term-free expression
     provenance: str
 
@@ -142,9 +142,10 @@ class RuleRegistry:
 
     ``kernel`` is the mode action at level ``k`` that evaluations share; it
     holds no rule, so sharing it is exact before ``freeze`` too.  Its word
-    table keys the evaluator: a rule is entered there as it is registered, and
-    once frozen, ``memo`` keeps the value ``evaluate`` computes for each atom,
-    both keyed ``(gen, depth, word id)``.
+    table keys the evaluator and the rules: an atom is entered there as it is
+    registered, unless it comes as its id key already, and once frozen,
+    ``memo`` keeps the value ``evaluate`` computes for each atom, both keyed
+    ``(gen, depth, word id)``.
     """
 
     def __init__(self, g: LieAlgebra, k):
@@ -154,24 +155,44 @@ class RuleRegistry:
         self._id_values = {}  # each rule's value as evaluate reads it, by atom key
         self.memo = None  # evaluate's atom values, kept once frozen
 
-    def register_value(self, atom: DefAtom, value, provenance: str) -> Rule:
-        """Register a ``State`` value or a ``DefExpression`` rewrite for the atom."""
+    def register_value(self, atom, value, provenance: str) -> Rule:
+        """Register a ``State`` value or a ``DefExpression`` rewrite for the atom.
+
+        The atom is a ``DefAtom``, entered in the kernel here, or its id key
+        ``(gen, depth, word id)``, as a caller that built the word's id passes
+        it; either spelling names the same atom, so registering one after the
+        other is a duplicate.  The returned ``Rule`` carries the atom as passed.
+        """
         if self.memo is not None:
             raise RegistryFrozen("registry is frozen")
-        if atom in self._rules:
+        key = self._key(atom)
+        if key in self._rules:
             raise DuplicateAtom(f"atom already registered: {self.render_atom(atom)}")
         if isinstance(value, State):
             value = DefExpression((), value)
         self._check_grading(atom, value.tail)
         rule = Rule(atom, value, provenance)
-        self._rules[atom] = rule
-        key = (atom.gen, atom.depth, self.kernel.enter(atom.word))
+        self._rules[key] = rule
         self._id_values[key] = _over_ids(self.kernel, value)
         return rule
 
-    def _check_grading(self, atom: DefAtom, value: State):
+    def _key(self, atom) -> tuple:
+        """The id key ``(gen, depth, word id)`` of a ``DefAtom`` or of an id key."""
+        if isinstance(atom, DefAtom):
+            return atom.gen, atom.depth, self.kernel.enter(atom.word)
+        return atom
+
+    def _atom(self, atom) -> DefAtom:
+        """The ``DefAtom`` of a ``DefAtom`` or of an id key, spelled by the kernel."""
+        if isinstance(atom, DefAtom):
+            return atom
+        gen, depth, wid = atom
+        return DefAtom(gen, depth, self.kernel.spell(wid))
+
+    def _check_grading(self, atom, value: State):
         if value.is_zero:
             return
+        atom = self._atom(atom)
         want_weight, want_charge = atom_grading(self.g, atom)
         if weight(value) != want_weight:
             raise ValueError(
@@ -184,19 +205,22 @@ class RuleRegistry:
                 f"{want_charge}, value has {charge(self.g, value)}"
             )
 
-    def lookup_value(self, atom: DefAtom) -> Optional[Rule]:
-        return self._rules.get(atom)
+    def lookup_value(self, atom) -> Optional[Rule]:
+        return self._rules.get(self._key(atom))
 
     def freeze(self):
         self.memo = {}
 
-    def render_atom(self, atom: DefAtom) -> str:
+    def render_atom(self, atom) -> str:
+        """A ``DefAtom`` or an id key as text: ``h^def(-1) e(-1)|0>``."""
+        atom = self._atom(atom)
         return f"{def_label(self.g, atom.gen, atom.depth)} {render_word(self.g, atom.word)}"
 
     def dump(self) -> str:
+        atoms = {self._atom(key): rule for key, rule in self._rules.items()}
         return "\n".join(
             f"{self.render_atom(atom)} := {rule.value.render(self.g)} ; {rule.provenance}"
-            for atom, rule in sorted(self._rules.items())
+            for atom, rule in sorted(atoms.items())
         )
 
 
@@ -295,23 +319,27 @@ def _spelled(kernel: Kernel, expr: tuple) -> tuple:
     )
 
 
-def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool = False):
+def evaluate(expr, registry: RuleRegistry, collect_residual: bool = False):
     """Reduce a def-expression to a pure state at the registry's level.
 
     Each atom is reduced once, on an explicit stack, by the first of: the vacuum
     rule, its rule, ``generator_value``, one ``master_commute`` step, or else it
     is unresolved.  Atoms are keyed ``(gen, depth, word id)`` in the registry
-    kernel's word table, where a step reads the head and rest of its word; the
-    expression is entered once, and words are spelled only in the result and
-    the errors.  An atom's value, its unresolved terms and its state, is kept
-    for the call, or in ``registry.memo`` once frozen; an atom whose rewrite
-    holds no def-terms gets its value where it is met.  The net residual comes
+    kernel's word table, where a step reads the head and rest of its word.  A
+    ``DefExpression`` is entered once and its value comes back as a ``State``;
+    an expression over ids, as ``_over_ids`` builds one, comes back as its
+    ``id -> coeff`` tail, so a caller that builds its word ids never has a
+    word spelled.  Words are spelled only in a spelled result and the errors.
+    An atom's value, its unresolved terms and its state, is kept for the call,
+    or in ``registry.memo`` once frozen; an atom whose rewrite holds no
+    def-terms gets its value where it is met.  The net residual, spelled, comes
     back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
     """
     g, kernel, rules = registry.g, registry.kernel, registry._id_values
     heads, tails = kernel.heads, kernel.tails
     memo = {} if registry.memo is None else registry.memo
-    root = _over_ids(kernel, expr)
+    spelled = isinstance(expr, DefExpression)
+    root = _over_ids(kernel, expr) if spelled else expr
     stack, waiting = [key for _, _, key in root[0]], {}  # waiting: key -> its rewrite
     while stack:
         key = stack.pop()
@@ -337,14 +365,14 @@ def evaluate(expr: DefExpression, registry: RuleRegistry, collect_residual: bool
         stack.append(key)
         for _, _, atom in sub[0]:
             if atom in waiting:
-                gen, depth, wid = atom
-                atom = DefAtom(gen, depth, kernel.spell(wid))
                 raise RuntimeError(f"def-mode reduction cycles at {registry.render_atom(atom)}")
             stack.append(atom)
-    residual, tail = _spelled(kernel, _combine(kernel, root, memo))
-    residual = _normalize_residual(g, residual) if residual else ()
+    residual, tail = _combine(kernel, root, memo)
+    residual = _normalize_residual(g, _spelled(kernel, (residual, {}))[0]) if residual else ()
     if residual and not collect_residual:
         raise UnresolvedAtom(residual[0].atom, registry.render_atom(residual[0].atom))
+    if spelled:
+        tail = _spelled(kernel, ((), tail))[1]
     return (tail, residual) if collect_residual else tail
 
 

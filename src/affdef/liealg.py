@@ -249,11 +249,6 @@ def _check(g: LieAlgebra) -> ValidationReport:
     return ValidationReport(not failures, failures)
 
 
-def _scan(g: LieAlgebra, alternating: bool) -> list:
-    """The Jacobi and invariance failures ``_join`` finds, in ``(i, j, l)`` order."""
-    return _render(g, _join(g, alternating))
-
-
 def _render(g: LieAlgebra, found: list) -> list:
     name = g.basis.__getitem__
     return [f"{'form not invariant' if kind else 'Jacobi fails'} on ({name(i)},{name(j)},{name(l)})"

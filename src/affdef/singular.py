@@ -44,7 +44,7 @@ class SingularVector(NamedTuple):
 
 def integral_relation(g: LieAlgebra, k: int) -> SingularVector:
     """e_theta(-1)^(k+1)|0> at positive integral level k."""
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise NonPositiveLevel(f"integral level must be a positive integer, got {k!r}")
     word = (Mode(g.theta[0], -1),) * (k + 1)
     return SingularVector(Fraction(k), State.monomial(word), f"integral:k={k}")

@@ -441,6 +441,120 @@ def test_registry_dump_lists_values_and_rewrites_in_atom_order():
     ]
 
 
+# --- an atom and its id key are one atom ---
+
+def id_key(registry, atom):
+    """The ``(gen, depth, word id)`` key of the atom in the registry's kernel."""
+    return atom.gen, atom.depth, registry.kernel.enter(atom.word)
+
+
+@pytest.mark.parametrize("key_first", [False, True])
+def test_an_atom_and_its_id_key_are_one_atom(key_first):
+    registry = empty_registry()
+    atom = DefAtom(H, 1, (Mode(H, -2), Mode(E, -1)))  # a raw spelling
+    first, second = atom, id_key(registry, atom)
+    if key_first:
+        first, second = second, first
+    rule = registry.register_value(first, rewrite_of_h_minus2_e(), "first")
+    assert rule.atom == first
+    with pytest.raises(DuplicateAtom, match=re.escape("h^def(1) h(-2)*e(-1)|0>")):
+        registry.register_value(second, State.zero(), "second")
+    assert registry.lookup_value(atom) is registry.lookup_value(second) is rule
+
+
+def test_a_frozen_registry_refuses_both_spellings():
+    registry = empty_registry()
+    atom = DefAtom(H, -1, (Mode(E, -1),))
+    key = id_key(registry, atom)
+    registry.freeze()
+    for spelling in (atom, key):
+        with pytest.raises(RegistryFrozen):
+            registry.register_value(spelling, State.zero(), "late")
+
+
+def test_an_id_key_value_is_graded():
+    registry = empty_registry()
+    key = id_key(registry, DefAtom(H, -1, (Mode(E, -2),)))
+    with pytest.raises(ValueError, match=re.escape("h^def(-1) e(-2)|0> has weight 3")):
+        registry.register_value(key, State.monomial((Mode(E, -2),)), "bad")
+    with pytest.raises(ValueError, match="charge"):
+        registry.register_value(
+            key, State.monomial((Mode(E, -1), Mode(H, -1), Mode(F, -1))), "bad"
+        )
+
+
+@pytest.mark.parametrize("by_key", [False, True])
+def test_dump_is_blind_to_the_spelling_registered(by_key):
+    registry = empty_registry()
+
+    def spelling(atom):
+        return id_key(registry, atom) if by_key else atom
+
+    registry.register_value(
+        spelling(DefAtom(H, 1, (Mode(H, -2), Mode(E, -1)))), rewrite_of_h_minus2_e(), "stated"
+    )
+    registry.register_value(spelling(DefAtom(F, -1, (Mode(E, -1),))), State.zero(), "input")
+    registry.register_value(
+        spelling(DefAtom(H, 0, (Mode(E, -1),))),
+        State.monomial((Mode(E, -1),), LinForm.symbol("x1")),
+        "ansatz",
+    )
+    assert registry.dump().splitlines() == [
+        "h^def(0) e(-1)|0> := x1*e(-1)|0> ; ansatz",
+        "h^def(1) h(-2)*e(-1)|0> := -h(1)h^def(-2)e(-1)|0> ; stated",
+        "f^def(-1) e(-1)|0> := 0 ; input",
+    ]
+
+
+def assert_ids_evaluate_as_spelled(registry, expr):
+    """``evaluate`` on the expression over ids gives the spelled value's tail over
+    ids, the same residual, and the same ``UnresolvedAtom`` text when strict."""
+    kernel = registry.kernel
+    root = deform._over_ids(kernel, expr)
+    got = evaluate(root, registry, collect_residual=True)
+    tail, residual = evaluate(expr, registry, collect_residual=True)
+    assert got == (deform._over_ids(kernel, DefExpression((), tail))[1], residual)
+    if not residual:
+        assert evaluate(root, registry) == got[0]
+        return
+    with pytest.raises(UnresolvedAtom) as spelled_err:
+        evaluate(expr, registry)
+    with pytest.raises(UnresolvedAtom) as ids_err:
+        evaluate(root, registry)
+    assert str(ids_err.value) == str(spelled_err.value)
+    assert ids_err.value.atom == spelled_err.value.atom
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_evaluate_over_ids_on_the_rule_table_atoms(frozen):
+    table = admissible_sl2_rule_table(G)
+    if frozen:
+        table.freeze()
+    for gen in (F, H):
+        for word in WEIGHT3_WORDS:
+            assert_ids_evaluate_as_spelled(table, atom_expr(gen, 1, word))
+
+
+@pytest.mark.parametrize("g, k", [(G, k) for k in range(1, 7)] + [(sln(3), k) for k in (1, 2, 3)])
+def test_evaluate_over_ids_on_the_integral_atoms(g, k):
+    e, h, f = g.theta
+    registry = RuleRegistry(g, k)
+
+    def power(gen, depth, n):
+        return DefAtom(gen, depth, (Mode(e, -1),) * n)
+
+    for j in range(1, k + 1):
+        registry.register_value(power(e, -1, j), State.zero(), "power")
+    for p in range(1, k + 1):
+        assert_ids_evaluate_as_spelled(registry, DefExpression.atom(power(h, 0, p)))
+        registry.register_value(power(h, 0, p), State.zero(), "cartan")
+    registry.freeze()
+    for i in range(1, k + 2):
+        top = DefExpression.atom(power(f, 1, i))
+        assert_ids_evaluate_as_spelled(registry, top)
+        assert_ids_evaluate_as_spelled(registry, top.scale(-3) + DefExpression.atom(power(h, 0, i)))
+
+
 # --- the stated rule table ---
 
 def test_rule_table_lookups():

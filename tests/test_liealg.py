@@ -11,7 +11,8 @@ from affdef.liealg import (
     InvalidRank,
     LieAlgebra,
     _check,
-    _scan,
+    _join,
+    _render,
     join_cost,
     load_structure_file,
     sl2,
@@ -626,7 +627,8 @@ def test_check_joins_once_on_a_jacobi_failure(monkeypatch, n, seed):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_ordered_scan_passes_sln(n):
     # every ordered triple, (i,i,l), (i,j,i) and (i,i,i) among them
-    assert _scan(sln(n), False) == []
+    g = sln(n)
+    assert _render(g, _join(g, False)) == []
 
 
 def _dense(g):
@@ -705,7 +707,7 @@ def test_dense_basis_validates(n, sparse, dense):
     assert (_widest(sln(n)), _widest(g)) == (sparse, dense)
     assert _reference_check(g) == []
     assert validate(g).ok, g.report.failures[:3]
-    assert _scan(g, False) == []
+    assert _render(g, _join(g, False)) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -777,6 +779,6 @@ def test_unordered_scan_sees_every_increasing_jacobi_failure(n, seed):
         i, j, l = (g.index(x) for x in failure[failure.index("(") + 1:-1].split(","))
         return not failure.startswith("Jacobi") or i < j < l
 
-    fast = _scan(g, True)
+    fast = _render(g, _join(g, True))
     assert any(f.startswith("Jacobi") for f in fast)
-    assert fast == [f for f in _scan(g, False) if kept(f)]
+    assert fast == [f for f in _render(g, _join(g, False)) if kept(f)]

@@ -1,11 +1,13 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 import sympy
 
 from affdef.liealg import sl2, sln
+from affdef.pbw import Kernel
 from affdef.rigidity import (
     ADMISSIBLE_EQUATIONS,
     ELIMINATED_ROW_4,
@@ -193,6 +195,33 @@ def test_integral_rejects_bad_level():
         integral_pipeline(sl2(), 0)
     with pytest.raises(ValueError):
         integral_pipeline(sl2(), Fraction(3, 2))
+    # a bool is an int to isinstance, but True is no level one
+    for k in (True, False):
+        with pytest.raises(ValueError, match=f"level must be a positive integer, got {k}"):
+            integral_pipeline(sl2(), k)
+
+
+def kernel_word_calls(monkeypatch, k):
+    """Calls of the kernel's word entry points during ``integral_pipeline(sl2(), k)``."""
+    calls = Counter()
+    for name in ("intern", "enter", "spell"):
+        method = getattr(Kernel, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(Kernel, name, counted)
+    integral_pipeline(sl2(), k)
+    monkeypatch.undo()
+    return calls
+
+
+def test_integral_pipeline_enters_and_spells_no_power(monkeypatch):
+    # the powers are built once as word ids and every rule and atom goes by
+    # its id key, so no word is walked per power: the counts do not grow with k
+    small, large = kernel_word_calls(monkeypatch, 5), kernel_word_calls(monkeypatch, 60)
+    assert small == large
 
 
 def test_integral_deterministic():

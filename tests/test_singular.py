@@ -33,6 +33,10 @@ def test_integral_relation_guard():
         integral_relation(G, 0)
     with pytest.raises(NonPositiveLevel):
         integral_relation(G, -2)
+    # a bool is an int to isinstance, but True is no level one
+    for k in (True, False):
+        with pytest.raises(NonPositiveLevel, match=f"got {k}"):
+            integral_relation(G, k)
 
 
 def test_admissible_grading():
