@@ -87,7 +87,7 @@ class DefExpression:
     __slots__ = ("terms", "tail")
 
     def __init__(self, terms=(), tail=None):
-        self.terms = _merge_terms(terms)
+        self.terms = _merge_terms(terms) if terms else ()
         self.tail = tail if tail is not None else State.zero()
 
     @classmethod
@@ -161,7 +161,9 @@ class RuleRegistry:
         The atom is a ``DefAtom``, entered in the kernel here, or its id key
         ``(gen, depth, word id)``, as a caller that built the word's id passes
         it; either spelling names the same atom, so registering one after the
-        other is a duplicate.  The returned ``Rule`` carries the atom as passed.
+        other is a duplicate.  The returned ``Rule`` carries the atom as passed
+        and a ``State`` as the tail of a term-free expression.  A zero value
+        needs no grading check and enters no word: over ids it is ``((), {})``.
         """
         if self.memo is not None:
             raise RegistryFrozen("registry is frozen")
@@ -170,10 +172,13 @@ class RuleRegistry:
             raise DuplicateAtom(f"atom already registered: {self.render_atom(atom)}")
         if isinstance(value, State):
             value = DefExpression((), value)
-        self._check_grading(atom, value.tail)
-        rule = Rule(atom, value, provenance)
-        self._rules[key] = rule
-        self._id_values[key] = _over_ids(self.kernel, value)
+        if value.terms or value.tail:
+            self._check_grading(atom, value.tail)
+            ids = _over_ids(self.kernel, value)
+        else:
+            ids = ((), {})
+        rule = self._rules[key] = Rule(atom, value, provenance)
+        self._id_values[key] = ids
         return rule
 
     def _key(self, atom) -> tuple:
@@ -272,31 +277,47 @@ def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w):
     ``kernel`` is the ``pbw.Kernel`` at the level to act with.  The evaluator
     passes ``w`` as a word id and takes the rewrite over ids, as ``_over_ids``
     builds one; a word ``w`` is entered here and its rewrite comes back spelled.
+    What depends on ``(a, m, b, n)`` only, the moved terms, the bracket terms
+    and the central coefficient of ``mode_identity``, is a template built once
+    in ``kernel.steps``; a step fills in the word id and runs one kernel pass.
     """
     spelled = not isinstance(w, int)
     if spelled:
         w = kernel.enter(tuple(w))
+    step = kernel.steps.get((a, m, b, n))
+    if step is None:
+        step = kernel.steps[a, m, b, n] = _step_template(kernel.g, a, m, b, n)
+    moved, bracket, central = step
     # the vector the target word spells, which the moved-past action and the
     # central term share: a canonical creation word is its own vector, and
     # only a raw spelling (a table's h(-1)e(-1)) takes a kernel pass of its own
     target = kernel.chain_ids(kernel.spell(w), {0: 1}) if w in kernel.raw else {w: 1}
-    # the terms keyed (prefix, atom) and merged as they are built: the two
-    # moved terms cancel when (a, m) == (b, n), and a prefix-free key recurs
-    # only when a^def(0) meets [a,b] proportional to b
-    terms, tail = {}, {}
-    if (a, m) != (b, n):
-        terms[(Mode(b, n),), (a, m, w)] = 1
-        terms[(Mode(a, m),), (b, n, w)] = -1
-    for w2, coeff in kernel.chain_ids(((a, m),), target).items():
-        terms[(), (b, n, w2)] = coeff
-    for coeff, dm in mode_identity(kernel.g, a, m, b, n).terms:
+    # the prefix-free terms keyed by atom and merged as they are built: a key
+    # recurs only when a^def(0) meets [a,b] proportional to b
+    merged = {(b, n, w2): c for w2, c in kernel.chain_ids(((a, m),), target).items()}
+    for gen, depth, coeff in bracket:
+        merged[gen, depth, w] = merged.get((gen, depth, w), 0) + coeff
+    terms = [(sign, prefix, (gen, depth, w)) for sign, prefix, gen, depth in moved]
+    terms += [(exact(c), (), atom) for atom, c in merged.items() if c]
+    tail = {} if central is None else {
+        w2: x for w2, c in target.items() if (x := exact(c * central))
+    }
+    return DefExpression(*_spelled(kernel, (terms, tail))) if spelled else (tuple(terms), tail)
+
+
+def _step_template(g: LieAlgebra, a: int, m: int, b: int, n: int) -> tuple:
+    """The part of a master-commute step that depends on ``(a, m, b, n)`` only:
+    the moved terms ``(sign, prefix, gen, depth)``, none when the two modes
+    agree, since they cancel; the bracket terms ``(gen, m+n, coeff)`` and the
+    central coefficient, or ``None``, as ``mode_identity`` states them."""
+    moved = () if (a, m) == (b, n) else ((1, (Mode(b, n),), a, m), (-1, (Mode(a, m),), b, n))
+    bracket, central = [], None
+    for coeff, dm in mode_identity(g, a, m, b, n).terms:
         if dm is None:
-            tail = {w2: x for w2, c in target.items() if (x := exact(c * coeff))}
+            central = coeff
         else:
-            key = ((), (*dm, w))
-            terms[key] = terms.get(key, 0) + coeff
-    rewrite = tuple((exact(c), *key) for key, c in terms.items() if c), tail
-    return DefExpression(*_spelled(kernel, rewrite)) if spelled else rewrite
+            bracket.append((*dm, coeff))
+    return moved, tuple(bracket), central
 
 
 def _over_ids(kernel: Kernel, expr: DefExpression) -> tuple:

@@ -191,17 +191,21 @@ class Kernel:
     also conses any other spelling, as a def-atom may carry (the -4/3 table's
     ``h(-1)e(-1)``), and records its id in ``raw``: such a word is
     normal-ordered, by ``chain_ids`` from the vacuum, before any mode acts on it.
+    ``steps`` holds ``deform.master_commute``'s step templates, one per
+    ``(a, m, b, n)``, which depend on the algebra only, so they live exactly
+    as long as the kernel.
     A kernel lives for one ``apply_mode`` or ``normal_order`` call, or for one
-    ``deform.RuleRegistry``, whose evaluations share it; nothing is kept on
+    ``deform.RuleRegistry``, whose evaluations share it, or for one
+    ``master_commute`` call made with a kernel of its own; nothing is kept on
     the algebra.
     """
 
-    __slots__ = ("g", "k", "ids", "heads", "tails", "modes", "memo", "raw")
+    __slots__ = ("g", "k", "ids", "heads", "tails", "modes", "memo", "raw", "steps")
 
     def __init__(self, g: LieAlgebra, k):
         self.g, self.k = g, exact(k)
         self.ids, self.heads, self.tails, self.modes = {}, [None], [0], {}
-        self.memo, self.raw = {}, set()
+        self.memo, self.raw, self.steps = {}, set(), {}
 
     def cons(self, key) -> int:
         """The id of the word ``Mode(gen, depth)`` followed by ``rest_id``, for

@@ -160,13 +160,14 @@ def check_power_rule_ingredients(kernel: Kernel) -> None:
     The double-sum expansion of this mode only involves e(alpha) e(-1)|0> and
     e^def(alpha) e(-1)|0> for alpha >= 0; both vanish (nilpotent direction, and
     modes with alpha >= 2 land below weight zero), so every summand is zero.
-    The modes act with ``kernel``, the mode action at the level checked.
+    The modes act with ``kernel``, the mode action at the level checked, on
+    the id of e(-1)|0> in its word table.
     """
     g = kernel.g
     e = g.theta[0]
-    single = {(Mode(e, -1),): 1}
+    single = {kernel.cons((e, -1, 0)): 1}
     for alpha in range(0, 4):
-        if kernel.chain(((e, alpha),), single) or generator_value(g, e, alpha, e):
+        if kernel.chain_ids(((e, alpha),), single) or generator_value(g, e, alpha, e):
             raise ArithmeticError(
                 f"nonzero ingredient at alpha={alpha}: the vanishing argument fails"
             )
@@ -180,8 +181,8 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     relation (k+1)*c = 0 as the coefficient of e(-1)^k|0> in that image.
     The powers e(-1)^j|0> are built once as word ids of the registry's kernel,
     and every rule is registered and every atom evaluated by its id key
-    ``(gen, depth, word id)``; words are spelled only for the transcript and
-    the errors.
+    ``(gen, depth, word id)``; words are spelled only for the errors, and the
+    transcript writes each power from its exponent.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"level must be a positive integer, got {k!r}")
@@ -192,14 +193,16 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     transcript = ProofTranscript()
     transcript.add("setup", f"algebra validated; level k = {k}")
 
-    def e_word(n):
-        return (Mode(e, -1),) * n
-
-    # the step texts spell a power as e(-1)^n|0>, n = 1 included
+    # an atom's text spells its power as e(-1)^n|0>, n = 1 included, and
+    # power_text spells e(-1)^n|0> as render_word does, from n alone
     e1 = f"{g.label(e)}(-1)"
+    e_def, h_def, f_def = def_label(g, e, -1), def_label(g, h, 0), def_label(g, f, 1)
 
-    def atom_text(gen, depth, n):
-        return f"{def_label(g, gen, depth)}{e1}^{n}|0>"
+    def atom_text(label, n):
+        return f"{label}{e1}^{n}|0>"
+
+    def power_text(n):
+        return "|0>" if not n else f"{e1}|0>" if n == 1 else f"{e1}^{n}|0>"
 
     registry = RuleRegistry(g, k)
     kernel = registry.kernel
@@ -219,7 +222,7 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
 
     for j in range(1, k + 1):
         registry.register_value((e, -1, powers[j]), State.zero(), "derived:power-rule")
-        transcript.add("power-rule", f"{atom_text(e, -1, j)} := 0", "all ingredients vanish")
+        transcript.add("power-rule", f"{atom_text(e_def, j)} := 0", "all ingredients vanish")
     try:
         # each power takes one master-commute step over the previous,
         # registered power and the power rule
@@ -227,42 +230,42 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
             value = value_of(h, 0, p)
             if value:
                 raise SystemMismatch(
-                    f"{atom_text(h, 0, p)} evaluated to {rendered(value)}, not 0"
+                    f"{atom_text(h_def, p)} evaluated to {rendered(value)}, not 0"
                 )
             registry.register_value((h, 0, powers[p]), State.zero(), "derived:cartan-induction")
-            transcript.add("cartan-rule", f"{atom_text(h, 0, p)} := 0", f"{p + 1}-step induction")
+            transcript.add("cartan-rule", f"{atom_text(h_def, p)} := 0", f"{p + 1}-step induction")
         registry.freeze()
 
         for i in range(1, k + 2):
             got = value_of(f, 1, i)
             if got != {powers[i - 1]: LinForm.symbol("c", i)}:
                 raise SystemMismatch(
-                    f"reduction of {atom_text(f, 1, i)} gave {rendered(got)}"
+                    f"reduction of {atom_text(f_def, i)} gave {rendered(got)}"
                 )
             transcript.add(
                 "reduce",
-                atom_text(f, 1, i),
-                f"{i}*c*{render_word(g, e_word(i - 1))}",
+                atom_text(f_def, i),
+                f"{i}*c*{power_text(i - 1)}",
             )
     except UnresolvedAtom as exc:
         raise PipelineStuck(str(exc)) from exc
 
     transcript.add(
         "telescope",
-        f"0 = {atom_text(f, 1, k + 1)} (the power generates the ideal)",
+        f"0 = {atom_text(f_def, k + 1)} (the power generates the ideal)",
     )
     for i in range(k, 0, -1):
         done = k + 1 - i
         prefix = f"{e1}*" if done == 1 else f"{e1}^{done}*"
         transcript.add(
             "telescope",
-            f"0 = {prefix}{atom_text(f, 1, i)} + {done}*c*{e1}^{k}|0>",
+            f"0 = {prefix}{atom_text(f_def, i)} + {done}*c*{e1}^{k}|0>",
         )
     # the image of the ideal's generator, read off below the ideal's weight
     relation = as_linform(got.get(powers[k], 0))
     transcript.add(
         "extract",
-        f"coefficient of {render_word(g, e_word(k))} at weight {k}, below the ideal's weight {k + 1}",
+        f"coefficient of {power_text(k)} at weight {k}, below the ideal's weight {k + 1}",
         f"{relation} = 0",
     )
     forced = eliminate([relation]) is not None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import sys
@@ -22,7 +23,7 @@ from affdef.deform import (
     mode_identity,
     register_ansatz,
 )
-from affdef.liealg import sl2, sln
+from affdef.liealg import LieAlgebra, load_structure_file, sl2, sln
 from affdef.pbw import Kernel, Mode, State, basis_enum
 from affdef.rigidity import (
     admissible_sl2_rule_table,
@@ -190,6 +191,88 @@ def test_master_commute_matches_the_reference_on_raw_targets():
     ])
 
 
+def rescaled_structure_file(g, factors: dict) -> str:
+    """The structure file of ``g`` with each basis vector ``i`` in ``factors``
+    replaced by ``factors[i]`` times itself: the same algebra, with other
+    structure constants."""
+    scale = [factors.get(i, 1) for i in range(g.dim)]
+
+    def term(q, w):
+        return f"{'-' if q < 0 else '+'}{abs(q)}*{g.label(w)}"
+
+    lines = [f"basis {' '.join(g.basis)}", f"triple {' '.join(g.label(i) for i in g.theta)}"]
+    for i in range(g.dim):
+        for j in range(i, g.dim):
+            row = g.bracket(i, j)
+            if row:
+                rhs = "".join(
+                    term(Fraction(scale[i] * scale[j] * c, scale[w]), w) for w, c in row.items()
+                )
+                lines.append(f"[{g.label(i)},{g.label(j)}] = {rhs.lstrip('+')}")
+            if g.form(i, j):
+                lines.append(f"<{g.label(i)},{g.label(j)}> = {scale[i] * scale[j] * g.form(i, j)}")
+    return "\n".join(lines) + "\n"
+
+
+def rescaled_sl3():
+    """sl3 with E12 replaced by 2*E12 and D2 by D2/2, loaded from its structure
+    file.  Neither is in the theta-triple (E13, D1, E31), so the file loads,
+    and its table holds non-integral constants: [E13,E32] = 1/2*E12, and
+    [D2,E12] = -1/2*E12, so d2^def(0) e12(-1) e12(-1)|0> merges -1/2 from
+    d2(0) acting on the word with -1/2 from the bracket into the integer -1."""
+    g = sln(3)
+    e12, e13, d2, e32 = (g.index(label) for label in ("E12", "E13", "D2", "E32"))
+    loaded = load_structure_file(rescaled_structure_file(g, {e12: 2, d2: Fraction(1, 2)}))
+    assert loaded.bracket(e13, e32) == {e12: Fraction(1, 2)}
+    assert loaded.bracket(d2, e12) == {e12: Fraction(-1, 2)}
+    return loaded
+
+
+def test_master_commute_matches_the_reference_on_a_fraction_table():
+    # each step shape is met with several targets on one kernel, so most
+    # steps read a template built earlier; the a^def(0) cases with [a,b]
+    # proportional to b merge a bracket term into a moved-past one
+    g = rescaled_sl3()
+    rng = random.Random(2032)
+    targets = [w for wt in range(3) for w in basis_enum(g, wt)]
+    shapes = [
+        (rng.randrange(g.dim), rng.randint(-1, 2), rng.randrange(g.dim), rng.randint(-2, -1))
+        for _ in range(60)
+    ]
+    d1, d2, e12, e13, e32 = (g.index(label) for label in ("D1", "D2", "E12", "E13", "E32"))
+    shapes += [(d1, 0, e12, -1), (d2, 0, e12, -1), (e13, 1, e32, -1), (e12, -1, e12, -1)]
+    cases = [(*shape, rng.choice(targets)) for shape in shapes for _ in range(5)]
+    cases.append((d2, 0, e12, -1, (Mode(e12, -1),)))
+    for k in (2, Fraction(-3, 2)):
+        assert_rewrites_match_the_reference(g, k, cases)
+        # the evaluator's form, over one kernel's word ids, which no
+        # DefExpression constructor normalises after the step
+        kernel, reference = Kernel(g, k), Kernel(g, k)
+        for a, m, b, n, w in cases:
+            got = master_commute(kernel, a, m, b, n, kernel.enter(w))
+            want = deform._over_ids(kernel, reference_master_commute(reference, a, m, b, n, w))
+            assert got[0] == want[0], (k, a, m, b, n, w)
+            assert [type(c) for c, _, _ in got[0]] == [type(c) for c, _, _ in want[0]]
+            assert list(got[1].items()) == list(want[1].items())
+            assert [type(c) for c in got[1].values()] == [type(c) for c in want[1].values()]
+
+
+def test_kernels_of_two_algebras_share_no_template():
+    # sl3 and its rescaled table agree on every label, and the step
+    # e13^def(1) e32(-1)|0> meets [E13,E32], which they state differently
+    g, rescaled = sln(3), rescaled_sl3()
+    step = (g.index("E13"), 1, g.index("E32"), -1)
+    kernels = [Kernel(g, 2), Kernel(rescaled, 2)]
+    for kernel in kernels + kernels:
+        assert_same_rewrite(
+            master_commute(kernel, *step, ()),
+            reference_master_commute(Kernel(kernel.g, 2), *step, ()),
+            kernel.g.basis,
+        )
+    first, second = (kernel.steps[step] for kernel in kernels)
+    assert first is not second and first != second
+
+
 def test_master_commute_drops_the_moved_terms_when_the_modes_agree():
     # e^def(-1) e(-1) f(-1): the moved terms cancel, and only the moved-past
     # action is left, the atom itself
@@ -285,6 +368,24 @@ def power_rule_registry(k):
 @pytest.mark.parametrize("k", range(1, 6))
 def test_power_rule_ingredients_vanish(k):
     check_power_rule_ingredients(Kernel(G, Fraction(k)))
+
+
+def test_power_rule_ingredients_act_on_word_ids(monkeypatch):
+    # the ingredients act on the id of e(-1)|0>, one pass a mode, and no
+    # word is interned, entered or spelled
+    kernel = Kernel(G, 2)
+    passes = count_kernel_calls(monkeypatch, "chain_ids")
+    words = [count_kernel_calls(monkeypatch, name) for name in ("intern", "enter", "spell")]
+    check_power_rule_ingredients(kernel)
+    assert [modes for modes, _ in passes] == [((E, alpha),) for alpha in range(4)]
+    assert words == [[], [], []]
+
+
+def test_power_rule_ingredients_refuse_a_pairing_of_e_with_itself():
+    # with <e,e> = 1, e(1) e(-1)|0> = k|0> and e^def(1) e(-1)|0> = c|0>
+    g = LieAlgebra(G.basis, G._bracket, {**G._form, (E, E): 1}, G.theta)
+    with pytest.raises(ArithmeticError, match="nonzero ingredient at alpha=1"):
+        check_power_rule_ingredients(Kernel(g, 2))
 
 
 @pytest.mark.parametrize("k", range(1, 6))
@@ -460,6 +561,31 @@ def test_an_atom_and_its_id_key_are_one_atom(key_first):
     with pytest.raises(DuplicateAtom, match=re.escape("h^def(1) h(-2)*e(-1)|0>")):
         registry.register_value(second, State.zero(), "second")
     assert registry.lookup_value(atom) is registry.lookup_value(second) is rule
+
+
+def test_a_zero_value_is_the_empty_value_over_ids(monkeypatch):
+    # a zero value is stored over ids as it stands, with no conversion; its
+    # rule still carries the term-free expression, and the frozen and
+    # duplicate checks still come first
+    converted = []
+    over_ids = deform._over_ids
+    monkeypatch.setattr(deform, "_over_ids", lambda *args: converted.append(args) or over_ids(*args))
+    registry = empty_registry()
+    atom = DefAtom(H, -1, (Mode(E, -1),))
+    key = id_key(registry, atom)
+    rule = registry.register_value(key, State.zero(), "zero")
+    assert converted == []
+    assert registry._id_values[key] == ((), {})
+    assert rule.value.terms == () and rule.value.tail.is_zero
+    assert registry.lookup_value(atom) is rule
+    assert registry.dump() == "h^def(-1) e(-1)|0> := 0 ; zero"
+    with pytest.raises(DuplicateAtom):
+        registry.register_value(atom, State.zero(), "again")
+    registry.register_value(DefAtom(H, -1, (Mode(E, -2),)), State.monomial((Mode(E, -3),)), "one")
+    assert len(converted) == 1
+    registry.freeze()
+    with pytest.raises(RegistryFrozen):
+        registry.register_value(DefAtom(H, -1, (Mode(H, -1),)), State.zero(), "late")
 
 
 def test_a_frozen_registry_refuses_both_spellings():
@@ -701,6 +827,25 @@ def test_integral_pipeline_commutes_each_power_once(monkeypatch, k):
     assert len(calls) == 2 * k - 1
 
 
+def test_a_step_template_is_built_once_per_step_shape(monkeypatch):
+    # the Cartan steps h^def(0) e(-1) and the reduction steps f^def(1) e(-1)
+    # each read mode_identity once, for the registry's kernel, at any level
+    built = []
+
+    def counted(*args):
+        built.append(args[1:])
+        return mode_identity(*args)
+
+    monkeypatch.setattr(deform, "mode_identity", counted)
+    counts = []
+    for k in (5, 60):
+        built.clear()
+        integral_pipeline(sl2(), k)
+        assert len(set(built)) == len(built)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("n", [5, 60])
 def test_a_memoised_step_enters_and_spells_its_word_once(monkeypatch, n):
     # f^def(1)e(-1)^n over a memo that holds f^def(1)e(-1)^(n-1): the step reads
@@ -877,3 +1022,30 @@ def test_evaluate_names_the_atom_a_cycle_returns_to():
 
 def test_integral_pipeline_deep_level():
     assert integral_pipeline(sl2(), 100).final_relation == C.scale(101)
+
+
+# --- the cold residual sweep ---
+
+# sha256 of the sweep's outputs as first computed, before step templates;
+# every tail and residual must stay the same, item order and types included
+COLD_SWEEP_SHA256 = "fb5364c842fd37fe18caee31beaf637a57080de59248314831c0485312b4faff"
+
+
+def test_cold_residual_sweep_is_unchanged():
+    # every a^def(m) w with 1 <= wt(w) <= 4 and 0 <= m <= wt(w), at three
+    # levels, each evaluated on a fresh registry with nothing registered: the
+    # cold path of a step, template built and read once or a few times
+    digest, count = hashlib.sha256(), 0
+    for k in (Fraction(-1, 2), K43, 2):
+        for wt in range(1, 5):
+            for w in basis_enum(G, wt):
+                for m in range(wt + 1):
+                    for a in range(G.dim):
+                        atom = DefAtom(a, m, w)
+                        tail, residual = evaluate(
+                            DefExpression.atom(atom), RuleRegistry(G, k), collect_residual=True
+                        )
+                        digest.update(repr((k, atom, list(tail.items()), residual)).encode())
+                        count += 1
+    assert count == 3384
+    assert digest.hexdigest() == COLD_SWEEP_SHA256

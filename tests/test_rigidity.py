@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from affdef.liealg import sl2, sln
-from affdef.pbw import Kernel
+from affdef.pbw import Kernel, Mode, render_word
 from affdef.rigidity import (
     ADMISSIBLE_EQUATIONS,
     ELIMINATED_ROW_4,
@@ -222,6 +222,24 @@ def test_integral_pipeline_enters_and_spells_no_power(monkeypatch):
     # its id key, so no word is walked per power: the counts do not grow with k
     small, large = kernel_word_calls(monkeypatch, 5), kernel_word_calls(monkeypatch, 60)
     assert small == large
+
+
+def test_integral_power_texts_spell_as_render_word():
+    # the reduce and extract steps spell e(-1)^n|0> from n, as render_word
+    # spells the word: |0> at n = 0 and e(-1)|0> at n = 1
+    g = sl2()
+    e = g.theta[0]
+
+    def power(n):
+        return render_word(g, (Mode(e, -1),) * n)
+
+    for k in range(1, 41):
+        steps = integral_pipeline(g, k).transcript.steps
+        assert [s.output for s in steps if s.rule == "reduce"] == [
+            f"{i}*c*{power(i - 1)}" for i in range(1, k + 2)
+        ]
+        (extract,) = [s.detail for s in steps if s.rule == "extract"]
+        assert extract == f"coefficient of {power(k)} at weight {k}, below the ideal's weight {k + 1}"
 
 
 def test_integral_deterministic():
