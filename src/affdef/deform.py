@@ -70,7 +70,7 @@ class RegistryFrozen(Exception):
 
 
 class Rule(NamedTuple):
-    atom: DefAtom  # or its (gen, depth, word id) key, as registered
+    atom: DefAtom  # or its (gen, depth, word id) key, as registered; spelled when looked up
     value: DefExpression  # a registered state is the tail of a term-free expression
     provenance: str
 
@@ -92,10 +92,7 @@ class DefExpression:
 
     @classmethod
     def atom(cls, atom: DefAtom, coeff=1) -> "DefExpression":
-        # one term needs no merge: ``_merge_terms`` drops a zero and takes ``exact``
-        expr = cls.__new__(cls)
-        expr.terms, expr.tail = (DefTerm(exact(coeff), (), atom),) if coeff else (), State.zero()
-        return expr
+        return cls([(coeff, (), atom)])
 
     def __add__(self, other: "DefExpression") -> "DefExpression":
         return DefExpression(list(self.terms) + list(other.terms), self.tail + other.tail)
@@ -141,18 +138,17 @@ class RuleRegistry:
     """One rule per atom at level ``k``, values and rewrites alike; frozen after setup.
 
     ``kernel`` is the mode action at level ``k`` that evaluations share; it
-    holds no rule, so sharing it is exact before ``freeze`` too.  Its word
-    table keys the evaluator and the rules: an atom is entered there as it is
-    registered, unless it comes as its id key already, and once frozen,
-    ``memo`` keeps the value ``evaluate`` computes for each atom, both keyed
-    ``(gen, depth, word id)``.
+    holds no rule, so sharing it is exact before ``freeze`` too.  ``_rules``
+    maps each atom's key ``(gen, depth, word id)`` in its word table to the
+    rule's value over ids, as ``evaluate`` reads it, and its provenance; once
+    frozen, ``memo`` keeps the value ``evaluate`` computes for each atom,
+    under the same key.
     """
 
     def __init__(self, g: LieAlgebra, k):
         self.g = g
         self.kernel = Kernel(g, k)
-        self._rules = {}
-        self._id_values = {}  # each rule's value as evaluate reads it, by atom key
+        self._rules = {}  # atom key -> (value over ids, provenance)
         self.memo = None  # evaluate's atom values, kept once frozen
 
     def register_value(self, atom, value, provenance: str) -> Rule:
@@ -161,9 +157,9 @@ class RuleRegistry:
         The atom is a ``DefAtom``, entered in the kernel here, or its id key
         ``(gen, depth, word id)``, as a caller that built the word's id passes
         it; either spelling names the same atom, so registering one after the
-        other is a duplicate.  The returned ``Rule`` carries the atom as passed
-        and a ``State`` as the tail of a term-free expression.  A zero value
-        needs no grading check and enters no word: over ids it is ``((), {})``.
+        other is a duplicate.  The value is kept over ids only, and the returned
+        ``Rule`` is built from the arguments, a ``State`` as the tail of a
+        term-free expression.  A zero value is ``((), {})``: no check, no word entered.
         """
         if self.memo is not None:
             raise RegistryFrozen("registry is frozen")
@@ -174,12 +170,10 @@ class RuleRegistry:
             value = DefExpression((), value)
         if value.terms or value.tail:
             self._check_grading(atom, value.tail)
-            ids = _over_ids(self.kernel, value)
+            self._rules[key] = _over_ids(self.kernel, value), provenance
         else:
-            ids = ((), {})
-        rule = self._rules[key] = Rule(atom, value, provenance)
-        self._id_values[key] = ids
-        return rule
+            self._rules[key] = ((), {}), provenance
+        return Rule(atom, value, provenance)
 
     def _key(self, atom) -> tuple:
         """The id key ``(gen, depth, word id)`` of a ``DefAtom`` or of an id key."""
@@ -211,7 +205,13 @@ class RuleRegistry:
             )
 
     def lookup_value(self, atom) -> Optional[Rule]:
-        return self._rules.get(self._key(atom))
+        """The atom's rule, spelled from the table whichever spelling was registered."""
+        key = self._key(atom)
+        return self._rule(key) if key in self._rules else None
+
+    def _rule(self, key) -> Rule:
+        value, provenance = self._rules[key]
+        return Rule(self._atom(key), DefExpression(*_spelled(self.kernel, value)), provenance)
 
     def freeze(self):
         self.memo = {}
@@ -222,10 +222,10 @@ class RuleRegistry:
         return f"{def_label(self.g, atom.gen, atom.depth)} {render_word(self.g, atom.word)}"
 
     def dump(self) -> str:
-        atoms = {self._atom(key): rule for key, rule in self._rules.items()}
+        rules = sorted(map(self._rule, self._rules), key=lambda rule: rule.atom)
         return "\n".join(
-            f"{self.render_atom(atom)} := {rule.value.render(self.g)} ; {rule.provenance}"
-            for atom, rule in sorted(atoms.items())
+            f"{self.render_atom(atom)} := {value.render(self.g)} ; {provenance}"
+            for atom, value, provenance in rules
         )
 
 
@@ -271,19 +271,16 @@ def mode_identity(g: LieAlgebra, a: int, m: int, b: int, n: int) -> ModeIdentity
     return ModeIdentity(tuple(terms))
 
 
-def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w):
+def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w: int) -> tuple:
     """Rewrite a^def(m).(b(n) w|0>) by commuting the def-mode one step rightward.
 
-    ``kernel`` is the ``pbw.Kernel`` at the level to act with.  The evaluator
-    passes ``w`` as a word id and takes the rewrite over ids, as ``_over_ids``
-    builds one; a word ``w`` is entered here and its rewrite comes back spelled.
-    What depends on ``(a, m, b, n)`` only, the moved terms, the bracket terms
-    and the central coefficient of ``mode_identity``, is a template built once
-    in ``kernel.steps``; a step fills in the word id and runs one kernel pass.
+    ``kernel`` is the ``pbw.Kernel`` at the level to act with, and ``w`` a word
+    id in its table (``kernel.enter`` gives one for any spelling); the rewrite
+    comes back over ids, as ``_over_ids`` builds one.  What depends on
+    ``(a, m, b, n)`` only, the moved terms, the bracket terms and the central
+    coefficient of ``mode_identity``, is a template built once in
+    ``kernel.steps``; a step fills in the word id and runs one kernel pass.
     """
-    spelled = not isinstance(w, int)
-    if spelled:
-        w = kernel.enter(tuple(w))
     step = kernel.steps.get((a, m, b, n))
     if step is None:
         step = kernel.steps[a, m, b, n] = _step_template(kernel.g, a, m, b, n)
@@ -302,7 +299,7 @@ def master_commute(kernel: Kernel, a: int, m: int, b: int, n: int, w):
     tail = {} if central is None else {
         w2: x for w2, c in target.items() if (x := exact(c * central))
     }
-    return DefExpression(*_spelled(kernel, (terms, tail))) if spelled else (tuple(terms), tail)
+    return tuple(terms), tail
 
 
 def _step_template(g: LieAlgebra, a: int, m: int, b: int, n: int) -> tuple:
@@ -356,7 +353,7 @@ def evaluate(expr, registry: RuleRegistry, collect_residual: bool = False):
     def-terms gets its value where it is met.  The net residual, spelled, comes
     back with ``collect_residual``; else a nonempty one raises ``UnresolvedAtom``.
     """
-    g, kernel, rules = registry.g, registry.kernel, registry._id_values
+    g, kernel, rules = registry.g, registry.kernel, registry._rules
     heads, tails = kernel.heads, kernel.tails
     memo = {} if registry.memo is None else registry.memo
     spelled = isinstance(expr, DefExpression)
@@ -369,7 +366,8 @@ def evaluate(expr, registry: RuleRegistry, collect_residual: bool = False):
         if key in memo:
             continue
         gen, depth, wid = key
-        sub = rules.get(key) if wid else ((), {})  # its rule, or the vacuum rule
+        # its rule's value, or None, or the vacuum rule's
+        sub = rules.get(key, (None,))[0] if wid else ((), {})
         if sub is None:
             if depth < 0:
                 memo[key] = (((1, (), key),), {})  # unresolved

@@ -238,15 +238,11 @@ class Kernel:
         return wid
 
     def enter(self, word: Word) -> int:
-        """The id of a word as spelled: a canonical creation word is interned,
-        and any other spelling is consed as it stands, the id of each of its
-        suffixes that is not a canonical creation word going into ``raw``.  No
+        """The id of a word as spelled, consed as it stands in one walk: a
+        canonical creation word gets its ``intern`` id, and the id of each
+        suffix that is not a canonical creation word goes into ``raw``.  No
         such key ``(gen, depth, rest_id)`` is a prepend, so ``_act`` never
         makes a raw id, and callers normal-order one before a mode acts on it."""
-        try:
-            return self.intern(word)
-        except ValueError:  # not a canonical creation word
-            pass
         wid, heads, raw, cons = 0, self.heads, self.raw, self.cons
         for mode in reversed(word):
             gen, depth = mode

@@ -214,7 +214,7 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
         powers.append(kernel.cons((e, -1, powers[-1])))
 
     def value_of(gen, depth, n):
-        # the atom's value by evaluate, over ids: the one-term root _over_ids builds
+        # the atom's value by evaluate, over ids: a root of one term, keyed by its id
         return evaluate((((1, (), (gen, depth, powers[n])),), {}), registry)
 
     def rendered(ids):
@@ -238,7 +238,10 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
 
         for i in range(1, k + 2):
             got = value_of(f, 1, i)
-            if got != {powers[i - 1]: LinForm.symbol("c", i)}:
+            # i*c on e(-1)^(i-1)|0>, read off its one coefficient
+            coeff = got.get(powers[i - 1])
+            is_ic = isinstance(coeff, LinForm) and not coeff.constant and coeff.terms == {"c": i}
+            if len(got) != 1 or not is_ic:
                 raise SystemMismatch(
                     f"reduction of {atom_text(f_def, i)} gave {rendered(got)}"
                 )

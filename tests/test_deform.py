@@ -47,6 +47,13 @@ def empty_registry(k=K43):
     return RuleRegistry(G, k)
 
 
+def spelled_commute(kernel, a, m, b, n, w) -> DefExpression:
+    """``master_commute`` on a spelled word: the word entered in the kernel, and
+    the rewrite over ids spelled as a ``DefExpression``."""
+    rewrite = master_commute(kernel, a, m, b, n, kernel.enter(tuple(w)))
+    return DefExpression(*deform._spelled(kernel, rewrite))
+
+
 # --- terminal rules ---
 
 def test_vacuum_rule_everywhere():
@@ -84,7 +91,7 @@ def test_mode_identity_nilpotent_direction():
 
 
 def test_master_commute_structure():
-    expr = master_commute(Kernel(G, 2), F, 1, E, -1, ())
+    expr = spelled_commute(Kernel(G, 2), F, 1, E, -1, ())
     # pushes past one mode: b(n) a^def(m) - a(m) b^def(n) (+ moved + bracket + central)
     assert DefTerm(LinForm(1), (Mode(E, -1),), DefAtom(F, 1, ())) in expr.terms
     assert DefTerm(LinForm(-1), (Mode(F, 1),), DefAtom(E, -1, ())) in expr.terms
@@ -98,7 +105,7 @@ def test_generator_value_agrees_with_master_route():
         for b in (E, H, F):
             for m in (0, 1, 2):
                 direct = generator_value(G, a, m, b)
-                expr = master_commute(Kernel(G, K43), a, m, b, -1, ())
+                expr = spelled_commute(Kernel(G, K43), a, m, b, -1, ())
                 assert evaluate(expr, empty_registry()) == direct
 
 
@@ -136,7 +143,7 @@ def assert_rewrites_match_the_reference(g, k, cases):
     for a, m, b, n, w in cases:
         context = (k, a, m, b, n, w)
         assert_same_rewrite(
-            master_commute(kernel, a, m, b, n, w),
+            spelled_commute(kernel, a, m, b, n, w),
             reference_master_commute(reference, a, m, b, n, w),
             context,
         )
@@ -265,7 +272,7 @@ def test_kernels_of_two_algebras_share_no_template():
     kernels = [Kernel(g, 2), Kernel(rescaled, 2)]
     for kernel in kernels + kernels:
         assert_same_rewrite(
-            master_commute(kernel, *step, ()),
+            spelled_commute(kernel, *step, ()),
             reference_master_commute(Kernel(kernel.g, 2), *step, ()),
             kernel.g.basis,
         )
@@ -277,7 +284,7 @@ def test_master_commute_drops_the_moved_terms_when_the_modes_agree():
     # e^def(-1) e(-1) f(-1): the moved terms cancel, and only the moved-past
     # action is left, the atom itself
     word = (Mode(E, -1), Mode(F, -1))
-    expr = master_commute(Kernel(G, 2), E, -1, E, -1, word[1:])
+    expr = spelled_commute(Kernel(G, 2), E, -1, E, -1, word[1:])
     assert expr.terms == (DefTerm(1, (), DefAtom(E, -1, word)),)
     assert expr.tail.is_zero
 
@@ -286,7 +293,7 @@ def test_master_commute_merges_the_zero_mode_coincidence():
     # h^def(0) e(-1) e(-1): h(0) acts on e(-1) by 2, and [h,e] = 2e, so the
     # two prefix-free e^def(-1)e(-1) terms are one term with coefficient 4
     word = (Mode(E, -1),)
-    expr = master_commute(Kernel(G, 2), H, 0, E, -1, word)
+    expr = spelled_commute(Kernel(G, 2), H, 0, E, -1, word)
     assert expr.terms == (
         DefTerm(1, (Mode(E, -1),), DefAtom(H, 0, word)),
         DefTerm(-1, (Mode(H, 0),), DefAtom(E, -1, word)),
@@ -320,7 +327,7 @@ def test_master_commute_spells_only_a_raw_target(monkeypatch, w, passes):
     # pass of modes over the kernel's word ids goes through chain_ids
     kernel = Kernel(G, K43)
     calls = count_kernel_calls(monkeypatch, "chain_ids")
-    master_commute(kernel, F, 1, E, -1, w)
+    master_commute(kernel, F, 1, E, -1, kernel.enter(w))
     assert len(calls) == passes
     assert calls[-1][0] == ((F, 1),)
 
@@ -549,6 +556,12 @@ def id_key(registry, atom):
     return atom.gen, atom.depth, registry.kernel.enter(atom.word)
 
 
+def rule_fields(rule) -> tuple:
+    """A rule as comparable parts: its atom, its value's terms and tail items,
+    and its provenance (a ``DefExpression`` compares by identity)."""
+    return rule.atom, rule.value.terms, list(rule.value.tail.items()), rule.provenance
+
+
 @pytest.mark.parametrize("key_first", [False, True])
 def test_an_atom_and_its_id_key_are_one_atom(key_first):
     registry = empty_registry()
@@ -560,13 +573,16 @@ def test_an_atom_and_its_id_key_are_one_atom(key_first):
     assert rule.atom == first
     with pytest.raises(DuplicateAtom, match=re.escape("h^def(1) h(-2)*e(-1)|0>")):
         registry.register_value(second, State.zero(), "second")
-    assert registry.lookup_value(atom) is registry.lookup_value(second) is rule
+    # a looked-up rule is spelled from the table, whichever spelling was registered
+    want = (atom, rule.value.terms, [], "first")
+    assert rule_fields(registry.lookup_value(atom)) == rule_fields(registry.lookup_value(second)) == want
 
 
 def test_a_zero_value_is_the_empty_value_over_ids(monkeypatch):
     # a zero value is stored over ids as it stands, with no conversion; its
     # rule still carries the term-free expression, and the frozen and
-    # duplicate checks still come first
+    # duplicate checks still come first; the one table holds the value over
+    # ids and the provenance
     converted = []
     over_ids = deform._over_ids
     monkeypatch.setattr(deform, "_over_ids", lambda *args: converted.append(args) or over_ids(*args))
@@ -575,9 +591,9 @@ def test_a_zero_value_is_the_empty_value_over_ids(monkeypatch):
     key = id_key(registry, atom)
     rule = registry.register_value(key, State.zero(), "zero")
     assert converted == []
-    assert registry._id_values[key] == ((), {})
+    assert registry._rules[key] == (((), {}), "zero")
     assert rule.value.terms == () and rule.value.tail.is_zero
-    assert registry.lookup_value(atom) is rule
+    assert rule_fields(registry.lookup_value(atom)) == (atom, (), [], "zero")
     assert registry.dump() == "h^def(-1) e(-1)|0> := 0 ; zero"
     with pytest.raises(DuplicateAtom):
         registry.register_value(atom, State.zero(), "again")
@@ -850,17 +866,17 @@ def test_a_step_template_is_built_once_per_step_shape(monkeypatch):
 def test_a_memoised_step_enters_and_spells_its_word_once(monkeypatch, n):
     # f^def(1)e(-1)^n over a memo that holds f^def(1)e(-1)^(n-1): the step reads
     # its word's head and rest from the kernel's word table, so however long the
-    # word, it is interned once where it enters and spelled once in the result
+    # word, it is entered once, at the root, and spelled once in the result
     registry = power_rule_registry(n)
     for p in range(1, n + 1):
         registry.register_value(DefAtom(H, 0, (Mode(E, -1),) * p), State.zero(), "cartan")
     registry.freeze()
     word = (Mode(E, -1),) * n
     evaluate(atom_expr(F, 1, word[1:]), registry)
-    interned = count_kernel_calls(monkeypatch, "intern")
+    entered = count_kernel_calls(monkeypatch, "enter")
     spelled = count_kernel_calls(monkeypatch, "spell")
     got = evaluate(atom_expr(F, 1, word), registry)
-    assert len(interned) == len(spelled) == 1
+    assert len(entered) == len(spelled) == 1
     assert got == State.monomial(word[1:], C.scale(n))
 
 

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from affdef.cli import main
-from affdef.deform import DefAtom, DefExpression, master_commute, mode_identity
+from affdef.deform import DefAtom, DefExpression, mode_identity
 from affdef.liealg import sl2, sln
 from affdef.pbw import Kernel, Mode
 from affdef.rigidity import (
@@ -26,6 +26,7 @@ from affdef.rigidity import (
 )
 from affdef.scalar import LinForm
 from affdef.singular import SINGULAR_COEFFS
+from test_deform import spelled_commute
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -88,7 +89,7 @@ def def_expressions() -> str:
         (h, 2, f, -2, (Mode(e, -1), Mode(e, -1))),
         (e, 0, f, -1, (Mode(h, -1),)),
     ):
-        lines.append(master_commute(kernel, a, m, b, n, w).render(g))
+        lines.append(spelled_commute(kernel, a, m, b, n, w).render(g))
     lines.append(DefExpression.atom(DefAtom(h, -1, (Mode(e, -2),)), c).render(g))
     lines.append(DefExpression.atom(DefAtom(f, 1, (Mode(e, -1),)), c + 1).render(g))
     lines.append(DefExpression.atom(DefAtom(e, -1, ()), Fraction(-3, 2)).render(g))

@@ -63,8 +63,15 @@ MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast
 MUTABLE_CALLS = {"dict", "list", "set"}
 
 
+def _is_mutable(node) -> bool:
+    return isinstance(node, MUTABLE_DISPLAYS) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in MUTABLE_CALLS
+    )
+
+
 def module_level_containers(source: str) -> list:
-    """Line numbers of module-level bindings to a mutable container."""
+    """Line numbers of module-level bindings whose value is or holds a mutable container."""
     found = []
 
     def visit(statements):
@@ -72,10 +79,7 @@ def module_level_containers(source: str) -> list:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) else None
-            if isinstance(value, MUTABLE_DISPLAYS) or (
-                isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
-                and value.func.id in MUTABLE_CALLS
-            ):
+            if value is not None and any(map(_is_mutable, ast.walk(value))):
                 found.append(node.lineno)
             for field in ("body", "orelse", "finalbody", "handlers"):
                 visit(getattr(node, field, []))
@@ -95,8 +99,9 @@ def test_container_scan_sees_every_form():
         "A = {}\nB: list = []\nC = {1}\nD = {x: x for x in ()}\nE = [x for x in ()]\n"
         "F = {x for x in ()}\nG = dict()\nH = list(())\nif True:\n    I = set()\n"
         "J = (1, 2)\nK = frozenset()\ndef f():\n    L = {}\nclass C:\n    M = ()\n"
+        "N = ((), {})\nO = (None, ((), frozenset()))\n"
     )
-    assert module_level_containers(source) == list(range(1, 9)) + [10]
+    assert module_level_containers(source) == list(range(1, 9)) + [10, 17]
 
 
 # States over kernel-spelled words skip the word walk; words a user spells enter
@@ -128,6 +133,38 @@ def test_unchecked_scan_sees_every_form():
         "def f():\n    return affdef.pbw.State._unchecked(terms)\n_unchecked = 1\n"
     )
     assert unchecked_state_uses(source) == [1, 2, 5]
+
+
+# An expression over kernel word ids is deform's own format: only deform
+# converts into it and out of it, so no other module names the converters.
+ID_FORMAT = {"_over_ids", "_spelled"}
+
+
+def id_format_uses(source: str) -> list:
+    """Line numbers that name a converter: as a name, an attribute or an import."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id in ID_FORMAT
+        or isinstance(node, ast.Attribute) and node.attr in ID_FORMAT
+        or isinstance(node, ast.ImportFrom) and any(a.name in ID_FORMAT for a in node.names)
+    )
+
+
+def test_id_format_stays_in_deform():
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "deform":
+            lines = id_format_uses(path.read_text())
+            assert not lines, f"{path.stem} names an id-expression converter, lines {lines}"
+    assert id_format_uses((PACKAGE / "deform.py").read_text()), "the scan lost its callers"
+
+
+def test_id_format_scan_sees_every_form():
+    source = (
+        "from .deform import _spelled\nx = deform._over_ids(k, e)\n_spelled(k, e)\n"
+        "f = affdef.deform._spelled\n'_over_ids'\nspelled = over_ids = 1\n"
+    )
+    assert id_format_uses(source) == [1, 2, 3, 4]
 
 
 # A LinForm is shared once made (``scale(1)`` is the form itself), so no module

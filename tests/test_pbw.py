@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affdef.cli import ExprAST
 from affdef.deform import (
@@ -29,6 +30,7 @@ from affdef.pbw import (
     charge,
     d_operator,
     is_canonical,
+    is_creation_word,
     normal_order,
     render_word,
     stratum_size,
@@ -449,6 +451,35 @@ def test_kernel_spells_deep_words_back():
     assert kernel.spell(wid) == word
     assert kernel.intern(word) == wid and kernel.intern(word[1:]) == kernel.tails[wid]
     assert kernel.heads[wid] == Mode(E, -2) and kernel.spell(0) == ()
+
+
+def entry_words(g: LieAlgebra):
+    """Words of modes at depths -3..1 in any order, half of them sorted into
+    canonical creation words, so both kinds of spelling and shared suffixes come up."""
+    modes = st.builds(Mode, st.integers(0, g.dim - 1), st.integers(-3, 1))
+    word = st.lists(modes, max_size=6).map(tuple)
+    canonical = word.map(lambda w: tuple(sorted(m for m in w if m.depth < 0)))
+    return st.lists(st.one_of(word, canonical), min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("g", [G, sln(3)], ids=["sl2", "sl3"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_enter_conses_any_spelling_in_one_walk(g, data):
+    kernel = Kernel(g, 2)
+    for word in data.draw(entry_words(g)):
+        raw = set(kernel.raw)
+        wid = kernel.enter(word)
+        assert kernel.spell(wid) == word
+        if is_creation_word(word):
+            assert kernel.intern(word) == wid and kernel.raw == raw
+        # entering the word again finds its id and adds nothing
+        size, raw = len(kernel.heads), set(kernel.raw)
+        assert kernel.enter(word) == wid and len(kernel.heads) == size and kernel.raw == raw
+    # every id is a suffix of an entered word; raw holds exactly the spellings
+    # that are not canonical creation words
+    ids = range(1, len(kernel.heads))
+    assert kernel.raw == {wid for wid in ids if not is_creation_word(kernel.spell(wid))}
 
 
 # --- the per-mode chains that Kernel.chain replaced, kept as references ---
