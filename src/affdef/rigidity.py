@@ -176,13 +176,13 @@ def check_power_rule_ingredients(kernel: Kernel) -> None:
 def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     """Run the positive-integral-level computation and force c = 0.
 
-    Registers the stated power rule, computes the Cartan rules with the
-    evaluator, reduces f^def(1) e(-1)^(k+1)|0> mechanically, and extracts the
-    relation (k+1)*c = 0 as the coefficient of e(-1)^k|0> in that image.
+    Registers the stated power rule, freezes, and evaluates f^def(1)
+    e(-1)^(k+1)|0> once, which reduces every lower f^def(1) and Cartan rung;
+    each rung is then checked from the registry's memo, and the relation
+    (k+1)*c = 0 is read off as the coefficient of e(-1)^k|0> in the top image.
     The powers e(-1)^j|0> are built once as word ids of the registry's kernel,
-    and every rule is registered and every atom evaluated by its id key
-    ``(gen, depth, word id)``; words are spelled only for the errors, and the
-    transcript writes each power from its exponent.
+    and rules and rungs go by their id keys ``(gen, depth, word id)``; words are
+    spelled only for the errors, and the transcript writes each power from its exponent.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"level must be a positive integer, got {k!r}")
@@ -213,45 +213,40 @@ def integral_pipeline(g: LieAlgebra, k: int) -> Verdict:
     for _ in range(k + 1):
         powers.append(kernel.cons((e, -1, powers[-1])))
 
-    def value_of(gen, depth, n):
-        # the atom's value by evaluate, over ids: a root of one term, keyed by its id
-        return evaluate((((1, (), (gen, depth, powers[n])),), {}), registry)
-
     def rendered(ids):
         return State({kernel.spell(wid): coeff for wid, coeff in ids.items()}).render(g)
+
+    def rung(gen, depth, n):
+        # the state the top evaluation left in the memo for the atom on e(-1)^n|0>
+        value = registry.memo.get((gen, depth, powers[n]))
+        if value is None:
+            raise SystemMismatch(f"{atom_text(def_label(g, gen, depth), n)} was not evaluated")
+        if value[0]:  # stuck on its first unresolved atom
+            raise PipelineStuck(f"no rule for def-atom {registry.render_atom(value[0][0][2])}")
+        return value[1]
 
     for j in range(1, k + 1):
         registry.register_value((e, -1, powers[j]), State.zero(), "derived:power-rule")
         transcript.add("power-rule", f"{atom_text(e_def, j)} := 0", "all ingredients vanish")
+    registry.freeze()
     try:
-        # each power takes one master-commute step over the previous,
-        # registered power and the power rule
-        for p in range(1, k + 1):
-            value = value_of(h, 0, p)
-            if value:
-                raise SystemMismatch(
-                    f"{atom_text(h_def, p)} evaluated to {rendered(value)}, not 0"
-                )
-            registry.register_value((h, 0, powers[p]), State.zero(), "derived:cartan-induction")
-            transcript.add("cartan-rule", f"{atom_text(h_def, p)} := 0", f"{p + 1}-step induction")
-        registry.freeze()
-
-        for i in range(1, k + 2):
-            got = value_of(f, 1, i)
-            # i*c on e(-1)^(i-1)|0>, read off its one coefficient
-            coeff = got.get(powers[i - 1])
-            is_ic = isinstance(coeff, LinForm) and not coeff.constant and coeff.terms == {"c": i}
-            if len(got) != 1 or not is_ic:
-                raise SystemMismatch(
-                    f"reduction of {atom_text(f_def, i)} gave {rendered(got)}"
-                )
-            transcript.add(
-                "reduce",
-                atom_text(f_def, i),
-                f"{i}*c*{power_text(i - 1)}",
-            )
+        # one evaluation: each f^def(1) rung steps onto the one below and, by
+        # [f,e] = -h, onto a Cartan rung, and the memo keeps every rung's value
+        evaluate((((1, (), (f, 1, powers[k + 1])),), {}), registry)
     except UnresolvedAtom as exc:
         raise PipelineStuck(str(exc)) from exc
+    for p in range(1, k + 1):
+        if value := rung(h, 0, p):
+            raise SystemMismatch(f"{atom_text(h_def, p)} evaluated to {rendered(value)}, not 0")
+        transcript.add("cartan-rule", f"{atom_text(h_def, p)} := 0", f"{p + 1}-step induction")
+    for i in range(1, k + 2):
+        got = rung(f, 1, i)
+        # i*c on e(-1)^(i-1)|0>, read off its one coefficient
+        coeff = got.get(powers[i - 1])
+        is_ic = isinstance(coeff, LinForm) and not coeff.constant and coeff.terms == {"c": i}
+        if len(got) != 1 or not is_ic:
+            raise SystemMismatch(f"reduction of {atom_text(f_def, i)} gave {rendered(got)}")
+        transcript.add("reduce", atom_text(f_def, i), f"{i}*c*{power_text(i - 1)}")
 
     transcript.add(
         "telescope",

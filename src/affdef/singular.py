@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .liealg import LieAlgebra
-from .pbw import Mode, State, apply_mode, normal_order, weight
+from .pbw import Kernel, Mode, State, normal_order, weight
 
 ADMISSIBLE_LEVEL = Fraction(-4, 3)
 
@@ -67,9 +67,12 @@ def is_singular(v: State, k, g: LieAlgebra) -> tuple:
     w = weight(v)
     checks = [(g.theta[0], 0)]
     checks += [(a, m) for m in range(1, w + 1) for a in range(g.dim)]
+    # one kernel serves every check, so its memo carries from one to the next
+    kernel = Kernel(g, k)
     for a, m in checks:
-        image = apply_mode(g, a, m, v, k)
+        image = kernel.chain(((a, m),), v)
         if image:
+            image = State(image)
             witness = f"{g.label(a)}({m}) leaves {image.render(g)}"
             return False, (g.label(a), m, image, witness)
     return True, None

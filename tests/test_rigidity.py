@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from affdef.liealg import sl2, sln
+from affdef import deform
+from affdef.liealg import sl2, sln, validate
 from affdef.pbw import Kernel, Mode, render_word
 from affdef.rigidity import (
     ADMISSIBLE_EQUATIONS,
@@ -16,13 +17,16 @@ from affdef.rigidity import (
     admissible_pipeline,
     cross_check,
     eliminate,
+    PipelineStuck,
     ProofTranscript,
     Step,
+    SystemMismatch,
     Verdict,
     integral_pipeline,
 )
 from affdef.scalar import LinForm
 from affdef.singular import SINGULAR_COEFFS
+from test_layering import fresh_import
 
 
 def lf(**terms):
@@ -250,6 +254,87 @@ def test_integral_deterministic():
     assert json.dumps(a.to_jsonable(True), sort_keys=True) == json.dumps(
         b.to_jsonable(True), sort_keys=True
     )
+
+
+def test_integral_rejects_a_wrong_reduction():
+    # a pairing <e,f> = 2 set behind validation's back: the first f^def(1)
+    # rung reduces to 2*c on the vacuum, not 1*c
+    g = sl2()
+    assert validate(g).ok
+    e, _, f = g.theta
+    g._form[e, f] = g._form[f, e] = 2
+    with pytest.raises(SystemMismatch) as info:
+        integral_pipeline(g, 2)
+    assert str(info.value) == "reduction of f^def(1)e(-1)^1|0> gave (2*c)*|0>"
+
+
+def patch_step(monkeypatch, fault):
+    """Rebind ``deform.master_commute`` so that ``fault(kernel, a, m, w, terms, tail)``
+    may change each step's rewrite in place."""
+    step = deform.master_commute
+
+    def faulty(kernel, a, m, b, n, w):
+        terms, tail = step(kernel, a, m, b, n, w)
+        terms, tail = list(terms), dict(tail)
+        fault(kernel, a, m, w, terms, tail)
+        return tuple(terms), tail
+
+    monkeypatch.setattr(deform, "master_commute", faulty)
+
+
+def test_integral_rejects_a_nonzero_cartan_rung(monkeypatch):
+    # the Cartan step on e(-1)|0>, the one of h^def(0)e(-1)^2|0>, gains a
+    # tail e(-1)^2|0>, so that rung is no longer 0
+    g = sl2()
+    e, h, _ = g.theta
+
+    def fault(kernel, a, m, w, terms, tail):
+        e1 = kernel.cons((e, -1, 0))
+        if (a, m, w) == (h, 0, e1):
+            tail[kernel.cons((e, -1, e1))] = 1
+
+    patch_step(monkeypatch, fault)
+    with pytest.raises(SystemMismatch) as info:
+        integral_pipeline(g, 3)
+    assert str(info.value) == "h^def(0)e(-1)^2|0> evaluated to e(-1)^2|0>, not 0"
+
+
+@pytest.mark.parametrize("k, cancelled", [(3, False), (2, True)])
+def test_integral_stuck_on_an_atom_without_a_rule(monkeypatch, k, cancelled):
+    # the Cartan step on e(-1)|0>, the one of h^def(0)e(-1)^2|0>, gains a term
+    # h^def(-1)e(-1)|0>, which no rule covers; at k = 2 the step of the top
+    # rung f^def(1)e(-1)^3|0> gains it too, cancelling the one that
+    # -h^def(0)e(-1)^2|0> brings, so the top evaluation resolves and only the
+    # Cartan rung is left holding the atom
+    g = sl2()
+    e, h, f = g.theta
+
+    def fault(kernel, a, m, w, terms, tail):
+        e1 = kernel.cons((e, -1, 0))
+        if (a, m, w) == (h, 0, e1) or cancelled and (a, m, w) == (f, 1, kernel.cons((e, -1, e1))):
+            terms.append((1, (), (h, -1, e1)))
+
+    patch_step(monkeypatch, fault)
+    with pytest.raises(PipelineStuck, match=r"^no rule for def-atom h\^def\(-1\) e\(-1\)\|0>$"):
+        integral_pipeline(g, k)
+
+
+# A fresh interpreter runs integral_pipeline(sl2(), 400) under a recursion limit
+# of 60 and prints its final relation and verdict.
+SHALLOW_STACK = """
+import sys
+from affdef import integral_pipeline, sl2
+sys.setrecursionlimit(60)
+verdict = integral_pipeline(sl2(), 400)
+print(verdict.final_relation, verdict.c_forced_zero)
+"""
+
+
+def test_integral_pipeline_runs_deep_powers_iteratively():
+    # e(-1)^401 is reduced on explicit stacks: no frame per power
+    child = fresh_import("affdef", script=SHALLOW_STACK)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["401*c", "True"]
 
 
 # --- records ---

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from affdef.liealg import sl2
+from affdef.liealg import sl2, sln
 from affdef.pbw import Mode, State, apply_mode, basis_enum, charge, weight
 from affdef.singular import (
     ADMISSIBLE_LEVEL,
@@ -86,6 +86,34 @@ def test_non_singular_witness():
     label, depth, image, _ = witness
     assert (label, depth) == ("f", 1)
     assert image == State.monomial((Mode(E, -1),), 4)  # (i-1)(k-i+2) = 2*2
+
+
+def per_call_is_singular(v, k, g):
+    """``is_singular`` as one ``apply_mode`` call per annihilation check."""
+    checks = [(g.theta[0], 0)]
+    checks += [(a, m) for m in range(1, weight(v) + 1) for a in range(g.dim)]
+    for a, m in checks:
+        image = apply_mode(g, a, m, v, k)
+        if image:
+            return False, (g.label(a), m, image, f"{g.label(a)}({m}) leaves {image.render(g)}")
+    return True, None
+
+
+def test_shared_kernel_matches_per_call_checks():
+    # one kernel serves every check: the same verdict and witness, in the same order
+    sl3 = sln(3)
+    cases = [
+        (admissible_sl2(G), G),
+        *((integral_relation(G, k), G) for k in (1, 2, 3)),
+        (integral_relation(sl3, 2), sl3),
+    ]
+    cases = [(sv.vector, sv.level, g) for sv, g in cases]
+    # two vectors that are not singular
+    cases.append((admissible_sl2(G).vector, Fraction(0), G))
+    cases.append((integral_relation(sl3, 2).vector, Fraction(1), sl3))
+    for v, k, g in cases:
+        assert is_singular(v, k, g) == per_call_is_singular(v, k, g)
+    assert [is_singular(v, k, g)[0] for v, k, g in cases] == [True] * 5 + [False] * 2
 
 
 def test_weight3_vector_unique():

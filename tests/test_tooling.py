@@ -74,10 +74,11 @@ print(json.dumps(tracer.span_counts()))
 
 
 def test_tracer_sees_every_evaluator_step():
-    # four Cartan powers and five f^def(1) powers are evaluated; past the first
-    # of each, every power takes one master-commute step, entered by the
-    # evaluator through the name the benchmark traces
+    # one evaluation of f^def(1)e(-1)^5|0> reduces the four Cartan powers and
+    # the five f^def(1) powers; past the first of each, every power takes one
+    # master-commute step, entered by the evaluator through the name the
+    # benchmark traces
     child = fresh_import(str(TRACER), script=TRACED_PIPELINE)
     assert child.returncode == 0, child.stderr
     counts = json.loads(child.stdout)
-    assert (counts.get("deform.evaluate"), counts.get("deform.master_commute")) == (9, 7)
+    assert (counts.get("deform.evaluate"), counts.get("deform.master_commute")) == (1, 7)
